@@ -14,15 +14,22 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .errors import (
-    DimensionTooLarge,
     InternalFault,
     InvalidInput,
     KNotPerfectSquare,
     NotASquareRoot,
     NotDecomposable,
-    NotSymmetric,
 )
-from .zmatrix import NatMatrix, Permutation, canonical_cap, scalar_mul
+from .zmatrix import (
+    NatMatrix,
+    Permutation,
+    _check_canon_cap,
+    _check_symmetric,
+    _first_mismatch,
+    _mul_rows,
+    _scalar_rows,
+    scalar_mul,
+)
 
 
 @dataclass(frozen=True)
@@ -87,19 +94,15 @@ class SqrtClassification:
 
 
 def _verify_square(m, k):
-    n = m.n
-    e = m.entries
-    for i in range(n):
-        for j in range(n):
-            got = sum(e[i][t] * e[t][j] for t in range(n))
-            want = k if i == j else 0
-            if got != want:
-                raise NotASquareRoot(
-                    f"(M^2)[{i + 1}][{j + 1}] = {got}, expected {want}",
-                    position=(i + 1, j + 1),
-                    got=got,
-                    expected=want,
-                )
+    bad = _first_mismatch(_mul_rows(m.entries, m.entries), _scalar_rows(m.n, k))
+    if bad is not None:
+        pos, got, want = bad
+        raise NotASquareRoot(
+            f"(M^2)[{pos[0]}][{pos[1]}] = {got}, expected {want}",
+            position=pos,
+            got=got,
+            expected=want,
+        )
 
 
 def decompose(m, k):
@@ -188,16 +191,9 @@ def classify_selfadjoint_sqrt(m, k):
     """
     if isinstance(k, bool) or not isinstance(k, int) or k < 0:
         raise InvalidInput(f"k must be a nonnegative integer, got {k!r}")
+    _check_symmetric(m)
     n = m.n
     e = m.entries
-    for i in range(n):
-        for j in range(i + 1, n):
-            if e[i][j] != e[j][i]:
-                raise NotSymmetric(
-                    f"entry ({i + 1}, {j + 1}) is {e[i][j]} but "
-                    f"({j + 1}, {i + 1}) is {e[j][i]}",
-                    position=(i + 1, j + 1),
-                )
     root = isqrt(k)
     if root * root != k:
         raise KNotPerfectSquare(
@@ -226,22 +222,16 @@ def classify_selfadjoint_sqrt(m, k):
     return SqrtClassification(root, sigma)
 
 
-def enumerate_involutions(n, cap=None):
+def enumerate_involutions(n):
     """All involutive permutations of n letters, lexicographic by image tuple.
 
     Counts follow the telephone numbers 1, 1, 2, 4, 10, 26, 76, 232, 764, ...
-    Scans n! permutations, so the canonical cap applies.
+    Scans n! permutations, so n is capped like canonical_rep (default 8,
+    overridable via the FUNCTORLAB_CANON_CAP environment variable).
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise InvalidInput(f"n must be a positive integer, got {n!r}")
-    if cap is None:
-        cap = canonical_cap()
-    if n > cap:
-        raise DimensionTooLarge(
-            f"involution enumeration scans n! permutations; n={n} exceeds cap {cap}",
-            n=n,
-            cap=cap,
-        )
+    _check_canon_cap(n, "involution enumeration scans n! permutations")
     out = []
     for images in itertools.permutations(range(n)):
         if all(images[img] == i for i, img in enumerate(images)):

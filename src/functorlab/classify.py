@@ -29,30 +29,16 @@ from .errors import (
     NotARoot,
     NotASolution,
     NotIdempotent,
-    NotSymmetric,
     ShapeViolation,
 )
-from .zmatrix import NatMatrix, Permutation, _pow_rows
-
-
-def _require_symmetric(m):
-    e = m.entries
-    for i in range(m.n):
-        for j in range(i + 1, m.n):
-            if e[i][j] != e[j][i]:
-                raise NotSymmetric(
-                    f"entry ({i + 1}, {j + 1}) is {e[i][j]} but "
-                    f"({j + 1}, {i + 1}) is {e[j][i]}",
-                    position=(i + 1, j + 1),
-                )
-
-
-def _first_mismatch(a, b):
-    for i, (ra, rb) in enumerate(zip(a, b)):
-        for j, (x, y) in enumerate(zip(ra, rb)):
-            if x != y:
-                return (i + 1, j + 1), x, y
-    return None
+from .zmatrix import (
+    NatMatrix,
+    Permutation,
+    _check_symmetric,
+    _first_mismatch,
+    _pow_rows,
+    _scalar_rows,
+)
 
 
 def _diagonal_support(m):
@@ -92,7 +78,7 @@ class IdempotentClassification:
 
 def classify_idempotent(m):
     """Verify M symmetric with M^2 = M and return its support."""
-    _require_symmetric(m)
+    _check_symmetric(m)
     square = _pow_rows(m.entries, 2)
     bad = _first_mismatch(square, m.entries)
     if bad is not None:
@@ -164,7 +150,7 @@ def check_nilpotent(m, k):
     """Decide M^k = 0 for symmetric M: zero matrix or a surviving witness."""
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise InvalidInput(f"nilpotency degree must be a positive integer, got {k!r}")
-    _require_symmetric(m)
+    _check_symmetric(m)
     if m.is_zero():
         return NilpotencyVerdict("zero")
     power = _pow_rows(m.entries, k)
@@ -202,7 +188,7 @@ def classify_cyclic(m, k, mm):
             raise InvalidInput(f"{name} must be an integer, got {v!r}")
     if not k > mm >= 1:
         raise InvalidInput(f"exponents must satisfy k > m >= 1, got k={k}, m={mm}")
-    _require_symmetric(m)
+    _check_symmetric(m)
     bad = _first_mismatch(_pow_rows(m.entries, k), _pow_rows(m.entries, mm))
     if bad is not None:
         pos, got, want = bad
@@ -260,7 +246,7 @@ def classify_root_of_identity(m, n_exp):
     if isinstance(n_exp, bool) or not isinstance(n_exp, int) or n_exp < 1:
         raise InvalidInput(f"exponent must be a positive integer, got {n_exp!r}")
     power = _pow_rows(m.entries, n_exp)
-    bad = _first_mismatch(power, NatMatrix.identity(m.n).entries)
+    bad = _first_mismatch(power, _scalar_rows(m.n, 1))
     if bad is not None:
         pos, got, want = bad
         raise NotARoot(

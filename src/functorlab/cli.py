@@ -4,8 +4,8 @@ Every subcommand reads JSON files, computes exactly, and writes a
 deterministic report (JSON by default; --format csv/table for matrix-shaped
 outputs).  Exit codes: 0 affirmative result, 1 negative verdict (no
 solutions, not invariant, commutation failure, reducible, inconclusive),
-2 malformed input or over-cap request, 3 internal fault (states the theory
-excludes).  Diagnostics go to standard error as JSON error objects.
+2 malformed input or over-cap request, 3 internal fault (a state the theory
+excludes, or a bug).  Diagnostics go to standard error as JSON error objects.
 """
 
 import argparse
@@ -488,6 +488,11 @@ def main(argv=None):
             jsonio.dumps({"error": "io_error", "message": str(err)})
         )
         return 2
+    except Exception as err:
+        # a bug, not a verdict: report it under the same JSON contract
+        fault = InternalFault(f"{type(err).__name__}: {err}")
+        sys.stderr.write(jsonio.dumps(jsonio.error_to_obj(fault)))
+        return 3
 
 
 if __name__ == "__main__":

@@ -430,3 +430,5 @@ def load_text(text, what="input"):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"{what} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InvalidInput(f"{what} is nested too deeply to parse") from None

@@ -30,7 +30,13 @@ from .errors import (
     NotSymmetric,
     RelationNotSatisfied,
 )
-from .zmatrix import NatMatrix, _poly_rows
+from .zmatrix import (
+    NatMatrix,
+    _first_mismatch,
+    _mul_rows,
+    _poly_rows,
+    _scalar_rows,
+)
 
 _SUBSET_ENUM_CAP = 20
 
@@ -80,19 +86,17 @@ def _check_dims(m, subset):
 def is_invariant_subset(m, subset):
     """True when every column of S is supported inside S."""
     _check_dims(m, subset)
-    inside = set(subset.zero_based())
-    for j in inside:
-        for i in range(m.n):
-            if i not in inside and m.entries[i][j]:
-                return False
-    return True
+    return _invariance_witness(m, subset) is None
 
 
 def _invariance_witness(m, subset):
-    inside = set(subset.zero_based())
-    for j in sorted(inside):
-        for i in range(m.n):
-            if i not in inside and m.entries[i][j]:
+    # first leak (row, column), 1-based, scanning S's columns in order
+    columns = subset.zero_based()
+    inside = set(columns)
+    outside = [i for i in range(m.n) if i not in inside]
+    for j in columns:
+        for i in outside:
+            if m.entries[i][j]:
                 return (i + 1, j + 1)
     return None
 
@@ -181,19 +185,15 @@ def relation_descends(m, subset, rel):
     """Check rel on m, restrict to both corners, and re-verify it there."""
     _check_dims(m, subset)
     _require_invariant(m, subset)
-    gm = _poly_rows(rel.g, m.entries)
-    hm = _poly_rows(rel.h, m.entries)
-    if gm != hm:
-        for i in range(m.n):
-            for j in range(m.n):
-                if gm[i][j] != hm[i][j]:
-                    raise RelationNotSatisfied(
-                        f"g(M)[{i + 1}][{j + 1}] = {gm[i][j]} but h(M) there "
-                        f"is {hm[i][j]}",
-                        position=(i + 1, j + 1),
-                        lhs=gm[i][j],
-                        rhs=hm[i][j],
-                    )
+    bad = _first_mismatch(_poly_rows(rel.g, m.entries), _poly_rows(rel.h, m.entries))
+    if bad is not None:
+        pos, lhs, rhs = bad
+        raise RelationNotSatisfied(
+            f"g(M)[{pos[0]}][{pos[1]}] = {lhs} but h(M) there is {rhs}",
+            position=pos,
+            lhs=lhs,
+            rhs=rhs,
+        )
     serre = quotient = None
     if subset.size:
         serre = _corner(m, subset.zero_based())
@@ -245,26 +245,20 @@ def _flatten(rows):
     return [x for row in rows for x in row]
 
 
-def _mat_mul_frac(a, b):
-    n = len(a)
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
-
-
 def _char_poly(rows):
     """Monic characteristic polynomial, descending integer coefficients."""
     n = len(rows)
     a = [[Fraction(x) for x in row] for row in rows]
     coeffs = [Fraction(1)]
-    mk = [row[:] for row in a]
+    mk = a
     for k in range(1, n + 1):
         ck = -sum(mk[i][i] for i in range(n)) / k
         coeffs.append(ck)
         if k < n:
-            shifted = [row[:] for row in mk]
+            shifted = [list(r) for r in mk]
             for i in range(n):
                 shifted[i][i] += ck
-            mk = _mat_mul_frac(a, shifted)
+            mk = _mul_rows(a, shifted)
     out = []
     for c in coeffs:
         if c.denominator != 1:
@@ -409,45 +403,33 @@ def cartan_check(instance):
     c = instance.cartan
     n = c.n
     for idx, f in enumerate(instance.functors):
-        fc = (f * c).entries
-        cf = (c * f).entries
-        for i in range(n):
-            for j in range(n):
-                if fc[i][j] != cf[i][j]:
-                    return CartanVerdict(
-                        "fail_commutation",
-                        functor=idx + 1,
-                        position=(i + 1, j + 1),
-                        left=fc[i][j],
-                        right=cf[i][j],
-                    )
+        fc = _mul_rows(f.entries, c.entries)
+        bad = _first_mismatch(fc, _mul_rows(c.entries, f.entries))
+        if bad is not None:
+            pos, left, right = bad
+            return CartanVerdict(
+                "fail_commutation", functor=idx + 1, position=pos, left=left, right=right
+            )
     # span of the algebra generated by the family (words in the generators,
     # with the empty word): a span of n^2 means no proper invariant subspace
     # can exist, over any field
     span = _RationalSpan(n * n)
     gens = [f.entries for f in instance.functors]
     queue = []
-    for rows in [tuple(tuple(r) for r in NatMatrix.identity(n).entries)] + gens:
+    for rows in [_scalar_rows(n, 1)] + gens:
         if span.add(_flatten(rows)):
             queue.append(rows)
     while queue and span.dim < n * n:
         current = queue.pop(0)
         for g in gens:
-            prod = tuple(
-                tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*g))
-                for row in current
-            )
+            prod = _mul_rows(current, g)
             if span.add(_flatten(prod)):
                 queue.append(prod)
     if span.dim == n * n:
         scale = c.entries[0][0]
-        for i in range(n):
-            for j in range(n):
-                want = scale if i == j else 0
-                if c.entries[i][j] != want:
-                    return CartanVerdict(
-                        "inconsistent_input", position=(i + 1, j + 1)
-                    )
+        bad = _first_mismatch(c.entries, _scalar_rows(n, scale))
+        if bad is not None:
+            return CartanVerdict("inconsistent_input", position=bad[0])
         return CartanVerdict("pass", scale=scale)
     # fallback: hunt for a proper subspace invariant under the whole family,
     # grown from an integer eigenspace of one generator

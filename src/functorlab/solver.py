@@ -28,16 +28,17 @@ once is out of scope.
 """
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .errors import DimensionTooLarge, InvalidInput, SearchSpaceTooLarge
+from .errors import InvalidInput, SearchSpaceTooLarge
 from .zmatrix import (
     NatMatrix,
     RelationPoly,
+    _check_canon_cap,
     _orbit_min_rows,
     _poly_rows,
-    canonical_cap,
 )
 
 
@@ -171,21 +172,23 @@ def _search_partition(args):
     return found
 
 
+def _usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def solve(rel, config, jobs=1):
     """All solutions of rel in the space described by config.
 
-    jobs > 1 splits the search on the first entry's value across processes;
-    the result is byte-for-byte identical for every worker count.
+    jobs > 1 splits the search on the first entry's value across processes,
+    at most one per usable CPU; the result is byte-for-byte identical for
+    every worker count.
     """
     if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
         raise InvalidInput(f"jobs must be a positive integer, got {jobs!r}")
-    if config.up_to_iso and config.n > canonical_cap():
-        raise DimensionTooLarge(
-            f"up_to_iso filters through n! relabelings; n={config.n} exceeds "
-            f"cap {canonical_cap()}",
-            n=config.n,
-            cap=canonical_cap(),
-        )
+    if config.up_to_iso:
+        _check_canon_cap(config.n, "up_to_iso filters through n! relabelings")
     gr, hr = rel.reduced()
     if len(gr) <= 1 and len(hr) <= 1:
         # c1*I = c2*I with c1 != c2: unsatisfiable at any dimension
@@ -196,10 +199,11 @@ def solve(rel, config, jobs=1):
          config.up_to_iso, cap, v)
         for v in range(config.bound + 1)
     ]
-    if jobs == 1 or len(tasks) == 1:
+    workers = min(jobs, len(tasks), _usable_cpus())
+    if workers == 1:
         buffers = [_search_partition(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             buffers = list(pool.map(_search_partition, tasks))
     stream = [rows for buf in buffers for rows in buf]
     complete = True
@@ -230,13 +234,8 @@ def brute_force_oracle(rel, config):
     the only code shared with solve is the polynomial-evaluation primitive.
     Refuses spaces beyond 10^8 candidates.
     """
-    if config.up_to_iso and config.n > canonical_cap():
-        raise DimensionTooLarge(
-            f"up_to_iso filters through n! relabelings; n={config.n} exceeds "
-            f"cap {canonical_cap()}",
-            n=config.n,
-            cap=canonical_cap(),
-        )
+    if config.up_to_iso:
+        _check_canon_cap(config.n, "up_to_iso filters through n! relabelings")
     n = config.n
     positions = _fill_positions(n, config.symmetric_only)
     space = (config.bound + 1) ** len(positions)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 
-from .errors import DimensionMismatch, DimensionTooLarge, InvalidInput
+from .errors import DimensionMismatch, DimensionTooLarge, InvalidInput, NotSymmetric
 
 CANON_CAP_ENV = "FUNCTORLAB_CANON_CAP"
 _DEFAULT_CANON_CAP = 8
@@ -39,6 +39,13 @@ def canonical_cap():
     return cap
 
 
+def _check_canon_cap(n, scan):
+    """Refuse an n! scan (described by `scan`) above the canonical cap."""
+    cap = canonical_cap()
+    if n > cap:
+        raise DimensionTooLarge(f"{scan}; n={n} exceeds cap {cap}", n=n, cap=cap)
+
+
 def _check_entry(x):
     if isinstance(x, bool) or not isinstance(x, int):
         raise InvalidInput(f"matrix entries must be integers, got {x!r}")
@@ -51,40 +58,85 @@ def _check_entry(x):
 # The solver iterates over huge candidate spaces, so the inner arithmetic
 # works on plain tuples of row tuples; NatMatrix wraps them for the API.
 
-def _identity_rows(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+def _scalar_rows(n, c):
+    # c times the n x n identity
+    return tuple((0,) * i + (c,) + (0,) * (n - 1 - i) for i in range(n))
 
 
 def _mul_rows(a, b):
+    # the package's one matrix product; exact on int and Fraction entries
     cols = tuple(zip(*b))
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a
     )
 
 
+# pays for itself on repeated classify calls with the same matrix and exponent
 @lru_cache(maxsize=1 << 16)
 def _pow_rows(rows, d):
-    if d == 0:
-        return _identity_rows(len(rows))
-    if d == 1:
-        return rows
-    return _mul_rows(_pow_rows(rows, d - 1), rows)
+    # square-and-multiply, no recursion, so any exponent is safe
+    result, base = None, rows
+    while True:
+        if d & 1:
+            result = base if result is None else _mul_rows(result, base)
+        d >>= 1
+        if not d:
+            break
+        base = _mul_rows(base, base)
+    return _scalar_rows(len(rows), 1) if result is None else result
 
 
+# pays for itself on the solve-vs-oracle sweep, which re-evaluates every leaf
 @lru_cache(maxsize=1 << 16)
 def _poly_rows(coeffs, rows):
     n = len(rows)
     acc = [[0] * n for _ in range(n)]
-    for d, c in enumerate(coeffs):
+    if coeffs and coeffs[0]:
+        for i in range(n):
+            acc[i][i] = coeffs[0]
+    p = rows
+    for d in range(1, len(coeffs)):
+        if d > 1:
+            p = _mul_rows(p, rows)
+        c = coeffs[d]
         if c == 0:
             continue
-        p = _pow_rows(rows, d)
         for i in range(n):
             pi = p[i]
             ai = acc[i]
             for j in range(n):
                 ai[j] += c * pi[j]
     return tuple(tuple(r) for r in acc)
+
+
+def _first_mismatch(a, b):
+    """First differing entry of two row sequences: ((i, j) 1-based, a's, b's)."""
+    for i, (ra, rb) in enumerate(zip(a, b)):
+        for j, (x, y) in enumerate(zip(ra, rb)):
+            if x != y:
+                return (i + 1, j + 1), x, y
+    return None
+
+
+def _symmetry_witness(rows):
+    """First (i, j) with i < j and rows[i][j] != rows[j][i], or None; shaped
+    like _first_mismatch: ((i, j) 1-based, rows[i][j], rows[j][i])."""
+    n = len(rows)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rows[i][j] != rows[j][i]:
+                return (i + 1, j + 1), rows[i][j], rows[j][i]
+    return None
+
+
+def _check_symmetric(m):
+    """Raise NotSymmetric at the first asymmetric pair of m."""
+    bad = _symmetry_witness(m.entries)
+    if bad is not None:
+        (i, j), x, y = bad
+        raise NotSymmetric(
+            f"entry ({i}, {j}) is {x} but ({j}, {i}) is {y}", position=(i, j)
+        )
 
 
 def _conjugate_rows(rows, images):
@@ -140,7 +192,7 @@ class NatMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(_identity_rows(n))
+        return cls(_scalar_rows(n, 1))
 
     @property
     def n(self):
@@ -186,16 +238,13 @@ class NatMatrix:
         return NatMatrix(tuple(zip(*self.entries)))
 
     def is_symmetric(self):
-        e = self.entries
-        return all(
-            e[i][j] == e[j][i] for i in range(self.n) for j in range(i + 1, self.n)
-        )
+        return _symmetry_witness(self.entries) is None
 
     def is_zero(self):
         return all(x == 0 for row in self.entries for x in row)
 
     def is_identity(self):
-        return self.entries == _identity_rows(self.n)
+        return self.entries == _scalar_rows(self.n, 1)
 
     def is_permutation_matrix(self):
         e = self.entries
@@ -353,14 +402,6 @@ class RelationPoly:
 
 # -- operations --------------------------------------------------------------
 
-def add(a, b):
-    return a + b
-
-
-def mul(a, b):
-    return a * b
-
-
 def scalar_mul(k, m):
     out = k * m
     if out is NotImplemented:
@@ -414,18 +455,11 @@ def conjugate(m, s):
     return NatMatrix(_conjugate_rows(m.entries, s.images))
 
 
-def canonical_rep(m, cap=None):
+def canonical_rep(m):
     """Lexicographically least relabeling of m (row-major entry order).
 
     Scans all n! permutations, so n is capped (default 8, overridable via the
-    FUNCTORLAB_CANON_CAP environment variable or the cap argument).
+    FUNCTORLAB_CANON_CAP environment variable).
     """
-    if cap is None:
-        cap = canonical_cap()
-    if m.n > cap:
-        raise DimensionTooLarge(
-            f"canonical form scans n! relabelings; n={m.n} exceeds cap {cap}",
-            n=m.n,
-            cap=cap,
-        )
+    _check_canon_cap(m.n, "canonical form scans n! relabelings")
     return NatMatrix(_orbit_min_rows(m.entries))

@@ -9,6 +9,7 @@ from functorlab import (
     NotASolution,
     NotIdempotent,
     NotSymmetric,
+    Permutation,
     check_commuting_idempotents,
     check_nilpotent,
     classify_cyclic,
@@ -199,3 +200,13 @@ def test_roots_of_identity_exhaustive():
                 assert m.is_permutation_matrix()
                 assert e % cls.order == 0
                 assert cls.selfadjoint == m.is_symmetric()
+
+
+def test_classify_root_high_exponent():
+    # a 5-cycle and a 2-cycle on 7 letters: order 10 divides 500
+    m = Permutation((1, 2, 3, 4, 0, 6, 5)).matrix()
+    cls = classify_root_of_identity(m, 500)
+    assert cls.order == 10
+    assert not cls.selfadjoint
+    with pytest.raises(NotARoot):
+        classify_root_of_identity(m, 505)

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from functorlab import InternalFault, InvalidInput, NotInvariant, NotSymmetric
+from functorlab import InternalFault, InvalidInput, NotInvariant, NotSymmetric, zmatrix
 from functorlab.cli import _code_for, main
 
 SWAP = {"n": 2, "rows": [[0, 1], [1, 0]]}
@@ -418,3 +418,48 @@ def test_module_entrypoint(tmp_path):
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["rows"] == [[0, 2], [2, 0]]
     assert proc.stderr == ""
+
+
+def test_classify_root_high_exponent(write, capsys):
+    # a 5-cycle and a 2-cycle on 7 letters: order 10 divides 500
+    m = write("m.json", {"n": 7, "rows": [
+        [0, 0, 0, 0, 1, 0, 0],
+        [1, 0, 0, 0, 0, 0, 0],
+        [0, 1, 0, 0, 0, 0, 0],
+        [0, 0, 1, 0, 0, 0, 0],
+        [0, 0, 0, 1, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 1],
+        [0, 0, 0, 0, 0, 1, 0],
+    ]})
+    rc, out, err = run(capsys, "classify", "root", "--matrix", m, "--exp", "500")
+    assert rc == 0
+    assert err == ""
+    assert json.loads(out)["order"] == 10
+
+
+def test_deeply_nested_input_is_invalid(tmp_path):
+    m = tmp_path / "deep.json"
+    m.write_text("[" * 200_000 + "]" * 200_000)
+    proc = subprocess.run(
+        [sys.executable, "-m", "functorlab.cli", "canon", "--matrix", str(m)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr)["error"] == "invalid_input"
+    assert "Traceback" not in proc.stderr
+
+
+def test_unexpected_exception_is_internal_fault(write, capsys, monkeypatch):
+    def boom(m):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(zmatrix, "canonical_rep", boom)
+    rc, out, err = run(capsys, "canon", "--matrix", write("m.json", SWAP2))
+    assert rc == 3
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "internal_fault",
+        "message": "RuntimeError: boom",
+    }

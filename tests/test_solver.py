@@ -16,6 +16,7 @@ from functorlab import (
     conjugate,
     derive_entry_bound,
     solve,
+    solver,
 )
 
 X_SQ_EQ_1 = RelationPoly((0, 0, 1), (1,))
@@ -212,3 +213,32 @@ def test_result_echoes_inputs():
     assert res.config == config
     assert res.relation == X_SQ_EQ_1
     assert res.count == 2
+
+
+def test_worker_pool_capped(monkeypatch):
+    seen = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(solver, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(
+        solver.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False
+    )
+    config = SearchConfig(n=2, bound=4, symmetric_only=True)  # 5 tasks
+    want = solve(X_SQ_EQ_1, config)
+    assert solve(X_SQ_EQ_1, config, jobs=64) == want  # capped by the 3 CPUs
+    assert solve(X_SQ_EQ_1, config, jobs=2) == want  # capped by jobs
+    small = SearchConfig(n=2, bound=1, symmetric_only=True)  # 2 tasks
+    assert solve(X_SQ_EQ_1, small, jobs=64) == solve(X_SQ_EQ_1, small)
+    assert seen == [3, 2, 2]

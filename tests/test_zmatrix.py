@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from functorlab import (
     DimensionMismatch,
@@ -302,3 +304,61 @@ def test_relation_satisfied_by():
     rel = RelationPoly((0, 0, 1), (4,))
     assert rel.satisfied_by(NatMatrix(((0, 2), (2, 0))))
     assert not rel.satisfied_by(NatMatrix(((1, 0), (0, 2))))
+
+
+# a 5-cycle and a 2-cycle on 7 letters: order 10
+ORDER_10 = Permutation((1, 2, 3, 4, 0, 6, 5)).matrix()
+
+
+def test_power_high_exponent():
+    assert ORDER_10.power(5000) == NatMatrix.identity(7)
+    assert ORDER_10.power(5001) == ORDER_10
+    assert ORDER_10.power(0) == NatMatrix.identity(7)
+
+
+def test_relation_high_degree():
+    assert RelationPoly((0,) * 700 + (1,), (1,)).satisfied_by(ORDER_10)
+    assert not RelationPoly((0,) * 701 + (1,), (1,)).satisfied_by(ORDER_10)
+
+
+def naive_product(a, b):
+    n = len(a)
+    return [
+        [sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n)] for i in range(n)
+    ]
+
+
+def naive_power(rows, d):
+    n = len(rows)
+    out = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(d):
+        out = naive_product(out, rows)
+    return out
+
+
+small_matrices = st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=n, max_size=n
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrices, st.integers(0, 12))
+def test_power_matches_naive_product(rows, d):
+    m = NatMatrix.from_rows(rows)
+    assert [list(r) for r in m.power(d).entries] == naive_power(rows, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrices, st.lists(st.integers(0, 3), max_size=13))
+def test_poly_eval_matches_naive_product(rows, coeffs):
+    n = len(rows)
+    want = [[0] * n for _ in range(n)]
+    for d, c in enumerate(coeffs):
+        p = naive_power(rows, d)
+        for i in range(n):
+            for j in range(n):
+                want[i][j] += c * p[i][j]
+    got = poly_eval(coeffs, NatMatrix.from_rows(rows))
+    assert [list(r) for r in got.entries] == want
