@@ -15,7 +15,6 @@ from math import isqrt
 
 from .errors import (
     InternalFault,
-    InvalidInput,
     KNotPerfectSquare,
     NotASquareRoot,
     NotDecomposable,
@@ -27,6 +26,7 @@ from .zmatrix import (
     _check_symmetric,
     _first_mismatch,
     _mul_rows,
+    _require_int,
     _scalar_rows,
     scalar_mul,
 )
@@ -112,8 +112,7 @@ def decompose(m, k):
     M^2 != k*I, and NotDecomposable in the one genuinely blockless situation:
     k = 0 with m nonzero (a nonzero nilpotent has no such block shape).
     """
-    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
-        raise InvalidInput(f"k must be a nonnegative integer, got {k!r}")
+    _require_int(k, "k", 0)
     _verify_square(m, k)
     n = m.n
     e = m.entries
@@ -189,8 +188,7 @@ def classify_selfadjoint_sqrt(m, k):
     symmetric square root can only exist for perfect-square k, so the middle
     check rejecting first is not a loss.
     """
-    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
-        raise InvalidInput(f"k must be a nonnegative integer, got {k!r}")
+    _require_int(k, "k", 0)
     _check_symmetric(m)
     n = m.n
     e = m.entries
@@ -229,8 +227,7 @@ def enumerate_involutions(n):
     Scans n! permutations, so n is capped like canonical_rep (default 8,
     overridable via the FUNCTORLAB_CANON_CAP environment variable).
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise InvalidInput(f"n must be a positive integer, got {n!r}")
+    _require_int(n, "n", 1)
     _check_canon_cap(n, "involution enumeration scans n! permutations")
     out = []
     for images in itertools.permutations(range(n)):

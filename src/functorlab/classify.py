@@ -37,6 +37,7 @@ from .zmatrix import (
     _check_symmetric,
     _first_mismatch,
     _pow_rows,
+    _require_int,
     _scalar_rows,
 )
 
@@ -148,8 +149,7 @@ class NilpotencyVerdict:
 
 def check_nilpotent(m, k):
     """Decide M^k = 0 for symmetric M: zero matrix or a surviving witness."""
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise InvalidInput(f"nilpotency degree must be a positive integer, got {k!r}")
+    _require_int(k, "nilpotency degree", 1)
     _check_symmetric(m)
     if m.is_zero():
         return NilpotencyVerdict("zero")
@@ -183,9 +183,8 @@ class CyclicClassification:
 
 def classify_cyclic(m, k, mm):
     """Classify symmetric M with M^k = M^m; parity of k - m decides the shape."""
-    for name, v in (("k", k), ("m", mm)):
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise InvalidInput(f"{name} must be an integer, got {v!r}")
+    _require_int(k, "k")
+    _require_int(mm, "m")
     if not k > mm >= 1:
         raise InvalidInput(f"exponents must satisfy k > m >= 1, got k={k}, m={mm}")
     _check_symmetric(m)
@@ -243,8 +242,7 @@ def classify_root_of_identity(m, n_exp):
     Selfadjointness (symmetry) holds exactly for orders 1 and 2; both the
     order test and the symmetry test are run and cross-checked.
     """
-    if isinstance(n_exp, bool) or not isinstance(n_exp, int) or n_exp < 1:
-        raise InvalidInput(f"exponent must be a positive integer, got {n_exp!r}")
+    _require_int(n_exp, "exponent", 1)
     power = _pow_rows(m.entries, n_exp)
     bad = _first_mismatch(power, _scalar_rows(m.n, 1))
     if bad is not None:

@@ -4,8 +4,9 @@ Every subcommand reads JSON files, computes exactly, and writes a
 deterministic report (JSON by default; --format csv/table for matrix-shaped
 outputs).  Exit codes: 0 affirmative result, 1 negative verdict (no
 solutions, not invariant, commutation failure, reducible, inconclusive),
-2 malformed input or over-cap request, 3 internal fault (a state the theory
-excludes, or a bug).  Diagnostics go to standard error as JSON error objects.
+2 malformed input (usage errors included) or over-cap request, 3 internal
+fault (a state the theory excludes, or a bug).  Diagnostics go to standard
+error as JSON error objects.
 """
 
 import argparse
@@ -77,14 +78,10 @@ def _emit(ns, obj, csv_text=None, table_text=None):
     fmt = getattr(ns, "format", "json")
     if fmt == "json":
         text = jsonio.dumps(obj)
-    elif fmt == "csv":
-        if csv_text is None:
-            raise InvalidInput("csv output is only available for matrix-shaped results")
-        text = csv_text
     else:
-        if table_text is None:
-            raise InvalidInput("table output is only available for matrix-shaped results")
-        text = table_text
+        text = csv_text if fmt == "csv" else table_text
+        if text is None:
+            raise InvalidInput(f"{fmt} output is only available for matrix-shaped results")
     out = getattr(ns, "out", None)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -286,6 +283,14 @@ def _cmd_construct(ns):
 
 # -- parser ------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as InvalidInput, so they leave as JSON (exit 2);
+    subparsers inherit the class."""
+
+    def error(self, message):
+        raise InvalidInput(message)
+
+
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the report here instead of stdout")
@@ -302,7 +307,7 @@ def _build_parser():
         help="accepted for interface stability; no shipped subcommand is randomized",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="functorlab",
         description="Exact integer-matrix models of selfadjoint functors: "
         "solve polynomial relations, decompose square roots, classify "
@@ -471,14 +476,12 @@ def _code_for(err):
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-    if not hasattr(ns, "jobs"):
-        ns.jobs = 1
-    try:
+        try:
+            ns = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # only --help exits the parser; usage errors raise InvalidInput
+            return 0 if exc.code in (0, None) else 2
         return ns.func(ns)
     except FunctorLabError as err:
         sys.stderr.write(jsonio.dumps(jsonio.error_to_obj(err)))

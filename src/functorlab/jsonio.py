@@ -1,11 +1,11 @@
 """JSON schemas for every object the package exchanges.
 
-All indices are 1-based on the wire.  Integers beyond 2^53 - 1 in absolute
-value are encoded as decimal strings (JSON numbers lose exactness past that
-in common consumers), and any document containing such a string carries a
-top-level "bigints": true marker.  Readers accept both encodings everywhere.
-Serialization is deterministic: fixed key order, two-space indent, trailing
-newline.
+All indices are 1-based on the wire.  Every writer and `dumps` apply one
+rule, `wire`: integers beyond 2^53 - 1 in absolute value become decimal
+strings (JSON numbers lose exactness past that in common consumers), and
+a document holding one ends with a single top-level "bigints": true marker.
+Readers accept both encodings everywhere.  Serialization is deterministic:
+fixed key order, two-space indent, trailing newline.
 """
 
 import json
@@ -21,23 +21,41 @@ from .classify import (
 from .errors import InvalidInput
 from .restrict import CartanVerdict, DescentReport, IndexSubset
 from .solver import SearchConfig, SolutionSet
-from .zmatrix import NatMatrix, Permutation, RelationPoly
+from .zmatrix import NatMatrix, Permutation, RelationPoly, _is_int
 
 _SAFE_INT = (1 << 53) - 1
 
 
-def _encode_int(x, state):
-    if abs(x) > _SAFE_INT:
-        state["bigints"] = True
-        return str(x)
-    return x
+def wire(doc):
+    """`doc` with every int (not bool) beyond +-(2^53 - 1) as its decimal string,
+    every "bigints" key dropped, and one "bigints": true appended at the top
+    level if the document holds such a string, including one a nested writer
+    already encoded (its nested marker says so).  Tuples become lists."""
+    found = False
+
+    def encode(v):
+        nonlocal found
+        if isinstance(v, dict):
+            found = found or bool(v.get("bigints"))
+            return {key: encode(x) for key, x in v.items() if key != "bigints"}
+        if isinstance(v, (list, tuple)):  # small ints skip the call
+            return [x if type(x) is int and -_SAFE_INT <= x <= _SAFE_INT else encode(x) for x in v]
+        if _is_int(v) and abs(v) > _SAFE_INT:
+            found = True
+            return str(v)
+        return v
+
+    out = encode(doc)
+    if found and isinstance(out, dict):
+        out["bigints"] = True
+    return out
 
 
 def _decode_int(v, what):
+    if _is_int(v):
+        return v
     if isinstance(v, bool):
         raise InvalidInput(f"{what} must be an integer, got a boolean")
-    if isinstance(v, int):
-        return v
     if isinstance(v, str):
         try:
             return int(v, 10)
@@ -61,18 +79,13 @@ def _int_list(v, what):
 
 
 def dumps(obj):
-    return json.dumps(obj, indent=2) + "\n"
+    return json.dumps(wire(obj), indent=2) + "\n"
 
 
 # -- matrices ----------------------------------------------------------------
 
 def matrix_to_obj(m):
-    state = {}
-    rows = [[_encode_int(x, state) for x in row] for row in m.entries]
-    obj = {"n": m.n, "rows": rows}
-    if state:
-        obj["bigints"] = True
-    return obj
+    return wire({"n": m.n, "rows": m.entries})
 
 
 def matrix_from_obj(obj):
@@ -91,14 +104,7 @@ def matrix_from_obj(obj):
 # -- relations ---------------------------------------------------------------
 
 def relation_to_obj(rel):
-    state = {}
-    obj = {
-        "g": [_encode_int(c, state) for c in rel.g],
-        "h": [_encode_int(c, state) for c in rel.h],
-    }
-    if state:
-        obj["bigints"] = True
-    return obj
+    return wire({"g": rel.g, "h": rel.h})
 
 
 def relation_from_obj(obj):
@@ -110,7 +116,7 @@ def relation_from_obj(obj):
 # -- permutations and subsets ------------------------------------------------
 
 def permutation_to_obj(p):
-    return list(p.one_based())
+    return wire(p.one_based())
 
 
 def permutation_from_obj(obj):
@@ -119,7 +125,7 @@ def permutation_from_obj(obj):
 
 
 def subset_to_obj(s):
-    return {"n": s.n, "members": list(s.members)}
+    return wire({"n": s.n, "members": s.members})
 
 
 def subset_from_obj(obj):
@@ -131,27 +137,13 @@ def subset_from_obj(obj):
 # -- block forms and square roots --------------------------------------------
 
 def block_form_to_obj(form):
-    state = {}
-    blocks = []
-    for block in form.blocks:
-        if isinstance(block, Block1):
-            blocks.append({"type": "b1", "a": _encode_int(block.a, state)})
-        else:
-            blocks.append(
-                {
-                    "type": "b2",
-                    "a": _encode_int(block.a, state),
-                    "b": _encode_int(block.b, state),
-                }
-            )
-    obj = {
-        "perm": permutation_to_obj(form.perm),
-        "k": _encode_int(form.k, state),
-        "blocks": blocks,
-    }
-    if state:
-        obj["bigints"] = True
-    return obj
+    blocks = [
+        {"type": "b1", "a": block.a}
+        if isinstance(block, Block1)
+        else {"type": "b2", "a": block.a, "b": block.b}
+        for block in form.blocks
+    ]
+    return wire({"perm": permutation_to_obj(form.perm), "k": form.k, "blocks": blocks})
 
 
 def block_form_from_obj(obj):
@@ -178,11 +170,11 @@ def block_form_from_obj(obj):
 
 
 def sqrt_to_obj(cls):
-    return {
+    return wire({
         "kind": "sqrt",
         "root": cls.root,
         "involution": permutation_to_obj(cls.involution),
-    }
+    })
 
 
 def sqrt_from_obj(obj):
@@ -195,54 +187,50 @@ def sqrt_from_obj(obj):
 # -- classification verdicts -------------------------------------------------
 
 def idempotent_to_obj(cls):
-    return {"kind": "idempotent", "n": cls.n, "support": list(cls.support)}
+    return wire({"kind": "idempotent", "n": cls.n, "support": cls.support})
 
 
 def commuting_to_obj(report):
-    return {
+    return wire({
         "kind": "commuting_idempotents",
         "n": report.n,
-        "both": list(report.both),
-        "a_only": list(report.a_only),
-        "b_only": list(report.b_only),
-        "neither": list(report.neither),
+        "both": report.both,
+        "a_only": report.a_only,
+        "b_only": report.b_only,
+        "neither": report.neither,
         "product": matrix_to_obj(report.product),
-    }
+    })
 
 
 def nilpotency_to_obj(verdict):
     if verdict.kind == "zero":
         return {"kind": "zero"}
-    state = {}
-    obj = {
+    return wire({
         "kind": "not_nilpotent",
         "power": verdict.power,
-        "position": list(verdict.position),
-        "value": _encode_int(verdict.value, state),
-    }
-    if state:
-        obj["bigints"] = True
-    return obj
+        "position": verdict.position,
+        "value": verdict.value,
+    })
 
 
 def cyclic_to_obj(cls):
     if cls.kind == "idempotent":
-        return {"kind": "idempotent", "n": cls.n, "support": list(cls.support)}
-    return {
+        return idempotent_to_obj(cls)
+    return wire({
         "kind": "partial_involution",
         "n": cls.n,
-        "support": list(cls.support),
-        "pairing": list(cls.pairing),
-    }
+        "support": cls.support,
+        "pairing": cls.pairing,
+    })
 
 
 def root_to_obj(cls):
-    return {
+    return wire({
         "kind": "root_of_identity",
         "permutation": permutation_to_obj(cls.permutation),
         "order": cls.order,
         "selfadjoint": cls.selfadjoint,
-    }
+    })
 
 
 def classification_from_obj(obj):
@@ -295,13 +283,13 @@ def classification_from_obj(obj):
 # -- search configuration and results ----------------------------------------
 
 def config_to_obj(config):
-    return {
+    return wire({
         "n": config.n,
         "bound": config.bound,
         "symmetric_only": config.symmetric_only,
         "up_to_iso": config.up_to_iso,
         "limit": config.limit,
-    }
+    })
 
 
 def config_from_obj(obj):
@@ -316,13 +304,13 @@ def config_from_obj(obj):
 
 
 def solution_set_to_obj(result):
-    return {
+    return wire({
         "relation": relation_to_obj(result.relation),
         "config": config_to_obj(result.config),
         "count": result.count,
         "complete": result.complete,
         "solutions": [matrix_to_obj(m) for m in result.solutions],
-    }
+    })
 
 
 def solution_set_from_obj(obj):
@@ -340,14 +328,14 @@ def solution_set_from_obj(obj):
 # -- restriction reports and Cartan verdicts ---------------------------------
 
 def descent_to_obj(report):
-    return {
+    return wire({
         "kind": "descent",
         "ambient_satisfied": report.ambient_satisfied,
         "serre": None if report.serre is None else matrix_to_obj(report.serre),
         "quotient": None
         if report.quotient is None
         else matrix_to_obj(report.quotient),
-    }
+    })
 
 
 def descent_from_obj(obj):
@@ -362,25 +350,22 @@ def descent_from_obj(obj):
 
 def cartan_verdict_to_obj(verdict):
     obj = {"verdict": verdict.kind}
-    state = {}
     if verdict.kind == "pass":
-        obj["scale"] = _encode_int(verdict.scale, state)
+        obj["scale"] = verdict.scale
     elif verdict.kind == "fail_commutation":
         obj["functor"] = verdict.functor
-        obj["position"] = list(verdict.position)
-        obj["left"] = _encode_int(verdict.left, state)
-        obj["right"] = _encode_int(verdict.right, state)
+        obj["position"] = verdict.position
+        obj["left"] = verdict.left
+        obj["right"] = verdict.right
     elif verdict.kind == "reducible":
         obj["functor"] = verdict.functor
-        obj["eigenvalue"] = _encode_int(verdict.eigenvalue, state)
-        obj["basis"] = [[_encode_int(x, state) for x in vec] for vec in verdict.basis]
+        obj["eigenvalue"] = verdict.eigenvalue
+        obj["basis"] = verdict.basis
     elif verdict.kind == "inconsistent_input":
-        obj["position"] = list(verdict.position)
+        obj["position"] = verdict.position
     elif verdict.kind != "inconclusive":
         raise InvalidInput(f"unknown cartan verdict kind {verdict.kind!r}")
-    if state:
-        obj["bigints"] = True
-    return obj
+    return wire(obj)
 
 
 def cartan_verdict_from_obj(obj):
@@ -419,10 +404,8 @@ def cartan_verdict_from_obj(obj):
 def error_to_obj(err):
     obj = {"error": err.code, "message": err.message}
     if err.details:
-        obj["details"] = {
-            k: list(v) if isinstance(v, tuple) else v for k, v in err.details.items()
-        }
-    return obj
+        obj["details"] = err.details
+    return wire(obj)
 
 
 def load_text(text, what="input"):

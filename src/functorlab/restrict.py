@@ -33,8 +33,10 @@ from .errors import (
 from .zmatrix import (
     NatMatrix,
     _first_mismatch,
+    _is_int,
     _mul_rows,
     _poly_rows,
+    _require_int,
     _scalar_rows,
 )
 
@@ -49,11 +51,10 @@ class IndexSubset:
     members: tuple
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
-            raise InvalidInput(f"n must be a positive integer, got {self.n!r}")
+        _require_int(self.n, "n", 1)
         seen = set()
         for i in self.members:
-            if isinstance(i, bool) or not isinstance(i, int):
+            if type(i) is not int and not _is_int(i):  # plain ints skip the call
                 raise InvalidInput(f"subset members must be integers, got {i!r}")
             if not 1 <= i <= self.n:
                 raise InvalidInput(f"subset member {i} outside 1..{self.n}")

@@ -39,6 +39,7 @@ from .zmatrix import (
     _check_canon_cap,
     _orbit_min_rows,
     _poly_rows,
+    _require_int,
 )
 
 
@@ -59,16 +60,14 @@ class SearchConfig:
     limit: int = None
 
     def __post_init__(self):
-        for name, v in (("n", self.n), ("bound", self.bound)):
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise InvalidInput(f"{name} must be an integer, got {v!r}")
+        _require_int(self.n, "n")
+        _require_int(self.bound, "bound")
         if self.n < 1:
             raise InvalidInput(f"n must be >= 1, got {self.n}")
         if self.bound < 0:
             raise InvalidInput(f"bound must be >= 0, got {self.bound}")
         if self.limit is not None:
-            if isinstance(self.limit, bool) or not isinstance(self.limit, int):
-                raise InvalidInput(f"limit must be an integer, got {self.limit!r}")
+            _require_int(self.limit, "limit")
             if self.limit < 1:
                 raise InvalidInput(f"limit must be >= 1, got {self.limit}")
 
@@ -185,8 +184,7 @@ def solve(rel, config, jobs=1):
     at most one per usable CPU; the result is byte-for-byte identical for
     every worker count.
     """
-    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
-        raise InvalidInput(f"jobs must be a positive integer, got {jobs!r}")
+    _require_int(jobs, "jobs", 1)
     if config.up_to_iso:
         _check_canon_cap(config.n, "up_to_iso filters through n! relabelings")
     gr, hr = rel.reduced()

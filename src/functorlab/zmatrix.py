@@ -46,8 +46,20 @@ def _check_canon_cap(n, scan):
         raise DimensionTooLarge(f"{scan}; n={n} exceeds cap {cap}", n=n, cap=cap)
 
 
+def _is_int(v):
+    """True for an int that is not a bool (bool subclasses int)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _require_int(v, what, low=None):
+    """Raise InvalidInput unless v is an int (not a bool) of at least low (0 or 1)."""
+    if not _is_int(v) or (low is not None and v < low):
+        kind = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
+        raise InvalidInput(f"{what} must be {kind[low]}, got {v!r}")
+
+
 def _check_entry(x):
-    if isinstance(x, bool) or not isinstance(x, int):
+    if type(x) is not int and not _is_int(x):  # plain ints skip the call
         raise InvalidInput(f"matrix entries must be integers, got {x!r}")
     if x < 0:
         raise InvalidInput(f"matrix entries must be nonnegative, got {x}")
@@ -223,15 +235,14 @@ class NatMatrix:
         return NatMatrix(_mul_rows(self.entries, other.entries))
 
     def __rmul__(self, k):
-        if isinstance(k, bool) or not isinstance(k, int):
+        if not _is_int(k):
             return NotImplemented
         if k < 0:
             raise InvalidInput(f"scalar must be nonnegative, got {k}")
         return NatMatrix(tuple(tuple(k * x for x in row) for row in self.entries))
 
     def power(self, d):
-        if isinstance(d, bool) or not isinstance(d, int) or d < 0:
-            raise InvalidInput(f"exponent must be a nonnegative integer, got {d!r}")
+        _require_int(d, "exponent", 0)
         return NatMatrix(_pow_rows(self.entries, d))
 
     def transpose(self):
@@ -290,7 +301,7 @@ class Permutation:
     @classmethod
     def from_one_based(cls, seq):
         seq = list(seq)
-        if any(isinstance(x, bool) or not isinstance(x, int) for x in seq):
+        if not all(_is_int(x) for x in seq):
             raise InvalidInput(f"permutation images must be integers: {seq}")
         return cls(tuple(x - 1 for x in seq))
 
@@ -348,7 +359,7 @@ class Permutation:
 def _normalize_coeffs(coeffs, side):
     coeffs = list(coeffs)
     for c in coeffs:
-        if isinstance(c, bool) or not isinstance(c, int):
+        if not _is_int(c):
             raise InvalidInput(f"{side} coefficients must be integers, got {c!r}")
         if c < 0:
             raise InvalidInput(f"{side} coefficients must be nonnegative, got {c}")
@@ -433,8 +444,7 @@ def external_tensor(m, b_simples):
     Index (i, s) of the product maps to row (i-1)*b_simples + s in 1-based
     terms: the left factor is the major index.
     """
-    if isinstance(b_simples, bool) or not isinstance(b_simples, int) or b_simples < 1:
-        raise InvalidInput(f"b_simples must be a positive integer, got {b_simples!r}")
+    _require_int(b_simples, "b_simples", 1)
     n = m.n * b_simples
     rows = [[0] * n for _ in range(n)]
     for i in range(m.n):

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from functorlab import InternalFault, InvalidInput, NotInvariant, NotSymmetric, zmatrix
+from functorlab import jsonio
 from functorlab.cli import _code_for, main
 
 SWAP = {"n": 2, "rows": [[0, 1], [1, 0]]}
@@ -463,3 +464,123 @@ def test_unexpected_exception_is_internal_fault(write, capsys, monkeypatch):
         "error": "internal_fault",
         "message": "RuntimeError: boom",
     }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["solve", "--relation", "rel.json"],
+        ["solve", "--relation", "rel.json", "--n", "abc"],
+        ["canon", "--matrix", "m.json", "--format", "xml"],
+        ["canon", "--matrix", "m.json", "--nope"],
+        ["classify"],
+    ],
+)
+def test_usage_errors_are_json(argv, capsys):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert "usage:" not in err
+    doc = json.loads(err)
+    assert doc["error"] == "invalid_input"
+    assert doc["message"]
+
+
+def test_help_still_prints_help(capsys):
+    rc, out, err = run(capsys, "solve", "--help")
+    assert rc == 0
+    assert out.startswith("usage: functorlab solve")
+    assert err == ""
+
+
+BIG = (1 << 53) + 1
+
+
+def _wire_doc(text):
+    """Parse a CLI document and check the big-integer wire rule on it."""
+    doc = json.loads(text)
+
+    def walk(v, top):
+        if isinstance(v, dict):
+            assert top or "bigints" not in v
+            for x in v.values():
+                walk(x, False)
+        elif isinstance(v, list):
+            for x in v:
+                walk(x, False)
+        elif isinstance(v, int) and not isinstance(v, bool):
+            assert abs(v) <= (1 << 53) - 1
+
+    walk(doc, True)
+    assert list(doc)[-1] == "bigints" and doc["bigints"] is True
+    return doc
+
+
+def test_bigint_sqrt_classify(write, capsys):
+    m = write("m.json", {"n": 2, "rows": [[0, BIG], [BIG, 0]]})
+    rc, out, _ = run(capsys, "sqrt-classify", "--matrix", m, "--k", str(BIG * BIG))
+    assert rc == 0
+    doc = _wire_doc(out)
+    assert jsonio.sqrt_from_obj(doc).root == BIG
+
+
+def test_bigint_nilpotent_power(write, capsys):
+    m = write("m.json", {"n": 2, "rows": [[1, 0], [0, 1]]})
+    rc, out, _ = run(capsys, "classify", "nilpotent", "--matrix", m, "--k", str(BIG))
+    assert rc == 1
+    doc = _wire_doc(out)
+    assert jsonio.classification_from_obj(doc).power == BIG
+
+
+def test_bigint_solve_limit(write, capsys):
+    rel = write("rel.json", {"g": [0, 0, 1], "h": [1]})
+    rc, out, _ = run(
+        capsys, "solve", "--relation", rel, "--n", "1", "--bound", "1", "--limit", str(BIG)
+    )
+    assert rc == 0
+    doc = _wire_doc(out)
+    assert jsonio.solution_set_from_obj(doc).config.limit == BIG
+
+
+def test_bigint_solve_relation_marker_on_top(write, capsys):
+    rel = write("rel.json", {"g": [0, 0, 1], "h": [BIG]})
+    rc, out, _ = run(capsys, "solve", "--relation", rel, "--n", "1", "--bound", "1")
+    assert rc == 1
+    doc = _wire_doc(out)
+    assert jsonio.solution_set_from_obj(doc).relation.h == (BIG,)
+
+
+def test_bigint_oracle_error_details(write, capsys):
+    rel = write("rel.json", {"g": [0, 0, 1], "h": [1]})
+    rc, out, err = run(capsys, "oracle", "--relation", rel, "--n", "5", "--bound", "9")
+    assert rc == 2
+    assert out == ""
+    doc = _wire_doc(err)
+    assert doc["error"] == "search_space_too_large"
+    assert int(doc["details"]["candidates"]) == 10**25
+
+
+def test_bigint_descent_marker_on_top(write, capsys):
+    m = write("m.json", {"n": 2, "rows": [[BIG, 0], [0, BIG]]})
+    s = write("s.json", {"n": 2, "members": [1]})
+    rel = write("rel.json", {"g": [0, 0, 1], "h": [0, BIG]})
+    rc, out, _ = run(
+        capsys, "restrict", "descend", "--matrix", m, "--subset", s, "--relation", rel
+    )
+    assert rc == 0
+    report = jsonio.descent_from_obj(_wire_doc(out))
+    assert report.serre.entries == report.quotient.entries == ((BIG,),)
+
+
+def test_bigint_construct_verify_report(write, capsys):
+    m = write("m.json", {"n": 1, "rows": [[BIG]]})
+    rel = write("rel.json", {"g": [0, 0, 1], "h": [0, BIG]})
+    rc, out, _ = run(
+        capsys, "construct", "dsum", "--matrix", m, "--matrix", m, "--verify-relation", rel
+    )
+    assert rc == 0
+    doc = _wire_doc(out)
+    assert jsonio.matrix_from_obj(doc["matrix"]).entries == ((BIG, 0), (0, BIG))
+    assert jsonio.relation_from_obj(doc["verify"]["relation"]).h == (0, BIG)
+    assert doc["verify"]["output_satisfies"] is True

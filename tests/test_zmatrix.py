@@ -362,3 +362,46 @@ def test_poly_eval_matches_naive_product(rows, coeffs):
                 want[i][j] += c * p[i][j]
     got = poly_eval(coeffs, NatMatrix.from_rows(rows))
     assert [list(r) for r in got.entries] == want
+
+
+def test_integer_argument_messages():
+    from functorlab import (
+        IndexSubset,
+        SearchConfig,
+        check_nilpotent,
+        classify_cyclic,
+        classify_root_of_identity,
+        classify_selfadjoint_sqrt,
+        decompose,
+        enumerate_involutions,
+        solve,
+    )
+
+    swap = SWAP
+    cases = [
+        (lambda: check_nilpotent(swap, 0),
+         "nilpotency degree must be a positive integer, got 0"),
+        (lambda: classify_cyclic(swap, True, 1), "k must be an integer, got True"),
+        (lambda: classify_cyclic(swap, 3, "1"), "m must be an integer, got '1'"),
+        (lambda: classify_root_of_identity(swap, 0),
+         "exponent must be a positive integer, got 0"),
+        (lambda: IndexSubset(False, ()), "n must be a positive integer, got False"),
+        (lambda: swap.power(-1), "exponent must be a nonnegative integer, got -1"),
+        (lambda: external_tensor(swap, 0), "b_simples must be a positive integer, got 0"),
+        (lambda: SearchConfig(n=1.0, bound=1), "n must be an integer, got 1.0"),
+        (lambda: SearchConfig(n=1, bound=None), "bound must be an integer, got None"),
+        (lambda: SearchConfig(n=1, bound=1, limit=True), "limit must be an integer, got True"),
+        (lambda: solve(RelationPoly((0, 0, 1), (1,)), SearchConfig(n=1, bound=1), jobs=0),
+         "jobs must be a positive integer, got 0"),
+        (lambda: decompose(swap, -1), "k must be a nonnegative integer, got -1"),
+        (lambda: classify_selfadjoint_sqrt(swap, True),
+         "k must be a nonnegative integer, got True"),
+        (lambda: enumerate_involutions(0), "n must be a positive integer, got 0"),
+    ]
+    for call, message in cases:
+        with pytest.raises(InvalidInput) as info:
+            call()
+        assert str(info.value) == message
+    assert swap.__rmul__(True) is NotImplemented
+    with pytest.raises(TypeError):
+        True * swap
