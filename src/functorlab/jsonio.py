@@ -4,6 +4,9 @@ All indices are 1-based on the wire.  Every writer and `dumps` apply one
 rule, `wire`: integers beyond 2^53 - 1 in absolute value become decimal
 strings (JSON numbers lose exactness past that in common consumers), and
 a document holding one ends with a single top-level "bigints": true marker.
+Each writer is `wire` over a plain document; composite writers nest the
+plain builders (`_matrix`, `_relation`, `_config`), so `wire` walks a
+writer's document once.
 Readers accept both encodings everywhere.  Serialization is deterministic:
 fixed key order, two-space indent, trailing newline.
 """
@@ -84,8 +87,12 @@ def dumps(obj):
 
 # -- matrices ----------------------------------------------------------------
 
+def _matrix(m):
+    return {"n": m.n, "rows": m.entries}
+
+
 def matrix_to_obj(m):
-    return wire({"n": m.n, "rows": m.entries})
+    return wire(_matrix(m))
 
 
 def matrix_from_obj(obj):
@@ -103,8 +110,12 @@ def matrix_from_obj(obj):
 
 # -- relations ---------------------------------------------------------------
 
+def _relation(rel):
+    return {"g": rel.g, "h": rel.h}
+
+
 def relation_to_obj(rel):
-    return wire({"g": rel.g, "h": rel.h})
+    return wire(_relation(rel))
 
 
 def relation_from_obj(obj):
@@ -143,7 +154,7 @@ def block_form_to_obj(form):
         else {"type": "b2", "a": block.a, "b": block.b}
         for block in form.blocks
     ]
-    return wire({"perm": permutation_to_obj(form.perm), "k": form.k, "blocks": blocks})
+    return wire({"perm": form.perm.one_based(), "k": form.k, "blocks": blocks})
 
 
 def block_form_from_obj(obj):
@@ -173,7 +184,7 @@ def sqrt_to_obj(cls):
     return wire({
         "kind": "sqrt",
         "root": cls.root,
-        "involution": permutation_to_obj(cls.involution),
+        "involution": cls.involution.one_based(),
     })
 
 
@@ -198,7 +209,7 @@ def commuting_to_obj(report):
         "a_only": report.a_only,
         "b_only": report.b_only,
         "neither": report.neither,
-        "product": matrix_to_obj(report.product),
+        "product": _matrix(report.product),
     })
 
 
@@ -227,7 +238,7 @@ def cyclic_to_obj(cls):
 def root_to_obj(cls):
     return wire({
         "kind": "root_of_identity",
-        "permutation": permutation_to_obj(cls.permutation),
+        "permutation": cls.permutation.one_based(),
         "order": cls.order,
         "selfadjoint": cls.selfadjoint,
     })
@@ -282,14 +293,18 @@ def classification_from_obj(obj):
 
 # -- search configuration and results ----------------------------------------
 
-def config_to_obj(config):
-    return wire({
+def _config(config):
+    return {
         "n": config.n,
         "bound": config.bound,
         "symmetric_only": config.symmetric_only,
         "up_to_iso": config.up_to_iso,
         "limit": config.limit,
-    })
+    }
+
+
+def config_to_obj(config):
+    return wire(_config(config))
 
 
 def config_from_obj(obj):
@@ -305,11 +320,11 @@ def config_from_obj(obj):
 
 def solution_set_to_obj(result):
     return wire({
-        "relation": relation_to_obj(result.relation),
-        "config": config_to_obj(result.config),
+        "relation": _relation(result.relation),
+        "config": _config(result.config),
         "count": result.count,
         "complete": result.complete,
-        "solutions": [matrix_to_obj(m) for m in result.solutions],
+        "solutions": [_matrix(m) for m in result.solutions],
     })
 
 
@@ -331,10 +346,8 @@ def descent_to_obj(report):
     return wire({
         "kind": "descent",
         "ambient_satisfied": report.ambient_satisfied,
-        "serre": None if report.serre is None else matrix_to_obj(report.serre),
-        "quotient": None
-        if report.quotient is None
-        else matrix_to_obj(report.quotient),
+        "serre": None if report.serre is None else _matrix(report.serre),
+        "quotient": None if report.quotient is None else _matrix(report.quotient),
     })
 
 

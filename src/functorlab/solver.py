@@ -4,14 +4,15 @@ Given a relation between two Z+ coefficient polynomials, a dimension and an
 entry bound, `solve` enumerates every matrix (or every symmetric matrix) with
 entries in 0..bound and keeps those satisfying the relation exactly.  The
 search is a depth-first fill in a fixed entry order (row-major; upper triangle
-row-major when symmetric) with two sound prunings:
-
-* one side constant c: the other side evaluated on the diagonal grows
-  monotonically in each entry, so a partial diagonal entry already exceeding c
-  kills the branch, and any nonzero off-diagonal entry with a degree-1 term
-  does too;
-* relation degree <= 2: once a row/column pair is complete, the corresponding
-  entries of both sides are fully determined and compared exactly.
+row-major when symmetric) with one sound pruning rule, interval bounds.  Let
+L be the partial matrix with every unset entry at 0 and U the same matrix
+with every unset entry at the bound.  Over Z+ with nonnegative coefficients
+every entry of a polynomial in X is nondecreasing in every entry of X, so any
+completion X of the partial matrix has g(L) <= g(X) <= g(U) entrywise, and
+likewise for h.  A branch is therefore cut as soon as some entry has
+g(L) > h(U) or h(L) > g(U).  The rule holds for every relation degree; it cuts
+c1*I = c2*I at the first node and a constant side as soon as a diagonal entry
+overshoots it.
 
 Every surviving leaf is verified by full evaluation, so pruning can only
 remove non-solutions.  `brute_force_oracle` is the deliberately naive
@@ -31,6 +32,7 @@ import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from operator import gt
 
 from .errors import InvalidInput, SearchSpaceTooLarge
 from .zmatrix import (
@@ -92,82 +94,58 @@ def _fill_positions(n, symmetric):
     return [(i, j) for i in range(n) for j in range(n)]
 
 
-def _entry_val(side, cur, n, a, b):
-    # value of side(X)[a][b] for degree <= 2 sides, rows/cols a and b complete
-    acc = side[0] if (a == b and side) else 0
-    if len(side) > 1 and side[1]:
-        acc += side[1] * cur[a][b]
-    if len(side) > 2 and side[2]:
-        rowa = cur[a]
-        acc += side[2] * sum(rowa[t] * cur[t][b] for t in range(n))
-    return acc
+# Partial matrices never repeat, so bounding them through the cached
+# primitive would only evict useful keys from the process-wide cache.
+_poly_bound = _poly_rows.__wrapped__
+
+
+def _exceeds(a, b):
+    # some entry of a is larger than the same entry of b
+    return any(map(gt, itertools.chain(*a), itertools.chain(*b)))
 
 
 def _search_partition(args):
     (gr, hr, n, bound, symmetric, up_to_iso, cap, first_value) = args
-    positions = _fill_positions(n, symmetric)
-    total = len(positions)
-    quadratic = len(gr) <= 3 and len(hr) <= 3
-    const_side = poly_side = None
-    if len(hr) <= 1:
-        const_side = hr[0] if hr else 0
-        poly_side = gr
-    elif len(gr) <= 1:
-        const_side = gr[0] if gr else 0
-        poly_side = hr
-    off_diag_dies = (
-        const_side is not None and len(poly_side) > 1 and poly_side[1] != 0
-    )
-    cur = [[0] * n for _ in range(n)]
+    # the entries each fill step sets: (i, j), and (j, i) when symmetric
+    cells = [((i, j), (j, i)) if symmetric else ((i, j),)
+             for i, j in _fill_positions(n, symmetric)]
+    total = len(cells)
+    lo = [[0] * n for _ in range(n)]  # unset entries at 0
+    hi = [[bound] * n for _ in range(n)]  # unset entries at bound
     found = []
 
-    def ok_after(i, j, v):
-        if const_side is not None:
-            if i == j:
-                acc = 0
-                for c in reversed(poly_side):
-                    acc = acc * v + c
-                if acc > const_side:
-                    return False
-            elif v and off_diag_dies:
-                return False
-        if quadratic:
-            if symmetric:
-                if j == n - 1:
-                    for t in range(i + 1):
-                        for a, b in {(t, i), (i, t)}:
-                            if _entry_val(gr, cur, n, a, b) != _entry_val(
-                                hr, cur, n, a, b
-                            ):
-                                return False
-            elif i == n - 1:
-                for t in range(n - 1):
-                    if _entry_val(gr, cur, n, t, j) != _entry_val(hr, cur, n, t, j):
-                        return False
-        return True
+    def sides(rows):
+        return _poly_bound(gr, rows), _poly_bound(hr, rows)
 
-    def rec(idx):
+    def rec(idx, v, low, high):
+        # the entry before idx was just set to v; low, high: (g, h) evaluated
+        # on lo and hi before that (v = None: not evaluated yet)
         if idx == total:
-            rows = tuple(tuple(r) for r in cur)
+            # lo = hi = X, so the exact check is the rule itself
+            rows = tuple(tuple(r) for r in lo)
             if _poly_rows(gr, rows) != _poly_rows(hr, rows):
                 return
             if up_to_iso and _orbit_min_rows(rows) != rows:
                 return
             found.append(rows)
             return
-        i, j = positions[idx]
-        values = (first_value,) if idx == 0 else range(bound + 1)
-        for v in values:
-            cur[i][j] = v
-            if symmetric:
-                cur[j][i] = v
-            if not ok_after(i, j, v):
-                continue
-            rec(idx + 1)
+        # v = 0 leaves lo as it was and v = bound leaves hi
+        low = low if v == 0 else sides(lo)
+        high = high if v == bound else sides(hi)
+        if _exceeds(low[0], high[1]) or _exceeds(low[1], high[0]):
+            return
+        for w in range(bound + 1):
+            for a, b in cells[idx]:
+                lo[a][b] = hi[a][b] = w
+            rec(idx + 1, w, low, high)
             if cap is not None and len(found) >= cap:
-                return
+                break
+        for a, b in cells[idx]:
+            lo[a][b], hi[a][b] = 0, bound
 
-    rec(0)
+    for a, b in cells[0]:
+        lo[a][b] = hi[a][b] = first_value
+    rec(1, None, None, None)
     return found
 
 
@@ -188,9 +166,6 @@ def solve(rel, config, jobs=1):
     if config.up_to_iso:
         _check_canon_cap(config.n, "up_to_iso filters through n! relabelings")
     gr, hr = rel.reduced()
-    if len(gr) <= 1 and len(hr) <= 1:
-        # c1*I = c2*I with c1 != c2: unsatisfiable at any dimension
-        return SolutionSet(config, rel, (), True)
     cap = None if config.limit is None else config.limit + 1
     tasks = [
         (gr, hr, config.n, config.bound, config.symmetric_only,

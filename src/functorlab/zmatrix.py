@@ -16,6 +16,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
+from operator import mul
 
 from .errors import DimensionMismatch, DimensionTooLarge, InvalidInput, NotSymmetric
 
@@ -78,9 +79,7 @@ def _scalar_rows(n, c):
 def _mul_rows(a, b):
     # the package's one matrix product; exact on int and Fraction entries
     cols = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a
-    )
+    return tuple(tuple([sum(map(mul, row, col)) for col in cols]) for row in a)
 
 
 # pays for itself on repeated classify calls with the same matrix and exponent

@@ -30,6 +30,9 @@ INPUTS = {
     "x2_i.json": {"g": [0, 0, 1], "h": [1]},
     "x2_x.json": {"g": [0, 0, 1], "h": [0, 1]},
     "x3_x.json": {"g": [0, 0, 0, 1], "h": [0, 1]},
+    "x3_x2.json": {"g": [0, 0, 0, 1], "h": [0, 0, 1]},
+    "x2_x_2i.json": {"g": [0, 1, 1], "h": [2]},
+    "c2_c3.json": {"g": [2], "h": [3]},
     "swap.json": {"n": 2, "rows": [[0, 1], [1, 0]]},
     "swap2.json": {"n": 2, "rows": [[0, 2], [2, 0]]},
     "upper.json": {"n": 2, "rows": [[0, 1], [0, 0]]},
@@ -107,6 +110,9 @@ QUERIES = [
     ["construct", "scale", "--matrix", "swap.json", "--k", "3", "--out", "scaled.json"],
     ["construct", "scale", "--matrix", "swap.json", "--k", "3", "--verify-relation",
      "x2_4i.json"],
+    ["solve", "--relation", "x3_x2.json", "--n", "2", "--bound", "2"],
+    ["solve", "--relation", "x2_x_2i.json", "--n", "2", "--bound", "2"],
+    ["solve", "--relation", "c2_c3.json", "--n", "2", "--bound", "2"],
 ]
 
 

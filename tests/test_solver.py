@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from functorlab import (
     DimensionTooLarge,
@@ -14,7 +16,9 @@ from functorlab import (
     brute_force_oracle,
     canonical_rep,
     conjugate,
+    decompose,
     derive_entry_bound,
+    enumerate_involutions,
     solve,
     solver,
 )
@@ -242,3 +246,66 @@ def test_worker_pool_capped(monkeypatch):
     small = SearchConfig(n=2, bound=1, symmetric_only=True)  # 2 tasks
     assert solve(X_SQ_EQ_1, small, jobs=64) == solve(X_SQ_EQ_1, small)
     assert seen == [3, 2, 2]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    g=st.lists(st.integers(0, 2), max_size=4),
+    h=st.lists(st.integers(0, 2), max_size=4),
+    n=st.integers(1, 3),
+    bound=st.integers(0, 2),
+    symmetric=st.booleans(),
+    up_to_iso=st.booleans(),
+    limit=st.none() | st.integers(1, 4),
+)
+@example(g=[0, 0, 1], h=[2], n=2, bound=2, symmetric=False, up_to_iso=False, limit=None)
+@example(g=[0, 1, 1], h=[2], n=2, bound=2, symmetric=False, up_to_iso=False, limit=None)
+@example(g=[0, 0, 1], h=[2, 1], n=3, bound=2, symmetric=False, up_to_iso=False, limit=None)
+@example(g=[2], h=[0, 1], n=3, bound=2, symmetric=True, up_to_iso=False, limit=None)
+@example(g=[2], h=[3], n=2, bound=2, symmetric=False, up_to_iso=False, limit=None)
+@example(g=[0, 0, 0, 1], h=[0, 0, 1], n=3, bound=1, symmetric=False, up_to_iso=True,
+         limit=2)
+def test_solve_matches_oracle_on_random_relations(
+    g, h, n, bound, symmetric, up_to_iso, limit
+):
+    try:
+        rel = RelationPoly(tuple(g), tuple(h))
+    except InvalidInput:  # both sides the same polynomial
+        assume(False)
+    config = SearchConfig(n=n, bound=bound, symmetric_only=symmetric,
+                          up_to_iso=up_to_iso, limit=limit)
+    got = solve(rel, config, jobs=1)
+    want = brute_force_oracle(rel, config)
+    assert got.solutions == want.solutions
+    assert got.complete == want.complete
+
+
+def _square_roots_of_4i(n):
+    # the block theorem: a relabeled direct sum of blocks [2] and
+    # [[0, a], [b, 0]] with a*b = 4, one relabeling per involution
+    out = []
+    for sigma in enumerate_involutions(n):
+        pairs = [(p, q) for p, q in enumerate(sigma.images) if p < q]
+        for weights in itertools.product(((1, 4), (2, 2), (4, 1)), repeat=len(pairs)):
+            rows = [[0] * n for _ in range(n)]
+            for p, q in enumerate(sigma.images):
+                if p == q:
+                    rows[p][p] = 2
+            for (p, q), (a, b) in zip(pairs, weights):
+                rows[p][q], rows[q][p] = a, b
+            out.append(tuple(tuple(r) for r in rows))
+    return sorted(out)
+
+
+def test_solve_past_the_oracle_cap():
+    # 5^16 candidates, far past the oracle's cap of 10^8
+    rel = RelationPoly((0, 0, 1), (4,))
+    config = SearchConfig(n=4, bound=4)
+    with pytest.raises(SearchSpaceTooLarge):
+        brute_force_oracle(rel, config)
+    res = solve(rel, config)
+    assert res.complete
+    assert entries(res) == _square_roots_of_4i(4)
+    assert res.count == 46
+    for m in res.solutions:
+        assert decompose(m, 4).recompose() == m
