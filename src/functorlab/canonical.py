@@ -9,7 +9,6 @@ roots exist iff k is a perfect square and are exactly sqrt(k) times a
 symmetric permutation matrix.
 """
 
-import itertools
 from dataclasses import dataclass
 from math import isqrt
 
@@ -224,13 +223,29 @@ def enumerate_involutions(n):
     """All involutive permutations of n letters, lexicographic by image tuple.
 
     Counts follow the telephone numbers 1, 1, 2, 4, 10, 26, 76, 232, 764, ...
-    Scans n! permutations, so n is capped like canonical_rep (default 8,
+    Generated directly, not by filtering n! permutations: the smallest
+    unplaced point is fixed first, then paired with each larger unplaced
+    point in ascending order, which is the lexicographic order because every
+    earlier image is already set.  n is capped like canonical_rep (default 8,
     overridable via the FUNCTORLAB_CANON_CAP environment variable).
     """
     _require_int(n, "n", 1)
     _check_canon_cap(n, "involution enumeration scans n! permutations")
     out = []
-    for images in itertools.permutations(range(n)):
-        if all(images[img] == i for i, img in enumerate(images)):
-            out.append(Permutation(images))
+    images = [None] * n
+
+    def extend(i):
+        # i: the smallest point that may still be unplaced
+        while i < n and images[i] is not None:
+            i += 1
+        if i == n:
+            out.append(Permutation(tuple(images)))
+            return
+        for j in range(i, n):
+            if images[j] is None:
+                images[i], images[j] = j, i
+                extend(i + 1)
+                images[i] = images[j] = None
+
+    extend(0)
     return out

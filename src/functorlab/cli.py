@@ -183,13 +183,7 @@ def _cmd_restrict_invariant(ns):
 
 def _cmd_restrict_subsets(ns):
     subsets = restrict.invariant_subsets(_load_matrix(ns.matrix))
-    _emit(
-        ns,
-        {
-            "count": len(subsets),
-            "subsets": [jsonio.subset_to_obj(s) for s in subsets],
-        },
-    )
+    _emit(ns, jsonio.subsets_to_obj(subsets))
     return 0
 
 
@@ -260,14 +254,7 @@ def _cmd_construct(ns):
         return 0
     inputs_ok = [rel.satisfied_by(m) for m in matrices]
     output_ok = rel.satisfied_by(out)
-    report = {
-        "matrix": jsonio.matrix_to_obj(out),
-        "verify": {
-            "relation": jsonio.relation_to_obj(rel),
-            "inputs_satisfy": inputs_ok,
-            "output_satisfies": output_ok,
-        },
-    }
+    report = jsonio.verify_report_to_obj(out, rel, inputs_ok, output_ok)
     _emit(ns, report, _matrix_csv(out), _matrix_table(out))
     if ns.subop in ("dsum", "tensor"):
         if not all(inputs_ok):
@@ -313,7 +300,7 @@ def _build_parser():
         "solve polynomial relations, decompose square roots, classify "
         "symmetric solutions, restrict to invariant subsets.",
         epilog="The FUNCTORLAB_CANON_CAP environment variable overrides the "
-        "dimension cap (default 8) on permutation-scanning operations.",
+        "dimension cap (default 8) on canon and --up-to-iso.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

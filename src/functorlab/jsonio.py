@@ -1,12 +1,13 @@
 """JSON schemas for every object the package exchanges.
 
-All indices are 1-based on the wire.  Every writer and `dumps` apply one
-rule, `wire`: integers beyond 2^53 - 1 in absolute value become decimal
+All indices are 1-based on the wire.  Every writer applies one rule,
+`wire`: integers beyond 2^53 - 1 in absolute value become decimal
 strings (JSON numbers lose exactness past that in common consumers), and
 a document holding one ends with a single top-level "bigints": true marker.
 Each writer is `wire` over a plain document; composite writers nest the
-plain builders (`_matrix`, `_relation`, `_config`), so `wire` walks a
-writer's document once.
+plain builders (`_matrix`, `_relation`, `_config`, `_subset`), so `wire`
+walks a writer's document once, and `dumps` serializes a writer's document
+without walking it again.
 Readers accept both encodings everywhere.  Serialization is deterministic:
 fixed key order, two-space indent, trailing newline.
 """
@@ -81,8 +82,10 @@ def _int_list(v, what):
     return [_decode_int(x, what) for x in v]
 
 
-def dumps(obj):
-    return json.dumps(wire(obj), indent=2) + "\n"
+def dumps(doc):
+    """Serialize a writer's document; `doc` must already be wired (a document
+    holding no integer needs no wiring)."""
+    return json.dumps(doc, indent=2) + "\n"
 
 
 # -- matrices ----------------------------------------------------------------
@@ -135,8 +138,17 @@ def permutation_from_obj(obj):
     return Permutation.from_one_based(images)
 
 
+def _subset(s):
+    return {"n": s.n, "members": s.members}
+
+
 def subset_to_obj(s):
-    return wire({"n": s.n, "members": s.members})
+    return wire(_subset(s))
+
+
+def subsets_to_obj(subsets):
+    """The `restrict subsets` report: a count and every subset."""
+    return wire({"count": len(subsets), "subsets": [_subset(s) for s in subsets]})
 
 
 def subset_from_obj(obj):
@@ -348,6 +360,18 @@ def descent_to_obj(report):
         "ambient_satisfied": report.ambient_satisfied,
         "serre": None if report.serre is None else _matrix(report.serre),
         "quotient": None if report.quotient is None else _matrix(report.quotient),
+    })
+
+
+def verify_report_to_obj(m, rel, inputs_satisfy, output_satisfies):
+    """The `construct --verify-relation` report on a built matrix m."""
+    return wire({
+        "matrix": _matrix(m),
+        "verify": {
+            "relation": _relation(rel),
+            "inputs_satisfy": inputs_satisfy,
+            "output_satisfies": output_satisfies,
+        },
     })
 
 

@@ -50,7 +50,10 @@ class SearchConfig:
     """Search space description: dimension, entry bound, and filters.
 
     symmetric_only restricts to symmetric matrices; up_to_iso keeps only the
-    lexicographically least member of each simultaneous-relabeling orbit;
+    lexicographically least member of each simultaneous-relabeling orbit (a
+    verified leaf survives iff it equals its canonical form, which
+    zmatrix._orbit_min_rows finds by a refinement search that branches on one
+    index per twin class, not by scanning n! relabelings);
     limit caps how many solutions are emitted (the `complete` flag on the
     result records whether the cap truncated anything).
     """

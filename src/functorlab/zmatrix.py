@@ -11,7 +11,6 @@ Indexing is 1-based at every external interface (JSON, error payloads,
 reported positions); internal storage is 0-based.
 """
 
-import itertools
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -25,7 +24,8 @@ _DEFAULT_CANON_CAP = 8
 
 
 def canonical_cap():
-    """Dimension cap for operations that enumerate all n! permutations."""
+    """Dimension cap for the relabeling operations: canonical_rep, solve's
+    up_to_iso filter and enumerate_involutions."""
     raw = os.environ.get(CANON_CAP_ENV)
     if raw is None:
         return _DEFAULT_CANON_CAP
@@ -41,7 +41,7 @@ def canonical_cap():
 
 
 def _check_canon_cap(n, scan):
-    """Refuse an n! scan (described by `scan`) above the canonical cap."""
+    """Refuse the relabeling operation `scan` describes above the canonical cap."""
     cap = canonical_cap()
     if n > cap:
         raise DimensionTooLarge(f"{scan}; n={n} exceeds cap {cap}", n=n, cap=cap)
@@ -162,14 +162,88 @@ def _conjugate_rows(rows, images):
     return tuple(tuple(r) for r in out)
 
 
-def _orbit_min_rows(rows):
+def _twin_classes(rows):
+    """Class of each index: x and y share one iff swapping them fixes rows.
+
+    The swap (x y) fixes rows iff row x is row y with entries x and y
+    exchanged and likewise for the columns (this covers the diagonal).  The
+    relation is an equivalence, since (x z) = (x y)(y z)(x y), so testing
+    against each class's least member suffices.
+    """
     n = len(rows)
-    best = None
-    for images in itertools.permutations(range(n)):
-        cand = _conjugate_rows(rows, images)
-        if best is None or cand < best:
-            best = cand
-    return best
+    cols = tuple(zip(*rows))
+    twin = [None] * n
+    for x in range(n):
+        if twin[x] is not None:
+            continue
+        twin[x] = x
+        for y in range(x + 1, n):
+            if twin[y] is None:
+                ry, cy = list(rows[y]), list(cols[y])
+                ry[x], ry[y] = ry[y], ry[x]
+                cy[x], cy[y] = cy[y], cy[x]
+                if tuple(ry) == rows[x] and tuple(cy) == cols[x]:
+                    twin[y] = x
+    return twin
+
+
+def _orbit_min_rows(rows):
+    """Row-major lex-least relabeling: the least out[a][b] = rows[s[a]][s[b]]
+    over all permutations s.
+
+    An exact refinement search fixes s one position at a time.  A frontier
+    node holds the placed indices s[0..a-1] and an ordered partition of the
+    unplaced ones into cells.  Every placed row is constant on each cell and
+    the cells come in ascending order of those values, so rows 0..a-1 of out
+    are the same for every completion that keeps the cell order.  s[a] = x
+    comes from the first cell, and its key is the least row a it allows:
+    rows[x][s[0..a-1]], rows[x][x], then row x sorted on the rest of the
+    first cell and on each later cell in turn.  Only the candidates whose key
+    is least over the whole frontier survive, and each splits every cell by
+    the values of row x, ascending.  Every optimal s keeps its prefix in the
+    frontier, up to the twin rule, so the result is the exact minimum.
+
+    Twins are indices whose swap is an automorphism of rows.  Their subtrees
+    are images of each other, so a node branches on one index per twin
+    class; without this, I, 0 and other very symmetric matrices would grow
+    the frontier to n!.
+    """
+    n = len(rows)
+    twin = _twin_classes(rows)
+    frontier = [((), (tuple(range(n)),))]  # (placed indices, cells)
+    out = []
+    for _ in range(n):
+        best, keep = None, []
+        for placed, cells in frontier:
+            first, seen = cells[0], set()
+            for x in first:
+                if twin[x] in seen:
+                    continue
+                seen.add(twin[x])
+                r = rows[x]
+                key = [r[p] for p in placed]
+                key.append(r[x])
+                key.extend(sorted([r[c] for c in first if c != x]))
+                for cell in cells[1:]:
+                    key.extend(sorted([r[c] for c in cell]))
+                if best is None or key < best:
+                    best, keep = key, [(placed, cells, x)]
+                elif key == best:
+                    keep.append((placed, cells, x))
+        out.append(tuple(best))
+        frontier = []
+        for placed, cells, x in keep:
+            r = rows[x]
+            rest = tuple(c for c in cells[0] if c != x)
+            split = []
+            for cell in ((rest,) if rest else ()) + cells[1:]:
+                values = sorted({r[c] for c in cell})
+                if len(values) == 1:
+                    split.append(cell)
+                else:
+                    split.extend(tuple(c for c in cell if r[c] == v) for v in values)
+            frontier.append((placed + (x,), tuple(split)))
+    return tuple(out)
 
 
 # -- public types ------------------------------------------------------------
@@ -467,7 +541,9 @@ def conjugate(m, s):
 def canonical_rep(m):
     """Lexicographically least relabeling of m (row-major entry order).
 
-    Scans all n! permutations, so n is capped (default 8, overridable via the
+    Found by a refinement search over partial relabelings that branches on
+    one index per twin class (see _orbit_min_rows), not by scanning all n!
+    permutations.  n is still capped (default 8, overridable via the
     FUNCTORLAB_CANON_CAP environment variable).
     """
     _check_canon_cap(m.n, "canonical form scans n! relabelings")

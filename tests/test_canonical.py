@@ -188,13 +188,14 @@ def test_sqrt_exhaustive_small():
 def test_enumerate_involutions():
     assert [p.one_based() for p in enumerate_involutions(1)] == [(1,)]
     assert [p.one_based() for p in enumerate_involutions(2)] == [(1, 2), (2, 1)]
+    for n in range(1, 9):
+        # oracle: filter all n! permutations for sigma^2 = id, in order
+        expected = [
+            p for p in itertools.permutations(range(n))
+            if all(p[p[i]] == i for i in range(n))
+        ]
+        assert [p.images for p in enumerate_involutions(n)] == expected
     got = enumerate_involutions(4)
-    # oracle: filter all 24 permutations for sigma^2 = id
-    expected = [
-        p for p in itertools.permutations(range(4))
-        if all(p[p[i]] == i for i in range(4))
-    ]
-    assert [p.images for p in got] == expected
     assert len(got) == 10
     counts = [len(enumerate_involutions(n)) for n in range(1, 7)]
     assert counts == [1, 2, 4, 10, 26, 76]

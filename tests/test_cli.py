@@ -584,3 +584,25 @@ def test_bigint_construct_verify_report(write, capsys):
     assert jsonio.matrix_from_obj(doc["matrix"]).entries == ((BIG, 0), (0, BIG))
     assert jsonio.relation_from_obj(doc["verify"]["relation"]).h == (0, BIG)
     assert doc["verify"]["output_satisfies"] is True
+
+
+def test_each_document_is_wired_once(write, capsys, monkeypatch):
+    m = write("m.json", {"n": 2, "rows": [[BIG, 0], [0, BIG]]})
+    tri = write("tri.json", {"n": 3, "rows": [[1, 0, 0], [0, 1, 0], [1, 1, 1]]})
+    rel = write("rel.json", {"g": [0, 0, 1], "h": [0, BIG]})
+    x2_4 = write("x2_4.json", XSQ_EQ_4)
+    eye = write("eye.json", {"n": 2, "rows": [[1, 0], [0, 1]]})
+    calls = []
+    wire = jsonio.wire
+    monkeypatch.setattr(jsonio, "wire", lambda doc: calls.append(doc) or wire(doc))
+    for argv, code in (
+        (["restrict", "subsets", "--matrix", tri], 0),
+        (["construct", "dsum", "--matrix", m, "--matrix", m, "--verify-relation", rel], 0),
+        (["solve", "--relation", x2_4, "--n", "2", "--bound", "4"], 0),
+        (["canon", "--matrix", m], 0),
+        (["classify", "nilpotent", "--matrix", eye, "--k", str(BIG)], 1),
+        (["canon", "--matrix", write("bad.json", "{not json")], 2),
+    ):
+        calls.clear()
+        assert run(capsys, *argv)[0] == code
+        assert len(calls) == 1, argv

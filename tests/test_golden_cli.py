@@ -50,6 +50,25 @@ INPUTS = {
     "s3_12.json": {"n": 3, "members": [1, 2]},
     "s3_3.json": {"n": 3, "members": [3]},
     "s2_1.json": {"n": 2, "members": [1]},
+    "c6.json": {"n": 6, "rows": [[0, 0, 0, 0, 1, 1], [0, 0, 1, 1, 0, 0], [0, 1, 0, 0, 0, 1],
+                                 [0, 1, 0, 0, 1, 0], [1, 0, 0, 1, 0, 0], [1, 0, 1, 0, 0, 0]]},
+    "pairs6.json": {"n": 6, "rows": [[0, 1, 0, 0, 0, 0], [2, 0, 0, 0, 0, 0], [0, 0, 0, 2, 0, 0],
+                                    [0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 2], [0, 0, 0, 0, 1, 0]]},
+    "k33_loops.json": {"n": 6, "rows": [[0, 1, 1, 0, 0, 1], [1, 1, 0, 1, 1, 0],
+                                       [1, 0, 1, 1, 1, 0], [0, 1, 1, 0, 0, 1],
+                                       [0, 1, 1, 0, 0, 1], [1, 0, 0, 1, 1, 1]]},
+    "q3.json": {"n": 8, "rows": [[0, 0, 0, 0, 0, 1, 1, 1], [0, 0, 1, 0, 0, 0, 1, 1],
+                                [0, 1, 0, 1, 1, 0, 0, 0], [0, 0, 1, 0, 0, 1, 1, 0],
+                                [0, 0, 1, 0, 0, 1, 0, 1], [1, 0, 0, 1, 1, 0, 0, 0],
+                                [1, 1, 0, 1, 0, 0, 0, 0], [1, 1, 0, 0, 1, 0, 0, 0]]},
+    "pairs8.json": {"n": 8, "rows": [[0, 0, 0, 0, 0, 0, 0, 2], [0, 0, 0, 0, 0, 0, 2, 0],
+                                    [0, 0, 0, 2, 0, 0, 0, 0], [0, 0, 2, 0, 0, 0, 0, 0],
+                                    [0, 0, 0, 0, 0, 2, 0, 0], [0, 0, 0, 0, 2, 0, 0, 0],
+                                    [0, 2, 0, 0, 0, 0, 0, 0], [2, 0, 0, 0, 0, 0, 0, 0]]},
+    "c8.json": {"n": 8, "rows": [[0, 0, 1, 0, 0, 1, 0, 0], [0, 0, 1, 0, 0, 0, 0, 1],
+                                [1, 1, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 1, 0, 0],
+                                [0, 0, 0, 1, 0, 0, 1, 0], [1, 0, 0, 1, 0, 0, 0, 0],
+                                [0, 0, 0, 0, 1, 0, 0, 1], [0, 1, 0, 0, 0, 0, 1, 0]]},
     "bad.json": "{not json",
     "negative.json": {"n": 1, "rows": [[-1]]},
 }
@@ -113,6 +132,14 @@ QUERIES = [
     ["solve", "--relation", "x3_x2.json", "--n", "2", "--bound", "2"],
     ["solve", "--relation", "x2_x_2i.json", "--n", "2", "--bound", "2"],
     ["solve", "--relation", "c2_c3.json", "--n", "2", "--bound", "2"],
+    ["canon", "--matrix", "c6.json"],
+    ["canon", "--matrix", "pairs6.json"],
+    ["canon", "--matrix", "k33_loops.json"],
+    ["canon", "--matrix", "q3.json"],
+    ["canon", "--matrix", "pairs8.json"],
+    ["canon", "--matrix", "c8.json", "--format", "table"],
+    ["solve", "--relation", "x3_x.json", "--n", "5", "--bound", "1", "--symmetric",
+     "--up-to-iso"],
 ]
 
 

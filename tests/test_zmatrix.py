@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -264,6 +265,81 @@ def test_canonical_rep_cap(monkeypatch):
         canonical_rep(big)
     monkeypatch.delenv(CANON_CAP_ENV)
     assert canonical_rep(NatMatrix.identity(2)) == NatMatrix.identity(2)
+
+
+def naive_orbit_min(rows):
+    """Oracle: the least of all n! relabelings out[a][b] = rows[p[a]][p[b]]."""
+    n = len(rows)
+    return min(
+        tuple(tuple(rows[p[a]][p[b]] for b in range(n)) for a in range(n))
+        for p in itertools.permutations(range(n))
+    )
+
+
+def relabeled(rows, images):
+    n = len(rows)
+    return tuple(tuple(rows[images[a]][images[b]] for b in range(n)) for a in range(n))
+
+
+def mirrored(rows):
+    """The symmetric matrix carrying rows' upper triangle."""
+    n = len(rows)
+    return [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def orbit_inputs(draw):
+    """n <= 6 matrices over a small value set, symmetric or not; half of them
+    relabeled direct sums of one repeated block, so that twins (swaps that
+    are automorphisms) and automorphisms moving whole blocks both occur."""
+    entry = st.sampled_from(draw(st.sampled_from(((0, 1), (0, 0, 1, 2), (0, 1, 2, 3)))))
+    symmetric = draw(st.booleans())
+
+    def square(n):
+        rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+        return mirrored(rows) if symmetric else rows
+
+    if draw(st.booleans()):
+        return tuple(tuple(r) for r in square(draw(st.integers(1, 6))))
+    k = draw(st.integers(1, 3))
+    copies = draw(st.integers(2, 6 // k))
+    block = square(k)
+    n = k * copies
+    rows = [[block[i % k][j % k] if i // k == j // k else 0 for j in range(n)]
+            for i in range(n)]
+    return relabeled(rows, draw(st.permutations(range(n))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(orbit_inputs())
+def test_canonical_rep_matches_naive_orbit_min(rows):
+    assert canonical_rep(NatMatrix(rows)).entries == naive_orbit_min(rows)
+
+
+def _graph(n, edges):
+    rows = [[0] * n for _ in range(n)]
+    for a, b in edges:
+        rows[a][b] = rows[b][a] = 1
+    return tuple(tuple(r) for r in rows)
+
+
+def test_canonical_rep_automorphism_rich_n8():
+    eye, zero = NatMatrix.identity(8).entries, NatMatrix.zero(8).entries
+    cases = [
+        _graph(8, [(0, 1), (2, 3), (4, 5), (6, 7)]),  # four disjoint 2-cycles
+        _graph(8, [(i, (i + 1) % 8) for i in range(8)]),  # the 8-cycle
+        _graph(8, [(a, a | 1 << k) for a in range(8) for k in range(3)
+                   if not a & 1 << k]),  # the cube graph Q3
+    ]
+    rng = random.Random(83)
+    for rows in [eye, zero]:
+        assert canonical_rep(NatMatrix(rows)).entries == rows
+    for rows in cases:
+        want = naive_orbit_min(rows)
+        for _ in range(3):
+            images = list(range(8))
+            rng.shuffle(images)
+            assert canonical_rep(NatMatrix(relabeled(rows, images))).entries == want
 
 
 def test_permutation_basics():
