@@ -7,12 +7,16 @@ solutions, not invariant, commutation failure, reducible, inconclusive),
 2 malformed input (usage errors included) or over-cap request, 3 internal
 fault (a state the theory excludes, or a bug).  Diagnostics go to standard
 error as JSON error objects.
+
+A process loads only the layer its subcommand runs: the module keeps
+`jsonio`, `zmatrix` and `errors` at the top, and each handler imports its
+own layer (`solver`, `canonical`, `classify` or `restrict`) when it runs.
 """
 
 import argparse
 import sys
 
-from . import canonical, classify, jsonio, restrict, solver, zmatrix
+from . import jsonio, zmatrix
 from .errors import (
     DimensionMismatch,
     DimensionTooLarge,
@@ -97,6 +101,8 @@ def _emit_matrix(ns, m):
 # -- subcommand handlers -----------------------------------------------------
 
 def _cmd_solve(ns):
+    from . import solver
+
     rel = _load_relation(ns.relation)
     bound = ns.bound
     if bound is None:
@@ -126,12 +132,16 @@ def _cmd_solve(ns):
 
 
 def _cmd_decompose(ns):
+    from . import canonical
+
     form = canonical.decompose(_load_matrix(ns.matrix), ns.k)
     _emit(ns, jsonio.block_form_to_obj(form))
     return 0
 
 
 def _cmd_sqrt_classify(ns):
+    from . import canonical
+
     cls = canonical.classify_selfadjoint_sqrt(_load_matrix(ns.matrix), ns.k)
     _emit(ns, jsonio.sqrt_to_obj(cls))
     return 0
@@ -143,12 +153,16 @@ def _cmd_canon(ns):
 
 
 def _cmd_classify_idempotent(ns):
+    from . import classify
+
     cls = classify.classify_idempotent(_load_matrix(ns.matrix))
     _emit(ns, jsonio.idempotent_to_obj(cls))
     return 0
 
 
 def _cmd_classify_commuting(ns):
+    from . import classify
+
     if len(ns.matrix) != 2:
         raise InvalidInput("classify commuting needs exactly two --matrix files")
     a, b = (_load_matrix(p) for p in ns.matrix)
@@ -158,36 +172,48 @@ def _cmd_classify_commuting(ns):
 
 
 def _cmd_classify_nilpotent(ns):
+    from . import classify
+
     verdict = classify.check_nilpotent(_load_matrix(ns.matrix), ns.k)
     _emit(ns, jsonio.nilpotency_to_obj(verdict))
     return 0 if verdict.kind == "zero" else 1
 
 
 def _cmd_classify_cyclic(ns):
+    from . import classify
+
     cls = classify.classify_cyclic(_load_matrix(ns.matrix), ns.k, ns.m)
     _emit(ns, jsonio.cyclic_to_obj(cls))
     return 0
 
 
 def _cmd_classify_root(ns):
+    from . import classify
+
     cls = classify.classify_root_of_identity(_load_matrix(ns.matrix), ns.exp)
     _emit(ns, jsonio.root_to_obj(cls))
     return 0
 
 
 def _cmd_restrict_invariant(ns):
+    from . import restrict
+
     ok = restrict.is_invariant_subset(_load_matrix(ns.matrix), _load_subset(ns.subset))
     _emit(ns, {"invariant": ok})
     return 0 if ok else 1
 
 
 def _cmd_restrict_subsets(ns):
+    from . import restrict
+
     subsets = restrict.invariant_subsets(_load_matrix(ns.matrix))
     _emit(ns, jsonio.subsets_to_obj(subsets))
     return 0
 
 
 def _cmd_restrict_serre(ns):
+    from . import restrict
+
     _emit_matrix(
         ns, restrict.restrict_serre(_load_matrix(ns.matrix), _load_subset(ns.subset))
     )
@@ -195,6 +221,8 @@ def _cmd_restrict_serre(ns):
 
 
 def _cmd_restrict_quotient(ns):
+    from . import restrict
+
     _emit_matrix(
         ns, restrict.restrict_quotient(_load_matrix(ns.matrix), _load_subset(ns.subset))
     )
@@ -202,12 +230,16 @@ def _cmd_restrict_quotient(ns):
 
 
 def _cmd_restrict_preserves_add(ns):
+    from . import restrict
+
     ok = restrict.preserves_add(_load_matrix(ns.matrix), _load_subset(ns.subset))
     _emit(ns, {"preserves_add": ok})
     return 0 if ok else 1
 
 
 def _cmd_restrict_descend(ns):
+    from . import restrict
+
     report = restrict.relation_descends(
         _load_matrix(ns.matrix), _load_subset(ns.subset), _load_relation(ns.relation)
     )
@@ -216,6 +248,8 @@ def _cmd_restrict_descend(ns):
 
 
 def _cmd_cartan(ns):
+    from . import restrict
+
     instance = restrict.CartanInstance(
         _load_matrix(ns.cartan), tuple(_load_matrix(p) for p in ns.functor)
     )

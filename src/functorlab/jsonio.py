@@ -10,21 +10,14 @@ walks a writer's document once, and `dumps` serializes a writer's document
 without walking it again.
 Readers accept both encodings everywhere.  Serialization is deterministic:
 fixed key order, two-space indent, trailing newline.
+Loading this module loads no solver, canonical, classify or restrict code:
+a function that needs one of their types (a reader constructing it, the
+block-form writer testing it) imports it when it runs.
 """
 
 import json
 
-from .canonical import Block1, Block2, BlockForm, SqrtClassification
-from .classify import (
-    CommutingIdempotents,
-    CyclicClassification,
-    IdempotentClassification,
-    NilpotencyVerdict,
-    RootOfIdentity,
-)
 from .errors import InvalidInput
-from .restrict import CartanVerdict, DescentReport, IndexSubset
-from .solver import SearchConfig, SolutionSet
 from .zmatrix import NatMatrix, Permutation, RelationPoly, _is_int
 
 _SAFE_INT = (1 << 53) - 1
@@ -152,6 +145,8 @@ def subsets_to_obj(subsets):
 
 
 def subset_from_obj(obj):
+    from .restrict import IndexSubset
+
     n = _decode_int(_require(obj, "n", "subset"), "subset dimension")
     members = _int_list(_require(obj, "members", "subset"), "subset member")
     return IndexSubset(n, tuple(members))
@@ -160,6 +155,8 @@ def subset_from_obj(obj):
 # -- block forms and square roots --------------------------------------------
 
 def block_form_to_obj(form):
+    from .canonical import Block1
+
     blocks = [
         {"type": "b1", "a": block.a}
         if isinstance(block, Block1)
@@ -170,6 +167,8 @@ def block_form_to_obj(form):
 
 
 def block_form_from_obj(obj):
+    from .canonical import Block1, Block2, BlockForm
+
     perm = permutation_from_obj(_require(obj, "perm", "block form"))
     k = _decode_int(_require(obj, "k", "block form"), "block form k")
     raw = _require(obj, "blocks", "block form")
@@ -201,6 +200,8 @@ def sqrt_to_obj(cls):
 
 
 def sqrt_from_obj(obj):
+    from .canonical import SqrtClassification
+
     return SqrtClassification(
         _decode_int(_require(obj, "root", "sqrt classification"), "root"),
         permutation_from_obj(_require(obj, "involution", "sqrt classification")),
@@ -257,6 +258,14 @@ def root_to_obj(cls):
 
 
 def classification_from_obj(obj):
+    from .classify import (
+        CommutingIdempotents,
+        CyclicClassification,
+        IdempotentClassification,
+        NilpotencyVerdict,
+        RootOfIdentity,
+    )
+
     kind = _require(obj, "kind", "classification")
     if kind == "sqrt":
         return sqrt_from_obj(obj)
@@ -320,6 +329,8 @@ def config_to_obj(config):
 
 
 def config_from_obj(obj):
+    from .solver import SearchConfig
+
     limit = obj.get("limit") if isinstance(obj, dict) else None
     return SearchConfig(
         n=_decode_int(_require(obj, "n", "search config"), "n"),
@@ -341,6 +352,8 @@ def solution_set_to_obj(result):
 
 
 def solution_set_from_obj(obj):
+    from .solver import SolutionSet
+
     raw = _require(obj, "solutions", "solution set")
     if not isinstance(raw, list):
         raise InvalidInput("solutions must be a list")
@@ -376,6 +389,8 @@ def verify_report_to_obj(m, rel, inputs_satisfy, output_satisfies):
 
 
 def descent_from_obj(obj):
+    from .restrict import DescentReport
+
     serre = _require(obj, "serre", "descent report")
     quotient = _require(obj, "quotient", "descent report")
     return DescentReport(
@@ -406,6 +421,8 @@ def cartan_verdict_to_obj(verdict):
 
 
 def cartan_verdict_from_obj(obj):
+    from .restrict import CartanVerdict
+
     kind = _require(obj, "verdict", "cartan verdict")
     if kind == "pass":
         return CartanVerdict("pass", scale=_decode_int(_require(obj, "scale", "verdict"), "scale"))

@@ -30,7 +30,6 @@ once is out of scope.
 
 import itertools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from operator import gt
 
@@ -179,6 +178,9 @@ def solve(rel, config, jobs=1):
     if workers == 1:
         buffers = [_search_partition(t) for t in tasks]
     else:
+        # imported here so that a single-worker call never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             buffers = list(pool.map(_search_partition, tasks))
     stream = [rows for buf in buffers for rows in buf]

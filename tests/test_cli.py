@@ -606,3 +606,72 @@ def test_each_document_is_wired_once(write, capsys, monkeypatch):
         calls.clear()
         assert run(capsys, *argv)[0] == code
         assert len(calls) == 1, argv
+
+
+# -- cold start: each subcommand loads only its own layer ---------------------
+
+_CLI_CORE = {"functorlab.cli", "functorlab.errors", "functorlab.jsonio", "functorlab.zmatrix"}
+_POOL_MODULES = {"concurrent.futures.process", "multiprocessing"}
+
+
+def _modules_after(*statements):
+    """sorted(sys.modules) of a fresh interpreter after running `statements`."""
+    script = "\n".join(
+        ("import contextlib, io, json, sys",)
+        + statements
+        + ("print(json.dumps(sorted(sys.modules)))",)
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    )
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_bare_import_loads_no_submodule():
+    loaded = _modules_after("import functorlab")
+    assert {name for name in loaded if name.startswith("functorlab.")} <= {"functorlab.errors"}
+    assert not loaded & _POOL_MODULES
+
+
+def test_each_subcommand_loads_only_its_layer(write):
+    m = write("m.json", SWAP2)
+    eye = write("eye.json", {"n": 2, "rows": [[1, 0], [0, 1]]})
+    rel = write("rel.json", XSQ_EQ_4)
+    for argv, layer in (
+        (["solve", "--relation", rel, "--n", "2", "--bound", "4", "--jobs", "1"], "solver"),
+        (["oracle", "--relation", rel, "--n", "2", "--bound", "4"], "solver"),
+        (["decompose", "--matrix", m, "--k", "4"], "canonical"),
+        (["sqrt-classify", "--matrix", m, "--k", "4"], "canonical"),
+        (["classify", "idempotent", "--matrix", eye], "classify"),
+        (["restrict", "subsets", "--matrix", m], "restrict"),
+        (["cartan", "--cartan", eye, "--functor", m], "restrict"),
+        (["canon", "--matrix", m], None),
+        (["construct", "dsum", "--matrix", m, "--matrix", eye], None),
+    ):
+        loaded = _modules_after(
+            "from functorlab.cli import main",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            f"    main({argv!r})",
+        )
+        want = _CLI_CORE | ({f"functorlab.{layer}"} if layer else set())
+        assert {name for name in loaded if name.startswith("functorlab.")} == want, argv
+        assert not loaded & _POOL_MODULES, argv
+
+
+@pytest.mark.parametrize("rel_obj, code", [(XSQ_EQ_4, 0), ({"g": [0, 0, 1], "h": [2]}, 1)])
+def test_solve_jobs_fresh_interpreter(write, rel_obj, code):
+    # the pool is imported lazily, so check --jobs 2 in a process that has
+    # not loaded it before
+    rel = write("rel.json", rel_obj)
+    outs = []
+    for jobs in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "functorlab.cli", "solve", "--relation", rel,
+             "--n", "2", "--bound", "4", "--symmetric", "--jobs", jobs],
+            capture_output=True,
+        )
+        assert proc.returncode == code
+        assert proc.stderr == b""
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["count"] == (2 if code == 0 else 0)

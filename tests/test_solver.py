@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import random
 
@@ -235,7 +236,8 @@ def test_worker_pool_capped(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(solver, "ProcessPoolExecutor", SerialPool)
+    # solve imports the pool from concurrent.futures only when workers > 1
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(
         solver.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False
     )
