@@ -69,6 +69,8 @@ INPUTS = {
                                 [1, 1, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 1, 0, 0],
                                 [0, 0, 0, 1, 0, 0, 1, 0], [1, 0, 0, 1, 0, 0, 0, 0],
                                 [0, 0, 0, 0, 1, 0, 0, 1], [0, 1, 0, 0, 0, 0, 1, 0]]},
+    "scc4.json": {"n": 4, "rows": [[0, 1, 0, 0], [1, 0, 0, 0], [0, 1, 2, 0], [0, 0, 0, 1]]},
+    "ident4.json": {"n": 4, "rows": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
     "bad.json": "{not json",
     "negative.json": {"n": 1, "rows": [[-1]]},
 }
@@ -140,6 +142,9 @@ QUERIES = [
     ["canon", "--matrix", "c8.json", "--format", "table"],
     ["solve", "--relation", "x3_x.json", "--n", "5", "--bound", "1", "--symmetric",
      "--up-to-iso"],
+    ["restrict", "subsets", "--matrix", "scc4.json"],
+    ["restrict", "subsets", "--matrix", "ident4.json"],
+    ["restrict", "subsets", "--matrix", "ident4.json", "--format", "csv"],
 ]
 
 
