@@ -6,6 +6,12 @@ generated by S (Serre restriction) and the complementary corner of the
 transpose describes the quotient action.  A relation satisfied by M passes to
 both corners.
 
+In the support digraph, column v feeds row i when M[i][v] != 0.  The
+invariant subsets are exactly its successor-closed sets (the order ideals of
+its strongly connected component condensation), and they index the Serre
+subcategories the functor preserves.  `invariant_subsets` enumerates them
+from reachability bitmasks in time proportional to their number.
+
 `cartan_check` certifies, over the rationals, that a symmetric-matrix family
 commuting with a candidate Cartan matrix forces that matrix to be scalar:
 commutation is checked exactly, then irreducibility of the family via the
@@ -102,23 +108,54 @@ def _invariance_witness(m, subset):
     return None
 
 
+def _reach_masks(m):
+    """(reach, anc) as bitmasks: reach[v] holds v and every index v reaches in
+    the support digraph, anc[v] holds v and every index that reaches v."""
+    n = m.n
+    reach = [
+        1 << v | sum(1 << i for i in range(n) if m.entries[i][v]) for v in range(n)
+    ]
+    for k in range(n):  # Warshall's transitive closure, one bit row at a time
+        bit = 1 << k
+        for v in range(n):
+            if reach[v] & bit:
+                reach[v] |= reach[k]
+    anc = [sum(1 << u for u in range(n) if reach[u] >> v & 1) for v in range(n)]
+    return reach, anc
+
+
 def invariant_subsets(m):
-    """All invariant subsets, ordered by size then lexicographically."""
-    if m.n > _SUBSET_ENUM_CAP:
+    """All invariant subsets, ordered by size then lexicographically.
+
+    Branch on the smallest undecided index v: take it with everything it
+    reaches, or leave it out with everything that reaches it.  Taken indices
+    stay successor-closed and left-out ones ancestor-closed, so neither branch
+    can conflict: every leaf is a distinct invariant subset, and the search
+    has fewer than twice as many nodes as there are subsets.
+    """
+    n = m.n
+    if n > _SUBSET_ENUM_CAP:
         raise DimensionTooLarge(
-            f"subset enumeration scans 2^n sets; n={m.n} exceeds cap "
+            f"invariant subsets can number 2^n; n={n} exceeds cap "
             f"{_SUBSET_ENUM_CAP}",
-            n=m.n,
+            n=n,
             cap=_SUBSET_ENUM_CAP,
         )
-    out = []
-    for mask in range(1 << m.n):
-        members = tuple(i + 1 for i in range(m.n) if mask >> i & 1)
-        s = IndexSubset(m.n, members)
-        if is_invariant_subset(m, s):
-            out.append(s)
-    out.sort(key=lambda s: (s.size, s.members))
-    return out
+    reach, anc = _reach_masks(m)
+    full = (1 << n) - 1
+    found = []
+    stack = [(0, 0)]  # (taken, decided) index bitmasks
+    while stack:
+        taken, decided = stack.pop()
+        if decided == full:
+            found.append(tuple(i + 1 for i in range(n) if taken >> i & 1))
+            continue
+        free = full & ~decided
+        v = (free & -free).bit_length() - 1
+        stack.append((taken, decided | anc[v]))
+        stack.append((taken | reach[v], decided | reach[v]))
+    found.sort(key=lambda members: (len(members), members))
+    return [IndexSubset(n, members) for members in found]
 
 
 def _require_invariant(m, subset):

@@ -71,6 +71,7 @@ INPUTS = {
                                 [0, 0, 0, 0, 1, 0, 0, 1], [0, 1, 0, 0, 0, 0, 1, 0]]},
     "scc4.json": {"n": 4, "rows": [[0, 1, 0, 0], [1, 0, 0, 0], [0, 1, 2, 0], [0, 0, 0, 1]]},
     "ident4.json": {"n": 4, "rows": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
+    "ident21.json": {"n": 21, "rows": [[int(i == j) for j in range(21)] for i in range(21)]},
     "bad.json": "{not json",
     "negative.json": {"n": 1, "rows": [[-1]]},
 }
@@ -145,6 +146,7 @@ QUERIES = [
     ["restrict", "subsets", "--matrix", "scc4.json"],
     ["restrict", "subsets", "--matrix", "ident4.json"],
     ["restrict", "subsets", "--matrix", "ident4.json", "--format", "csv"],
+    ["restrict", "subsets", "--matrix", "ident21.json"],
 ]
 
 

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from functorlab import (
     CartanInstance,
@@ -86,16 +88,105 @@ def test_invariant_subsets_examples():
     assert [s.members for s in got] == [(), (1,), (1, 2)]
 
 
+def oracle_invariant_subsets(m):
+    """The naive 2^n scan: keep every mask whose columns have no entry in a
+    row outside the mask, sorted by size then members."""
+    n = m.n
+    out = []
+    for mask in range(1 << n):
+        inside = [j for j in range(n) if mask >> j & 1]
+        outside = [i for i in range(n) if not mask >> i & 1]
+        if all(m.entries[i][j] == 0 for j in inside for i in outside):
+            out.append(tuple(j + 1 for j in inside))
+    out.sort(key=lambda members: (len(members), members))
+    return out
+
+
+def members_of(subsets):
+    return [s.members for s in subsets]
+
+
 def test_invariant_subsets_sorted_and_capped():
     rng = random.Random(7)
     for _ in range(20):
-        subs = invariant_subsets(rand_matrix(rng, rng.randint(1, 5), hi=1))
+        m = rand_matrix(rng, rng.randint(1, 5), hi=1)
+        subs = invariant_subsets(m)
         keys = [(s.size, s.members) for s in subs]
         assert keys == sorted(keys)
         for s in subs:
-            assert is_invariant_subset(rand_matrix(rng, 1), subset(1)) is not None
-    with pytest.raises(DimensionTooLarge):
+            assert is_invariant_subset(m, s)
+        assert members_of(subs) == oracle_invariant_subsets(m)
+    with pytest.raises(DimensionTooLarge) as err:
         invariant_subsets(NatMatrix.identity(21))
+    assert err.value.details == {"n": 21, "cap": 20}
+
+
+@st.composite
+def supports(draw):
+    """An n x n matrix, n <= 8, with any number of nonzero entries."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(0, n * n))
+    cells = draw(st.permutations(range(n * n)))[:k]
+    values = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    rows = [[0] * n for _ in range(n)]
+    for cell, value in zip(cells, values):
+        rows[cell // n][cell % n] = value
+    return NatMatrix(tuple(tuple(row) for row in rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(supports())
+def test_invariant_subsets_match_oracle(m):
+    assert members_of(invariant_subsets(m)) == oracle_invariant_subsets(m)
+
+
+def _support_matrix(n, edges):
+    """Column v feeds row i for each 1-based (v, i) in edges."""
+    rows = [[0] * n for _ in range(n)]
+    for v, i in edges:
+        rows[i - 1][v - 1] = 1
+    return NatMatrix(tuple(tuple(row) for row in rows))
+
+
+def test_invariant_subsets_identity_all():
+    got = members_of(invariant_subsets(NatMatrix.identity(10)))
+    assert len(got) == 1024
+    assert got == [
+        c for k in range(11) for c in itertools.combinations(range(1, 11), k)
+    ]
+
+
+def test_invariant_subsets_all_ones_n20():
+    ones = NatMatrix(tuple((1,) * 20 for _ in range(20)))
+    assert members_of(invariant_subsets(ones)) == [(), tuple(range(1, 21))]
+
+
+def test_invariant_subsets_chain_n20():
+    chain = _support_matrix(20, [(v, v + 1) for v in range(1, 20)])
+    got = members_of(invariant_subsets(chain))
+    assert len(got) == 21
+    assert got == [tuple(range(21 - k, 21)) for k in range(21)]
+
+
+def test_invariant_subsets_disjoint_cycles():
+    cycles = [(1, 4, 7), (2, 5), (3, 6, 8, 9)]
+    edges = [(c[t], c[(t + 1) % len(c)]) for c in cycles for t in range(len(c))]
+    got = members_of(invariant_subsets(_support_matrix(9, edges)))
+    unions = [
+        tuple(sorted(i for c in pick for i in c))
+        for k in range(4)
+        for pick in itertools.combinations(cycles, k)
+    ]
+    assert got == sorted(unions, key=lambda members: (len(members), members))
+
+
+def test_invariant_subsets_cycle_feeds_fixed_point():
+    # {1, 2} is a 2-cycle feeding the fixed point 3; 4 is a separate fixed point
+    m = NatMatrix(((0, 1, 0, 0), (1, 0, 0, 0), (0, 1, 2, 0), (0, 0, 0, 1)))
+    assert not m.is_symmetric()
+    assert members_of(invariant_subsets(m)) == [
+        (), (3,), (4,), (3, 4), (1, 2, 3), (1, 2, 3, 4)
+    ]
 
 
 def test_restrict_serre():
