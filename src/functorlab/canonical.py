@@ -230,7 +230,9 @@ def enumerate_involutions(n):
     overridable via the FUNCTORLAB_CANON_CAP environment variable).
     """
     _require_int(n, "n", 1)
-    _check_canon_cap(n, "involution enumeration scans n! permutations")
+    _check_canon_cap(
+        n, "involution enumeration dimension is capped by FUNCTORLAB_CANON_CAP"
+    )
     out = []
     images = [None] * n
 

@@ -8,12 +8,23 @@ solutions, not invariant, commutation failure, reducible, inconclusive),
 fault (a state the theory excludes, or a bug).  Diagnostics go to standard
 error as JSON error objects.
 
+Each subcommand is declared once, as a `_Command` in `_COMMANDS`: its path
+and help, its options in order (input files by kind, integer flags), the
+layer function it calls, how the result is written and how it maps to the
+exit code.  `_build_parser` builds the parser from these declarations, and
+`_Command.run` loads the files, calls the function, writes the result and
+returns the exit code.  Only `solve`/`oracle` and `construct`, whose work is
+more than load, call, write, keep their own handlers.
+
 A process loads only the layer its subcommand runs: the module keeps
-`jsonio`, `zmatrix` and `errors` at the top, and each handler imports its
-own layer (`solver`, `canonical`, `classify` or `restrict`) when it runs.
+`jsonio`, `zmatrix` and `errors` at the top, and the runner imports the
+declared layer (`solver`, `canonical`, `classify` or `restrict`) with
+`importlib` when the command runs.
 """
 
 import argparse
+import collections
+import importlib
 import sys
 
 from . import jsonio, zmatrix
@@ -27,25 +38,24 @@ from .errors import (
 )
 
 
-def _load(path, what):
+def _load(path, kind):
+    """Read one input file of `kind` (matrix, subset or relation)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise InvalidInput(f"cannot read {what} file {path}: {exc.strerror}") from None
-    return jsonio.load_text(text, what)
+        raise InvalidInput(f"cannot read {kind} file {path}: {exc.strerror}") from None
+    return getattr(jsonio, f"{kind}_from_obj")(jsonio.load_text(text, kind))
 
 
-def _load_matrix(path):
-    return jsonio.matrix_from_obj(_load(path, "matrix"))
-
-
-def _load_relation(path):
-    return jsonio.relation_from_obj(_load(path, "relation"))
-
-
-def _load_subset(path):
-    return jsonio.subset_from_obj(_load(path, "subset"))
+# the input-file options, and the kind of file each one reads
+_FILE_OPTIONS = {
+    "matrix": "matrix",
+    "subset": "subset",
+    "relation": "relation",
+    "cartan": "matrix",
+    "functor": "matrix",
+}
 
 
 # -- output rendering --------------------------------------------------------
@@ -98,12 +108,12 @@ def _emit_matrix(ns, m):
     _emit(ns, jsonio.matrix_to_obj(m), _matrix_csv(m), _matrix_table(m))
 
 
-# -- subcommand handlers -----------------------------------------------------
+# -- the two handlers that do more than load, call, write --------------------
 
 def _cmd_solve(ns):
     from . import solver
 
-    rel = _load_relation(ns.relation)
+    rel = _load(ns.relation, "relation")
     bound = ns.bound
     if bound is None:
         bound = solver.derive_entry_bound(rel, symmetric_only=ns.symmetric)
@@ -131,140 +141,9 @@ def _cmd_solve(ns):
     return 0 if result.count else 1
 
 
-def _cmd_decompose(ns):
-    from . import canonical
-
-    form = canonical.decompose(_load_matrix(ns.matrix), ns.k)
-    _emit(ns, jsonio.block_form_to_obj(form))
-    return 0
-
-
-def _cmd_sqrt_classify(ns):
-    from . import canonical
-
-    cls = canonical.classify_selfadjoint_sqrt(_load_matrix(ns.matrix), ns.k)
-    _emit(ns, jsonio.sqrt_to_obj(cls))
-    return 0
-
-
-def _cmd_canon(ns):
-    _emit_matrix(ns, zmatrix.canonical_rep(_load_matrix(ns.matrix)))
-    return 0
-
-
-def _cmd_classify_idempotent(ns):
-    from . import classify
-
-    cls = classify.classify_idempotent(_load_matrix(ns.matrix))
-    _emit(ns, jsonio.idempotent_to_obj(cls))
-    return 0
-
-
-def _cmd_classify_commuting(ns):
-    from . import classify
-
-    if len(ns.matrix) != 2:
-        raise InvalidInput("classify commuting needs exactly two --matrix files")
-    a, b = (_load_matrix(p) for p in ns.matrix)
-    report = classify.check_commuting_idempotents(a, b)
-    _emit(ns, jsonio.commuting_to_obj(report))
-    return 0
-
-
-def _cmd_classify_nilpotent(ns):
-    from . import classify
-
-    verdict = classify.check_nilpotent(_load_matrix(ns.matrix), ns.k)
-    _emit(ns, jsonio.nilpotency_to_obj(verdict))
-    return 0 if verdict.kind == "zero" else 1
-
-
-def _cmd_classify_cyclic(ns):
-    from . import classify
-
-    cls = classify.classify_cyclic(_load_matrix(ns.matrix), ns.k, ns.m)
-    _emit(ns, jsonio.cyclic_to_obj(cls))
-    return 0
-
-
-def _cmd_classify_root(ns):
-    from . import classify
-
-    cls = classify.classify_root_of_identity(_load_matrix(ns.matrix), ns.exp)
-    _emit(ns, jsonio.root_to_obj(cls))
-    return 0
-
-
-def _cmd_restrict_invariant(ns):
-    from . import restrict
-
-    ok = restrict.is_invariant_subset(_load_matrix(ns.matrix), _load_subset(ns.subset))
-    _emit(ns, {"invariant": ok})
-    return 0 if ok else 1
-
-
-def _cmd_restrict_subsets(ns):
-    from . import restrict
-
-    subsets = restrict.invariant_subsets(_load_matrix(ns.matrix))
-    _emit(ns, jsonio.subsets_to_obj(subsets))
-    return 0
-
-
-def _cmd_restrict_serre(ns):
-    from . import restrict
-
-    _emit_matrix(
-        ns, restrict.restrict_serre(_load_matrix(ns.matrix), _load_subset(ns.subset))
-    )
-    return 0
-
-
-def _cmd_restrict_quotient(ns):
-    from . import restrict
-
-    _emit_matrix(
-        ns, restrict.restrict_quotient(_load_matrix(ns.matrix), _load_subset(ns.subset))
-    )
-    return 0
-
-
-def _cmd_restrict_preserves_add(ns):
-    from . import restrict
-
-    ok = restrict.preserves_add(_load_matrix(ns.matrix), _load_subset(ns.subset))
-    _emit(ns, {"preserves_add": ok})
-    return 0 if ok else 1
-
-
-def _cmd_restrict_descend(ns):
-    from . import restrict
-
-    report = restrict.relation_descends(
-        _load_matrix(ns.matrix), _load_subset(ns.subset), _load_relation(ns.relation)
-    )
-    _emit(ns, jsonio.descent_to_obj(report))
-    return 0
-
-
-def _cmd_cartan(ns):
-    from . import restrict
-
-    instance = restrict.CartanInstance(
-        _load_matrix(ns.cartan), tuple(_load_matrix(p) for p in ns.functor)
-    )
-    verdict = restrict.cartan_check(instance)
-    _emit(ns, jsonio.cartan_verdict_to_obj(verdict))
-    if verdict.kind == "pass":
-        return 0
-    if verdict.kind == "inconsistent_input":
-        return 3
-    return 1
-
-
 def _cmd_construct(ns):
-    matrices = [_load_matrix(p) for p in ns.matrix]
-    rel = _load_relation(ns.verify_relation) if ns.verify_relation else None
+    matrices = [_load(p, "matrix") for p in ns.matrix]
+    rel = _load(ns.verify_relation, "relation") if ns.verify_relation else None
     if ns.subop == "dsum":
         if len(matrices) < 2:
             raise InvalidInput("construct dsum needs at least two --matrix files")
@@ -300,6 +179,153 @@ def _cmd_construct(ns):
             )
         return 0
     return 0 if output_ok else 1
+
+
+# -- subcommand declarations -------------------------------------------------
+
+def _document(to_obj):
+    """Writer of a JSON-only report built by a jsonio function."""
+    return lambda ns, result: _emit(ns, to_obj(result))
+
+
+def _flag_document(key):
+    """Writer of a one-key bool document."""
+    return lambda ns, ok: _emit(ns, {key: ok})
+
+
+def _truth_exit(ok):
+    return 0 if ok else 1
+
+
+_CARTAN_EXIT = {"pass": 0, "inconsistent_input": 3}
+
+
+class _Command(collections.namedtuple(
+    "_Command",
+    "path blurb options call write code pair handler",
+    defaults=(None, None, None, False, None),
+)):
+    """One subcommand: `_build_parser` makes its subparser, `run` executes it.
+
+    `options` are (flag, argparse settings) pairs in order.  A file option,
+    named in `_FILE_OPTIONS`, is loaded by its kind's reader, and a repeated
+    one (action="append") gives a tuple of its files; `pair` requires
+    exactly two and passes them as two arguments.  The inputs, in option
+    order, go to the function `call[1]` of the layer `call[0]`; each further
+    name in `call` is applied in turn to the result.  `write` emits the
+    result and `code` maps it to the exit code (0 when absent).  A `handler`
+    replaces the runner for work that is more than load, call, write.
+    """
+
+    __slots__ = ()
+
+    def run(self, ns):
+        inputs = []
+        for flag, settings in self.options:
+            name = flag[2:].replace("-", "_")
+            value = getattr(ns, name)
+            kind = _FILE_OPTIONS.get(name)
+            if kind is None:
+                inputs.append(value)
+            elif settings.get("action") != "append":
+                inputs.append(_load(value, kind))
+            elif self.pair:
+                if len(value) != 2:
+                    raise InvalidInput(
+                        f"{' '.join(self.path)} needs exactly two {flag} files"
+                    )
+                inputs.extend(_load(p, kind) for p in value)
+            else:
+                inputs.append(tuple(_load(p, kind) for p in value))
+        layer = importlib.import_module("." + self.call[0], __package__)
+        result = getattr(layer, self.call[1])(*inputs)
+        for name in self.call[2:]:
+            result = getattr(layer, name)(result)
+        self.write(ns, result)
+        return 0 if self.code is None else self.code(result)
+
+
+_FILE = {"required": True}
+_FILES = {"action": "append", "required": True}
+_INT = {"type": int, "required": True}
+_SEARCH = (
+    ("--relation", {"required": True, "help": "relation JSON file"}),
+    ("--n", {"type": int, "required": True, "help": "matrix dimension"}),
+    ("--bound", {"type": int, "help": "entry bound; derived from the relation when provable"}),
+    ("--symmetric", {"action": "store_true", "help": "search symmetric matrices only"}),
+    ("--up-to-iso", {
+        "action": "store_true",
+        "help": "keep one representative per simultaneous relabeling orbit",
+    }),
+    ("--limit", {"type": int, "help": "emit at most this many"}),
+)
+_VERIFY = ("--verify-relation", {"help": "also check the relation on inputs and output"})
+_MATRIX = ("--matrix", _FILE)
+_MATRIX_SUBSET = (_MATRIX, ("--subset", _FILE))
+
+_COMMANDS = (
+    _Command(("solve",), "search matrices satisfying g(X) = h(X)", _SEARCH + (
+        ("--jobs", {"type": int, "default": 1, "help": "worker processes (default 1)"}),
+    ), handler=_cmd_solve),
+    _Command(("oracle",), "same search by plain enumeration (cross-check)", _SEARCH,
+             handler=_cmd_solve),
+    _Command(("decompose",), "block form of a square root of k*I", (_MATRIX, ("--k", _INT)),
+             ("canonical", "decompose"), _document(jsonio.block_form_to_obj)),
+    _Command(("sqrt-classify",),
+             "write a symmetric square root of k*I as sqrt(k) times an involution",
+             (_MATRIX, ("--k", _INT)), ("canonical", "classify_selfadjoint_sqrt"),
+             _document(jsonio.sqrt_to_obj)),
+    _Command(("canon",), "least relabeling of a matrix", (_MATRIX,),
+             ("zmatrix", "canonical_rep"), _emit_matrix),
+    _Command(("classify", "idempotent"), "M^2 = M", (_MATRIX,),
+             ("classify", "classify_idempotent"), _document(jsonio.idempotent_to_obj)),
+    _Command(("classify", "commuting"), "two idempotents and their index split",
+             (("--matrix", _FILES),), ("classify", "check_commuting_idempotents"),
+             _document(jsonio.commuting_to_obj), pair=True),
+    _Command(("classify", "nilpotent"), "M^k = 0", (_MATRIX, ("--k", _INT)),
+             ("classify", "check_nilpotent"), _document(jsonio.nilpotency_to_obj),
+             code=lambda verdict: 0 if verdict.kind == "zero" else 1),
+    _Command(("classify", "cyclic"), "M^k = M^m", (_MATRIX, ("--k", _INT), ("--m", _INT)),
+             ("classify", "classify_cyclic"), _document(jsonio.cyclic_to_obj)),
+    _Command(("classify", "root"), "M^e = I", (_MATRIX, ("--exp", _INT)),
+             ("classify", "classify_root_of_identity"), _document(jsonio.root_to_obj)),
+    _Command(("restrict", "invariant"), "is the subset invariant", _MATRIX_SUBSET,
+             ("restrict", "is_invariant_subset"), _flag_document("invariant"),
+             code=_truth_exit),
+    _Command(("restrict", "subsets"), "all invariant subsets", (_MATRIX,),
+             ("restrict", "invariant_subsets"), _document(jsonio.subsets_to_obj)),
+    _Command(("restrict", "serre"), "subset corner", _MATRIX_SUBSET,
+             ("restrict", "restrict_serre"), _emit_matrix),
+    _Command(("restrict", "quotient"), "complement corner of the transpose", _MATRIX_SUBSET,
+             ("restrict", "restrict_quotient"), _emit_matrix),
+    _Command(("restrict", "preserves-add"), "does M keep the subset's projectives",
+             _MATRIX_SUBSET, ("restrict", "preserves_add"), _flag_document("preserves_add"),
+             code=_truth_exit),
+    _Command(("restrict", "descend"), "push a satisfied relation to both corners",
+             _MATRIX_SUBSET + (("--relation", _FILE),), ("restrict", "relation_descends"),
+             _document(jsonio.descent_to_obj)),
+    _Command(("cartan",),
+             "certify a commuting symmetric family forces a scalar Cartan matrix",
+             (("--cartan", _FILE), ("--functor", _FILES)),
+             ("restrict", "CartanInstance", "cartan_check"),
+             _document(jsonio.cartan_verdict_to_obj),
+             code=lambda verdict: _CARTAN_EXIT.get(verdict.kind, 1)),
+    _Command(("construct", "dsum"), "direct sum of two or more matrices",
+             (("--matrix", _FILES), _VERIFY), handler=_cmd_construct),
+    _Command(("construct", "tensor"), "Kronecker product with an identity of size b",
+             (("--matrix", _FILES), ("--b", {"type": int}), _VERIFY),
+             handler=_cmd_construct),
+    _Command(("construct", "scale"), "scalar multiple",
+             (("--matrix", _FILES), ("--k", {"type": int}), _VERIFY),
+             handler=_cmd_construct),
+)
+
+# help text and namespace attribute of each command group
+_GROUPS = {
+    "classify": ("classify symmetric solutions", "kind"),
+    "restrict": ("invariant subsets and corners", "kind"),
+    "construct": ("build matrices from parts", "subop"),
+}
 
 
 # -- parser ------------------------------------------------------------------
@@ -338,151 +364,21 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, blurb in (
-        ("solve", "search matrices satisfying g(X) = h(X)"),
-        ("oracle", "same search by plain enumeration (cross-check)"),
-    ):
-        p = sub.add_parser(name, parents=[common], help=blurb)
-        p.add_argument("--relation", required=True, help="relation JSON file")
-        p.add_argument("--n", type=int, required=True, help="matrix dimension")
-        p.add_argument(
-            "--bound",
-            type=int,
-            default=None,
-            help="entry bound; derived from the relation when provable",
-        )
-        p.add_argument(
-            "--symmetric", action="store_true", help="search symmetric matrices only"
-        )
-        p.add_argument(
-            "--up-to-iso",
-            action="store_true",
-            help="keep one representative per simultaneous relabeling orbit",
-        )
-        p.add_argument("--limit", type=int, default=None, help="emit at most this many")
-        if name == "solve":
-            p.add_argument(
-                "--jobs", type=int, default=1, help="worker processes (default 1)"
-            )
-        p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser(
-        "decompose", parents=[common], help="block form of a square root of k*I"
-    )
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser(
-        "sqrt-classify",
-        parents=[common],
-        help="write a symmetric square root of k*I as sqrt(k) times an involution",
-    )
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=_cmd_sqrt_classify)
-
-    p = sub.add_parser(
-        "canon", parents=[common], help="least relabeling of a matrix"
-    )
-    p.add_argument("--matrix", required=True)
-    p.set_defaults(func=_cmd_canon)
-
-    classify_p = sub.add_parser("classify", help="classify symmetric solutions")
-    csub = classify_p.add_subparsers(dest="kind", required=True)
-
-    p = csub.add_parser("idempotent", parents=[common], help="M^2 = M")
-    p.add_argument("--matrix", required=True)
-    p.set_defaults(func=_cmd_classify_idempotent)
-
-    p = csub.add_parser(
-        "commuting", parents=[common], help="two idempotents and their index split"
-    )
-    p.add_argument("--matrix", action="append", required=True)
-    p.set_defaults(func=_cmd_classify_commuting)
-
-    p = csub.add_parser("nilpotent", parents=[common], help="M^k = 0")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=_cmd_classify_nilpotent)
-
-    p = csub.add_parser("cyclic", parents=[common], help="M^k = M^m")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.set_defaults(func=_cmd_classify_cyclic)
-
-    p = csub.add_parser("root", parents=[common], help="M^e = I")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--exp", type=int, required=True)
-    p.set_defaults(func=_cmd_classify_root)
-
-    restrict_p = sub.add_parser("restrict", help="invariant subsets and corners")
-    rsub = restrict_p.add_subparsers(dest="kind", required=True)
-
-    p = rsub.add_parser("invariant", parents=[common], help="is the subset invariant")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--subset", required=True)
-    p.set_defaults(func=_cmd_restrict_invariant)
-
-    p = rsub.add_parser("subsets", parents=[common], help="all invariant subsets")
-    p.add_argument("--matrix", required=True)
-    p.set_defaults(func=_cmd_restrict_subsets)
-
-    p = rsub.add_parser("serre", parents=[common], help="subset corner")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--subset", required=True)
-    p.set_defaults(func=_cmd_restrict_serre)
-
-    p = rsub.add_parser("quotient", parents=[common], help="complement corner of the transpose")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--subset", required=True)
-    p.set_defaults(func=_cmd_restrict_quotient)
-
-    p = rsub.add_parser(
-        "preserves-add", parents=[common], help="does M keep the subset's projectives"
-    )
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--subset", required=True)
-    p.set_defaults(func=_cmd_restrict_preserves_add)
-
-    p = rsub.add_parser(
-        "descend", parents=[common], help="push a satisfied relation to both corners"
-    )
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--subset", required=True)
-    p.add_argument("--relation", required=True)
-    p.set_defaults(func=_cmd_restrict_descend)
-
-    p = sub.add_parser(
-        "cartan",
-        parents=[common],
-        help="certify a commuting symmetric family forces a scalar Cartan matrix",
-    )
-    p.add_argument("--cartan", required=True)
-    p.add_argument("--functor", action="append", required=True)
-    p.set_defaults(func=_cmd_cartan)
-
-    construct_p = sub.add_parser("construct", help="build matrices from parts")
-    ksub = construct_p.add_subparsers(dest="subop", required=True)
-    for subop, blurb in (
-        ("dsum", "direct sum of two or more matrices"),
-        ("tensor", "Kronecker product with an identity of size b"),
-        ("scale", "scalar multiple"),
-    ):
-        p = ksub.add_parser(subop, parents=[common], help=blurb)
-        p.add_argument("--matrix", action="append", required=True)
-        if subop == "tensor":
-            p.add_argument("--b", type=int, default=None)
-        if subop == "scale":
-            p.add_argument("--k", type=int, default=None)
-        p.add_argument(
-            "--verify-relation",
-            default=None,
-            help="also check the relation on inputs and output",
-        )
-        p.set_defaults(func=_cmd_construct)
-
+    groups = {}
+    for cmd in _COMMANDS:
+        parent = sub
+        if len(cmd.path) == 2:
+            group = cmd.path[0]
+            if group not in groups:
+                blurb, dest = _GROUPS[group]
+                groups[group] = sub.add_parser(group, help=blurb).add_subparsers(
+                    dest=dest, required=True
+                )
+            parent = groups[group]
+        p = parent.add_parser(cmd.path[-1], parents=[common], help=cmd.blurb)
+        for flag, settings in cmd.options:
+            p.add_argument(flag, **settings)
+        p.set_defaults(func=cmd.handler or cmd.run)
     return parser
 
 

@@ -23,7 +23,7 @@ possible verdict, never a wrong one, and all arithmetic is exact rational.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import (
     DimensionMismatch,
@@ -47,6 +47,8 @@ from .zmatrix import (
 )
 
 _SUBSET_ENUM_CAP = 20
+# trial divisors the Cartan checker's integer-eigenvalue search tries at most
+_ROOT_DIVISOR_SCAN = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -306,19 +308,22 @@ def _char_poly(rows):
 
 
 def _divisors(x):
+    """Divisors d and |x|/d of |x| for the trial divisors d up to
+    min(sqrt|x|, _ROOT_DIVISOR_SCAN), ascending: every divisor when
+    |x| <= _ROOT_DIVISOR_SCAN ** 2, the outer ones only above that."""
     x = abs(x)
     small, large = [], []
-    d = 1
-    while d * d <= x:
+    for d in range(1, min(isqrt(x), _ROOT_DIVISOR_SCAN) + 1):
         if x % d == 0:
             small.append(d)
             if d != x // d:
                 large.append(x // d)
-        d += 1
     return small + large[::-1]
 
 
 def _integer_roots(coeffs):
+    """Integer roots among the candidates `_divisors` offers; a root beyond
+    the trial-divisor scan goes untried, which can only cost a witness."""
     cs = list(coeffs)
     roots = set()
     while len(cs) > 1 and cs[-1] == 0:
@@ -352,33 +357,21 @@ def _normalize_int_vector(vec):
 
 
 def _kernel_basis(rows):
-    """Primitive integer basis of the rational kernel, deterministic order."""
+    """Primitive integer basis of the rational kernel: for each free column in
+    order, the solution with that column 1 and the other free columns 0."""
     n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(n):
-        hit = next((i for i in range(r, n) if m[i][c]), None)
-        if hit is None:
-            continue
-        m[r], m[hit] = m[hit], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(n):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    pivot_set = set(pivots)
+    span = _RationalSpan(n)
+    for row in rows:
+        span.add(row)
+    pivots = {pivot for pivot, _ in span.rows}
     basis = []
     for free in range(n):
-        if free in pivot_set:
+        if free in pivots:
             continue
         vec = [Fraction(0)] * n
         vec[free] = Fraction(1)
-        for row_idx, c in enumerate(pivots):
-            vec[c] = -m[row_idx][free]
+        for pivot, row in reversed(span.rows):  # back-substitute, last pivot first
+            vec[pivot] = -sum(row[t] * vec[t] for t in range(pivot + 1, n))
         basis.append(_normalize_int_vector(vec))
     return basis
 

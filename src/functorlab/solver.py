@@ -166,7 +166,7 @@ def solve(rel, config, jobs=1):
     """
     _require_int(jobs, "jobs", 1)
     if config.up_to_iso:
-        _check_canon_cap(config.n, "up_to_iso filters through n! relabelings")
+        _check_canon_cap(config.n, "up_to_iso dimension is capped by FUNCTORLAB_CANON_CAP")
     gr, hr = rel.reduced()
     cap = None if config.limit is None else config.limit + 1
     tasks = [

@@ -40,11 +40,11 @@ def canonical_cap():
     return cap
 
 
-def _check_canon_cap(n, scan):
-    """Refuse the relabeling operation `scan` describes above the canonical cap."""
+def _check_canon_cap(n, what):
+    """Refuse the relabeling operation `what` describes above the canonical cap."""
     cap = canonical_cap()
     if n > cap:
-        raise DimensionTooLarge(f"{scan}; n={n} exceeds cap {cap}", n=n, cap=cap)
+        raise DimensionTooLarge(f"{what}; n={n} exceeds cap {cap}", n=n, cap=cap)
 
 
 def _is_int(v):
@@ -546,5 +546,5 @@ def canonical_rep(m):
     permutations.  n is still capped (default 8, overridable via the
     FUNCTORLAB_CANON_CAP environment variable).
     """
-    _check_canon_cap(m.n, "canonical form scans n! relabelings")
+    _check_canon_cap(m.n, "canonical form dimension is capped by FUNCTORLAB_CANON_CAP")
     return NatMatrix(_orbit_min_rows(m.entries))

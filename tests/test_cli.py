@@ -154,6 +154,18 @@ def test_classify_subcommands(write, capsys):
     assert rc == 0
     assert json.loads(out)["both"] == [1]
 
+    # the count is checked before any file is read
+    for matrices in ([proj], [proj, ident, "missing.json"]):
+        argv = ["classify", "commuting"]
+        for path in matrices:
+            argv += ["--matrix", path]
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "invalid_input",
+            "message": "classify commuting needs exactly two --matrix files",
+        }
+
     rc, out, _ = run(capsys, "classify", "nilpotent", "--matrix", zero, "--k", "2")
     assert rc == 0
     assert json.loads(out) == {"kind": "zero"}
@@ -248,6 +260,26 @@ def test_cartan_subcommand(write, capsys):
     rc, out, _ = run(capsys, "cartan", "--cartan", c2, "--functor", swap)
     assert rc == 1
     assert json.loads(out)["verdict"] == "reducible"
+
+
+def test_cartan_large_entries_answer_without_traceback(write):
+    # integer eigenvalues near 10^10 lie beyond the trial-divisor scan; the
+    # checker must still answer, soundly, instead of scanning for minutes
+    big = 10 ** 10
+    functor = write("f.json", {"n": 2, "rows": [[big, 0], [0, big + 1]]})
+    eye = write("eye.json", {"n": 2, "rows": [[1, 0], [0, 1]]})
+    proc = subprocess.run(
+        [sys.executable, "-m", "functorlab.cli", "cartan", "--cartan", eye,
+         "--functor", functor],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    doc = json.loads(proc.stdout)
+    assert doc["verdict"] in ("reducible", "inconclusive")
+    if doc["verdict"] == "reducible":
+        assert doc["eigenvalue"] in (big, big + 1)
 
 
 def test_construct_tensor(write, capsys):

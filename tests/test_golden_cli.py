@@ -4,11 +4,14 @@ Each query runs in process from a fresh working directory holding the input
 files below, under relative names, so no absolute path enters a transcript.
 The expected exit code, stdout, stderr and (with --out) file text of every
 query are stored in golden_cli.json.  No query involves an integer above
-2^53 - 1 or a usage error.  Regenerate the data file with
+2^53 - 1 or a usage error.  The `--help` text of the top level, the three
+command groups and all 20 subcommands is stored in golden_help.json, printed
+at COLUMNS=80 so that the terminal width cannot change it.  Regenerate both
+data files with
 
     PYTHONPATH=src python tests/test_golden_cli.py
 
-and review the diff: any change to it is a change of the CLI's bytes.
+and review the diff: any change to them is a change of the CLI's bytes.
 """
 
 import contextlib
@@ -23,6 +26,7 @@ import pytest
 from functorlab.cli import main
 
 DATA = pathlib.Path(__file__).with_name("golden_cli.json")
+HELP_DATA = pathlib.Path(__file__).with_name("golden_help.json")
 
 INPUTS = {
     "x2_4i.json": {"g": [0, 0, 1], "h": [4]},
@@ -72,6 +76,7 @@ INPUTS = {
     "scc4.json": {"n": 4, "rows": [[0, 1, 0, 0], [1, 0, 0, 0], [0, 1, 2, 0], [0, 0, 0, 1]]},
     "ident4.json": {"n": 4, "rows": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
     "ident21.json": {"n": 21, "rows": [[int(i == j) for j in range(21)] for i in range(21)]},
+    "ident9.json": {"n": 9, "rows": [[int(i == j) for j in range(9)] for i in range(9)]},
     "bad.json": "{not json",
     "negative.json": {"n": 1, "rows": [[-1]]},
 }
@@ -147,6 +152,22 @@ QUERIES = [
     ["restrict", "subsets", "--matrix", "ident4.json"],
     ["restrict", "subsets", "--matrix", "ident4.json", "--format", "csv"],
     ["restrict", "subsets", "--matrix", "ident21.json"],
+    ["canon", "--matrix", "ident9.json"],
+]
+
+SUBCOMMANDS = [
+    ["solve"], ["oracle"], ["decompose"], ["sqrt-classify"], ["canon"],
+    ["classify", "idempotent"], ["classify", "commuting"], ["classify", "nilpotent"],
+    ["classify", "cyclic"], ["classify", "root"],
+    ["restrict", "invariant"], ["restrict", "subsets"], ["restrict", "serre"],
+    ["restrict", "quotient"], ["restrict", "preserves-add"], ["restrict", "descend"],
+    ["cartan"],
+    ["construct", "dsum"], ["construct", "tensor"], ["construct", "scale"],
+]
+
+HELP_QUERIES = [
+    path + ["--help"]
+    for path in [[], ["classify"], ["restrict"], ["construct"]] + SUBCOMMANDS
 ]
 
 
@@ -184,11 +205,31 @@ def test_golden_covers_every_query():
 
 
 @pytest.mark.parametrize("index", range(len(QUERIES)))
-def test_golden_transcript(index):
+def test_golden_transcript(index, monkeypatch):
+    monkeypatch.delenv("FUNCTORLAB_CANON_CAP", raising=False)  # the default cap, 8
     assert transcript(QUERIES[index]) == _golden()[index]
 
 
+def test_help_covers_every_subcommand():
+    doc = json.loads(HELP_DATA.read_text(encoding="utf-8"))
+    assert [entry["argv"] for entry in doc] == HELP_QUERIES
+    assert len(SUBCOMMANDS) == 20
+
+
+@pytest.mark.parametrize("index", range(len(HELP_QUERIES)))
+def test_golden_help(index, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    doc = json.loads(HELP_DATA.read_text(encoding="utf-8"))
+    assert transcript(HELP_QUERIES[index]) == doc[index]
+
+
 if __name__ == "__main__":
+    os.environ.pop("FUNCTORLAB_CANON_CAP", None)
     DATA.write_text(
         json.dumps([transcript(q) for q in QUERIES], indent=1) + "\n", encoding="utf-8"
+    )
+    os.environ["COLUMNS"] = "80"
+    HELP_DATA.write_text(
+        json.dumps([transcript(q) for q in HELP_QUERIES], indent=1) + "\n",
+        encoding="utf-8",
     )

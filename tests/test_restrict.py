@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from functorlab import restrict
 from functorlab import (
     CartanInstance,
     DimensionMismatch,
@@ -430,3 +431,92 @@ def test_cartan_instance_validation():
         CartanInstance(NatMatrix.identity(2), (NatMatrix.identity(3),))
     with pytest.raises(NotSymmetric):
         CartanInstance(NatMatrix.identity(2), (NatMatrix(((0, 1), (0, 0))),))
+
+
+def _assert_sound(inst, verdict):
+    """A reducible verdict's basis spans a proper subspace every functor keeps."""
+    assert verdict.kind in ("reducible", "inconclusive")
+    if verdict.kind == "reducible":
+        n = inst.cartan.n
+        assert 0 < len(verdict.basis) < n
+        for f in inst.functors:
+            for v in verdict.basis:
+                image = tuple(
+                    sum(f.entries[i][j] * v[j] for j in range(n)) for i in range(n)
+                )
+                assert _rank(verdict.basis) == _rank(list(verdict.basis) + [image])
+
+
+def test_cartan_large_entries_stay_sound():
+    # the eigenvalues 10^10 and 10^10 + 1 divide the constant term
+    # 10^10 (10^10 + 1) only through divisors beyond the trial-divisor scan
+    big = 10 ** 10
+    inst = CartanInstance(NatMatrix.identity(2), (NatMatrix(((big, 0), (0, big + 1))),))
+    _assert_sound(inst, cartan_check(inst))
+
+
+def test_cartan_moderate_entries_still_reducible():
+    inst = CartanInstance(NatMatrix.identity(2), (NatMatrix(((1000, 0), (0, 1001))),))
+    verdict = cartan_check(inst)
+    assert verdict.kind == "reducible"
+    assert (verdict.functor, verdict.eigenvalue, verdict.basis) == (1, 1000, ((1, 0),))
+
+
+def test_divisors_complete_below_the_scan():
+    rng = random.Random(11)
+    for x in [1, 2, 36, 97, 10 ** 6] + [rng.randint(1, 10 ** 5) for _ in range(50)]:
+        assert restrict._divisors(x) == [d for d in range(1, x + 1) if x % d == 0]
+        assert restrict._divisors(-x) == restrict._divisors(x)
+
+
+def oracle_kernel_basis(rows):
+    """Naive oracle: Gauss-Jordan elimination to reduced row echelon form, then
+    one kernel vector per free column (that column 1, other free columns 0)."""
+    n = len(rows)
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(n):
+        hit = next((i for i in range(r, n) if m[i][c]), None)
+        if hit is None:
+            continue
+        m[r], m[hit] = m[hit], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(n):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    basis = []
+    for free in range(n):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * n
+        vec[free] = Fraction(1)
+        for row_idx, c in enumerate(pivots):
+            vec[c] = -m[row_idx][free]
+        basis.append(restrict._normalize_int_vector(vec))
+    return basis
+
+
+@st.composite
+def rank_deficient(draw):
+    """An n x n integer matrix, n <= 6, of rank at most k < n: A (n x k) B (k x n)."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(0, n - 1))
+    entry = st.integers(-4, 4)
+    a = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=n, max_size=n))
+    b = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(rank_deficient(), st.lists(
+    st.lists(st.integers(-3, 3), min_size=3, max_size=3), min_size=3, max_size=3)))
+def test_kernel_basis_matches_oracle(rows):
+    basis = restrict._kernel_basis(rows)
+    assert basis == oracle_kernel_basis(rows)
+    for v in basis:
+        assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in rows)

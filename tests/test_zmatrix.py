@@ -267,6 +267,31 @@ def test_canonical_rep_cap(monkeypatch):
     assert canonical_rep(NatMatrix.identity(2)) == NatMatrix.identity(2)
 
 
+def test_over_cap_messages_name_what_is_capped(monkeypatch):
+    # none of these scans n! relabelings, so the messages say what is capped;
+    # the oracle does scan them and says so
+    from functorlab import RelationPoly, SearchConfig, brute_force_oracle, solve
+    from functorlab.canonical import enumerate_involutions
+
+    monkeypatch.delenv(CANON_CAP_ENV, raising=False)
+    rel = RelationPoly((0, 0, 1), (1,))
+    config = SearchConfig(n=9, bound=1, up_to_iso=True)
+    for call, what in (
+        (lambda: canonical_rep(NatMatrix.identity(9)), "canonical form dimension"),
+        (lambda: solve(rel, config), "up_to_iso dimension"),
+        (lambda: enumerate_involutions(9), "involution enumeration dimension"),
+    ):
+        with pytest.raises(DimensionTooLarge) as err:
+            call()
+        assert str(err.value) == (
+            f"{what} is capped by FUNCTORLAB_CANON_CAP; n=9 exceeds cap 8"
+        )
+        assert err.value.details == {"n": 9, "cap": 8}
+    with pytest.raises(DimensionTooLarge) as err:
+        brute_force_oracle(rel, config)
+    assert str(err.value) == "up_to_iso filters through n! relabelings; n=9 exceeds cap 8"
+
+
 def naive_orbit_min(rows):
     """Oracle: the least of all n! relabelings out[a][b] = rows[p[a]][p[b]]."""
     n = len(rows)
