@@ -14,8 +14,23 @@ g(L) > h(U) or h(L) > g(U).  The rule holds for every relation degree; it cuts
 c1*I = c2*I at the first node and a constant side as soon as a diagonal entry
 overshoots it.
 
-Every surviving leaf is verified by full evaluation, so pruning can only
-remove non-solutions.  `brute_force_oracle` is the deliberately naive
+With up_to_iso a second cut rejects isomorphs inside the search (orderly
+generation: Read, 1978; McKay, 1998).  When the fill has just completed row
+a, rows 0..a are fully set, in the symmetric fill and the row-major fill
+alike, so they agree with U.  Every completion X has X <= U entrywise, hence
+X^s <= U^s for every simultaneous relabeling s.  If some s makes
+U^s[:a+1] lex-smaller than U[:a+1] = X[:a+1], then X^s[:a+1] is lex-smaller
+too: before the first entry where U^s and U differ, X^s <= U^s = X, and at
+that entry X^s <= U^s < X.  So X^s <lex X, X is not its orbit minimum, and
+the leaf filter would drop it anyway.  The branch is therefore cut when the
+first a+1 rows of U's orbit minimum (zmatrix._orbit_min_rows) are
+lex-smaller than U's own.  The cut removes only subtrees without an emitted
+leaf, so the leaves, their order and every limit and worker count give the
+same output as filtering at the leaves.
+
+Every surviving leaf is verified by full evaluation, so the interval rule
+can only remove non-solutions and the up_to_iso cut only non-canonical
+ones.  `brute_force_oracle` is the deliberately naive
 cross-check: plain enumeration in the same entry order, full evaluation of
 the unreduced relation, no pruning, sharing only the polynomial-evaluation
 primitive with `solve`.
@@ -49,10 +64,12 @@ class SearchConfig:
     """Search space description: dimension, entry bound, and filters.
 
     symmetric_only restricts to symmetric matrices; up_to_iso keeps only the
-    lexicographically least member of each simultaneous-relabeling orbit (a
-    verified leaf survives iff it equals its canonical form, which
-    zmatrix._orbit_min_rows finds by a refinement search that branches on one
-    index per twin class, not by scanning n! relabelings);
+    lexicographically least member of each simultaneous-relabeling orbit (the
+    search cuts every subtree whose completed rows already show that no leaf
+    below it is canonical, and a verified leaf that survives is still kept
+    only if it equals its canonical form, which zmatrix._orbit_min_rows finds
+    by a refinement search that branches on one index per twin class, not by
+    scanning n! relabelings);
     limit caps how many solutions are emitted (the `complete` flag on the
     result records whether the cap truncated anything).
     """
@@ -109,9 +126,12 @@ def _exceeds(a, b):
 def _search_partition(args):
     (gr, hr, n, bound, symmetric, up_to_iso, cap, first_value) = args
     # the entries each fill step sets: (i, j), and (j, i) when symmetric
-    cells = [((i, j), (j, i)) if symmetric else ((i, j),)
-             for i, j in _fill_positions(n, symmetric)]
+    positions = _fill_positions(n, symmetric)
+    cells = [((i, j), (j, i)) if symmetric else ((i, j),) for i, j in positions]
     total = len(cells)
+    # up_to_iso: step k + 1 follows the last entry of row i, so rows 0..i are set
+    row_end = ({k + 1: i + 1 for k, (i, j) in enumerate(positions) if j == n - 1}
+               if up_to_iso else {})
     lo = [[0] * n for _ in range(n)]  # unset entries at 0
     hi = [[bound] * n for _ in range(n)]  # unset entries at bound
     found = []
@@ -136,6 +156,11 @@ def _search_partition(args):
         high = high if v == bound else sides(hi)
         if _exceeds(low[0], high[1]) or _exceeds(low[1], high[0]):
             return
+        known = row_end.get(idx)
+        if known:
+            top = tuple(map(tuple, hi))
+            if _orbit_min_rows(top)[:known] < top[:known]:
+                return
         for w in range(bound + 1):
             for a, b in cells[idx]:
                 lo[a][b] = hi[a][b] = w

@@ -153,6 +153,9 @@ QUERIES = [
     ["restrict", "subsets", "--matrix", "ident4.json", "--format", "csv"],
     ["restrict", "subsets", "--matrix", "ident21.json"],
     ["canon", "--matrix", "ident9.json"],
+    ["solve", "--relation", "x3_x.json", "--n", "7", "--bound", "1", "--symmetric",
+     "--up-to-iso"],
+    ["solve", "--relation", "x2_4i.json", "--n", "4", "--bound", "4", "--up-to-iso"],
 ]
 
 SUBCOMMANDS = [

@@ -156,6 +156,12 @@ def test_jobs_do_not_change_output():
             SearchConfig(n=2, bound=4, symmetric_only=True, limit=1),
         ):
             assert solve(rel, config, jobs=1) == solve(rel, config, jobs=4)
+    # the up-to-iso cut, in the symmetric fill and in the row-major fill
+    for rel, config in (
+        (X_CUBE_EQ_X, SearchConfig(n=6, bound=1, symmetric_only=True, up_to_iso=True)),
+        (X_SQ_EQ_X, SearchConfig(n=4, bound=1, up_to_iso=True)),
+    ):
+        assert solve(rel, config, jobs=1) == solve(rel, config, jobs=2)
 
 
 def test_search_space_guard():
@@ -267,6 +273,9 @@ def test_worker_pool_capped(monkeypatch):
 @example(g=[2], h=[3], n=2, bound=2, symmetric=False, up_to_iso=False, limit=None)
 @example(g=[0, 0, 0, 1], h=[0, 0, 1], n=3, bound=1, symmetric=False, up_to_iso=True,
          limit=2)
+@example(g=[0, 0, 1], h=[1], n=4, bound=1, symmetric=True, up_to_iso=True, limit=None)
+@example(g=[0, 0, 0, 1], h=[0, 1], n=4, bound=1, symmetric=True, up_to_iso=True,
+         limit=None)
 def test_solve_matches_oracle_on_random_relations(
     g, h, n, bound, symmetric, up_to_iso, limit
 ):
@@ -311,3 +320,63 @@ def test_solve_past_the_oracle_cap():
     assert res.count == 46
     for m in res.solutions:
         assert decompose(m, 4).recompose() == m
+    # the 46 are closed under relabeling, so their orbit minima are the
+    # members that the naive n! scan keeps
+    reps = solve(rel, SearchConfig(n=4, bound=4, up_to_iso=True))
+    minima = [r for r in entries(res) if solver._oracle_orbit_is_min(r)]
+    assert len(minima) == 6
+    assert entries(reps) == minima
+    assert reps.complete
+
+
+# (symmetric, n, bound) shapes small enough for a full search per example
+_ISO_SHAPES = (
+    st.tuples(st.just(True), st.integers(1, 6), st.integers(0, 1))
+    | st.tuples(st.just(False), st.integers(1, 4), st.integers(0, 1))
+    | st.tuples(st.just(False), st.integers(1, 3), st.integers(0, 2))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    g=st.lists(st.integers(0, 2), max_size=4),
+    h=st.lists(st.integers(0, 2), max_size=4),
+    shape=_ISO_SHAPES,
+)
+@example(g=[0, 0, 1], h=[1], shape=(True, 6, 1))
+@example(g=[0, 0, 0, 1], h=[0, 1], shape=(True, 6, 1))
+@example(g=[0, 0, 1], h=[0, 1], shape=(False, 4, 1))
+@example(g=[0, 0, 1], h=[2], shape=(False, 3, 2))
+def test_up_to_iso_equals_orbit_minima_of_full_search(g, h, shape):
+    # the cut inside the search against the leaf-only filter: the same
+    # transversal as canonicalising every solution of the full search
+    try:
+        rel = RelationPoly(tuple(g), tuple(h))
+    except InvalidInput:  # both sides the same polynomial
+        assume(False)
+    symmetric, n, bound = shape
+    full = solve(rel, SearchConfig(n=n, bound=bound, symmetric_only=symmetric))
+    reps = solve(rel, SearchConfig(n=n, bound=bound, symmetric_only=symmetric,
+                                   up_to_iso=True))
+    assert list(reps.solutions) == sorted({canonical_rep(m) for m in full.solutions})
+    assert reps.complete
+
+
+def test_up_to_iso_symmetric_x3_eq_x_at_n7():
+    # symmetric X^3 = X, n=7, bound 1: the 20 classes of the full search
+    full = solve(X_CUBE_EQ_X, SearchConfig(n=7, bound=1, symmetric_only=True))
+    reps = solve(X_CUBE_EQ_X, SearchConfig(n=7, bound=1, symmetric_only=True,
+                                           up_to_iso=True))
+    assert reps.count == 20
+    assert list(reps.solutions) == sorted({canonical_rep(m) for m in full.solutions})
+
+
+def test_up_to_iso_limit_is_a_prefix():
+    full = solve(X_CUBE_EQ_X, SearchConfig(n=6, bound=1, symmetric_only=True,
+                                           up_to_iso=True))
+    assert full.count >= 5
+    for k in range(1, full.count + 2):
+        res = solve(X_CUBE_EQ_X, SearchConfig(n=6, bound=1, symmetric_only=True,
+                                              up_to_iso=True, limit=k))
+        assert res.solutions == full.solutions[:k]
+        assert res.complete == (k >= full.count)
