@@ -3,8 +3,9 @@
 Each query runs in process from a fresh working directory holding the input
 files below, under relative names, so no absolute path enters a transcript.
 The expected exit code, stdout, stderr and (with --out) file text of every
-query are stored in golden_cli.json.  No query involves an integer above
-2^53 - 1 or a usage error.  The `--help` text of the top level, the three
+query are stored in golden_cli.json.  No query involves a usage error, and
+only the `classify root` query with exponent 2^64 + 1 involves an integer
+above 2^53 - 1.  The `--help` text of the top level, the three
 command groups and all 20 subcommands is stored in golden_help.json, printed
 at COLUMNS=80 so that the terminal width cannot change it.  Regenerate both
 data files with
@@ -77,6 +78,14 @@ INPUTS = {
     "ident4.json": {"n": 4, "rows": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
     "ident21.json": {"n": 21, "rows": [[int(i == j) for j in range(21)] for i in range(21)]},
     "ident9.json": {"n": 9, "rows": [[int(i == j) for j in range(9)] for i in range(9)]},
+    "scalar8.json": {"n": 8, "rows": [[3 * int(i == j) for j in range(8)] for i in range(8)]},
+    "path8.json": {"n": 8, "rows": [[int(abs(i - j) == 1) for j in range(8)] for i in range(8)]},
+    "proj8.json": {"n": 8, "rows": [[int(i == j == 0) for j in range(8)] for i in range(8)]},
+    "scalar6.json": {"n": 6, "rows": [[2 * int(i == j) for j in range(6)] for i in range(6)]},
+    "sym6.json": {"n": 6, "rows": [[1, 2, 1, 3, 2, 0], [2, 0, 0, 0, 0, 0], [1, 0, 2, 0, 1, 2],
+                                  [3, 0, 0, 0, 0, 0], [2, 0, 1, 0, 0, 0], [0, 0, 2, 0, 0, 0]]},
+    "order6.json": {"n": 5, "rows": [[0, 0, 1, 0, 0], [1, 0, 0, 0, 0], [0, 1, 0, 0, 0],
+                                     [0, 0, 0, 0, 1], [0, 0, 0, 1, 0]]},
     "bad.json": "{not json",
     "negative.json": {"n": 1, "rows": [[-1]]},
 }
@@ -156,6 +165,10 @@ QUERIES = [
     ["solve", "--relation", "x3_x.json", "--n", "7", "--bound", "1", "--symmetric",
      "--up-to-iso"],
     ["solve", "--relation", "x2_4i.json", "--n", "4", "--bound", "4", "--up-to-iso"],
+    ["cartan", "--cartan", "scalar8.json", "--functor", "path8.json", "--functor",
+     "proj8.json"],
+    ["cartan", "--cartan", "scalar6.json", "--functor", "sym6.json"],
+    ["classify", "root", "--matrix", "order6.json", "--exp", "18446744073709551617"],
 ]
 
 SUBCOMMANDS = [
