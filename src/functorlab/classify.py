@@ -243,7 +243,9 @@ def classify_root_of_identity(m, n_exp):
     order test and the symmetry test are run and cross-checked.
     """
     _require_int(n_exp, "exponent", 1)
-    power = _pow_rows(m.entries, n_exp)
+    sigma = m.permutation() if m.is_permutation_matrix() else None
+    # a permutation matrix of order o has M^e = M^(e mod o), so any e is cheap
+    power = _pow_rows(m.entries, n_exp if sigma is None else n_exp % sigma.order())
     bad = _first_mismatch(power, _scalar_rows(m.n, 1))
     if bad is not None:
         pos, got, want = bad
@@ -254,12 +256,11 @@ def classify_root_of_identity(m, n_exp):
             expected=want,
             power=n_exp,
         )
-    if not m.is_permutation_matrix():
+    if sigma is None:
         raise NotAPermutationMatrix(
             "root of the identity over nonnegative integers must be a "
             "permutation matrix; the verified equation rules this out"
         )
-    sigma = m.permutation()
     order = sigma.order()
     if n_exp % order:
         raise InternalFault(f"permutation order {order} does not divide {n_exp}")

@@ -18,11 +18,14 @@ commutation is checked exactly, then irreducibility of the family via the
 dimension of the algebra it spans (a span of n^2 is decisive), with a
 reducibility witness search through integer eigenvectors as the fallback.
 The checker is sound but deliberately incomplete: `inconclusive` is a
-possible verdict, never a wrong one, and all arithmetic is exact rational.
+possible verdict, never a wrong one.  All arithmetic is exact integer,
+fraction-free: elimination cross-multiplies integer rows (as in Bareiss,
+Math. Comp. 22, 1968) and keeps each echelon row as the primitive integer
+multiple of the row rational elimination would keep, so every rank, kernel
+and verdict is the one over Q.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt
 
 from .errors import (
@@ -246,13 +249,28 @@ def relation_descends(m, subset, rel):
     return DescentReport(True, serre, quotient)
 
 
-# -- exact rational linear algebra for the Cartan checker --------------------
+# -- fraction-free integer linear algebra for the Cartan checker -------------
 
-class _RationalSpan:
-    """Growing basis of rational vectors kept in echelon form."""
+def _primitive(vec):
+    """A nonzero integer vector divided by the gcd of its entries, with its
+    first nonzero entry made positive."""
+    g = gcd(*vec)
+    if next(x for x in vec if x) < 0:
+        g = -g
+    return tuple(x // g for x in vec)
 
-    def __init__(self, length):
-        self.length = length
+
+class _IntegerSpan:
+    """Growing echelon basis of a rational span, held in integers.
+
+    Each row is (pivot, vector) with a primitive integer vector whose first
+    nonzero entry sits at the pivot and is positive; rows stay sorted by
+    pivot.  A row is a positive multiple of the pivot-1 row that rational
+    elimination would keep, so the span, its dimension and every
+    independence decision are the ones over Q.
+    """
+
+    def __init__(self):
         self.rows = []  # (pivot index, vector) sorted by pivot
 
     @property
@@ -260,23 +278,27 @@ class _RationalSpan:
         return len(self.rows)
 
     def residue(self, vec):
+        """A nonzero multiple of vec reduced to 0 at every pivot: at each
+        pivot, vec becomes p*vec - c*row with c = vec[pivot] and
+        p = row[pivot], both divided by their gcd first."""
         vec = list(vec)
         for pivot, row in self.rows:
             c = vec[pivot]
             if c:
-                for t in range(pivot, self.length):
-                    vec[t] -= c * row[t]
+                p = row[pivot]
+                g = gcd(c, p)
+                c //= g
+                p //= g
+                vec = [p * x - c * y for x, y in zip(vec, row)]
         return vec
 
     def add(self, vec):
         """Insert vec if independent; True when the span grew."""
-        vec = self.residue([Fraction(x) for x in vec])
+        vec = self.residue(vec)
         pivot = next((t for t, x in enumerate(vec) if x), None)
         if pivot is None:
             return False
-        inv = 1 / vec[pivot]
-        vec = [x * inv for x in vec]
-        self.rows.append((pivot, vec))
+        self.rows.append((pivot, _primitive(vec)))
         self.rows.sort(key=lambda pr: pr[0])
         return True
 
@@ -286,25 +308,26 @@ def _flatten(rows):
 
 
 def _char_poly(rows):
-    """Monic characteristic polynomial, descending integer coefficients."""
+    """Monic characteristic polynomial, descending integer coefficients.
+
+    Faddeev-LeVerrier in integers: M_1 = A, c_k = -tr(M_k) / k and
+    M_(k+1) = A (M_k + c_k I).  Every c_k and M_k of an integer matrix is
+    integral, so each division is exact.
+    """
     n = len(rows)
-    a = [[Fraction(x) for x in row] for row in rows]
-    coeffs = [Fraction(1)]
-    mk = a
+    coeffs = [1]
+    mk = rows
     for k in range(1, n + 1):
-        ck = -sum(mk[i][i] for i in range(n)) / k
+        ck, rem = divmod(-sum(mk[i][i] for i in range(n)), k)
+        if rem:
+            raise InternalFault("characteristic polynomial came out non-integer")
         coeffs.append(ck)
         if k < n:
             shifted = [list(r) for r in mk]
             for i in range(n):
                 shifted[i][i] += ck
-            mk = _mul_rows(a, shifted)
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise InternalFault("characteristic polynomial came out non-integer")
-        out.append(c.numerator)
-    return out
+            mk = _mul_rows(rows, shifted)
+    return coeffs
 
 
 def _divisors(x):
@@ -340,27 +363,11 @@ def _integer_roots(coeffs):
     return sorted(roots)
 
 
-def _normalize_int_vector(vec):
-    denom = 1
-    for x in vec:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    lead = next((x for x in ints if x), 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
-
-
 def _kernel_basis(rows):
     """Primitive integer basis of the rational kernel: for each free column in
     order, the solution with that column 1 and the other free columns 0."""
     n = len(rows)
-    span = _RationalSpan(n)
+    span = _IntegerSpan()
     for row in rows:
         span.add(row)
     pivots = {pivot for pivot, _ in span.rows}
@@ -368,11 +375,16 @@ def _kernel_basis(rows):
     for free in range(n):
         if free in pivots:
             continue
-        vec = [Fraction(0)] * n
-        vec[free] = Fraction(1)
+        vec = [0] * n
+        vec[free] = 1
         for pivot, row in reversed(span.rows):  # back-substitute, last pivot first
-            vec[pivot] = -sum(row[t] * vec[t] for t in range(pivot + 1, n))
-        basis.append(_normalize_int_vector(vec))
+            # row . vec = 0 needs vec[pivot] = -s / p: scale vec by p / gcd(s, p)
+            s = sum(row[t] * vec[t] for t in range(pivot + 1, n))
+            p = row[pivot]
+            g = gcd(s, p)
+            vec = [p // g * x for x in vec]
+            vec[pivot] = -s // g
+        basis.append(_primitive(vec))
     return basis
 
 
@@ -444,7 +456,7 @@ def cartan_check(instance):
     # span of the algebra generated by the family (words in the generators,
     # with the empty word): a span of n^2 means no proper invariant subspace
     # can exist, over any field
-    span = _RationalSpan(n * n)
+    span = _IntegerSpan()
     gens = [f.entries for f in instance.functors]
     queue = []
     for rows in [_scalar_rows(n, 1)] + gens:
@@ -473,7 +485,7 @@ def cartan_check(instance):
             kernel = _kernel_basis(shifted)
             if not kernel:
                 continue
-            sub = _RationalSpan(n)
+            sub = _IntegerSpan()
             vec_queue = []
             for v in kernel:
                 if sub.add(v):
@@ -485,9 +497,7 @@ def cartan_check(instance):
                     if sub.add(w):
                         vec_queue.append(w)
             if sub.dim < n:
-                basis = tuple(
-                    _normalize_int_vector(row) for _, row in sub.rows
-                )
+                basis = tuple(row for _, row in sub.rows)
                 return CartanVerdict(
                     "reducible", functor=idx + 1, eigenvalue=ev, basis=basis
                 )

@@ -77,7 +77,7 @@ def _scalar_rows(n, c):
 
 
 def _mul_rows(a, b):
-    # the package's one matrix product; exact on int and Fraction entries
+    # the package's one matrix product
     cols = tuple(zip(*b))
     return tuple(tuple([sum(map(mul, row, col)) for col in cols]) for row in a)
 

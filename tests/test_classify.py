@@ -210,3 +210,46 @@ def test_classify_root_high_exponent():
     assert not cls.selfadjoint
     with pytest.raises(NotARoot):
         classify_root_of_identity(m, 505)
+
+
+def _first_mismatch_with_identity(rows):
+    n = len(rows)
+    return next(
+        ((i + 1, j + 1), rows[i][j], int(i == j))
+        for i in range(n) for j in range(n) if rows[i][j] != int(i == j)
+    )
+
+
+def test_classify_root_huge_exponent_reduces_by_order():
+    # M^e = M^(e mod o) for a permutation matrix of order o: the witness of a
+    # failing exponent near 2^80 is the first entry where M^(e mod o) leaves I
+    perms = [
+        (0, 1, 2),                      # order 1
+        (1, 0, 2, 3),                   # order 2
+        (1, 2, 0, 4, 3),                # order 6
+        (1, 2, 3, 4, 0, 6, 5),          # order 10
+        (1, 2, 3, 0, 5, 6, 4, 7),       # order 12
+        (2, 0, 1, 5, 3, 4, 7, 6),       # order 6, every index moved
+    ]
+    for images in perms:
+        sigma = Permutation(images)
+        m = sigma.matrix()
+        o = sigma.order()
+        for e in [2 ** 80 + d for d in range(-7, 8)] + [o * (2 ** 80 // o), 2 ** 64 + 1]:
+            power = Permutation.identity(sigma.n)
+            for _ in range(e % o):
+                power = sigma.compose(power)
+            if e % o == 0:
+                cls = classify_root_of_identity(m, e)
+                assert (cls.permutation, cls.order) == (sigma, o)
+                assert cls.selfadjoint == (o <= 2)
+                continue
+            pos, got, want = _first_mismatch_with_identity(power.matrix().entries)
+            with pytest.raises(NotARoot) as info:
+                classify_root_of_identity(m, e)
+            assert info.value.details == {
+                "position": pos, "got": got, "expected": want, "power": e
+            }
+            assert str(info.value) == (
+                f"(M^{e})[{pos[0]}][{pos[1]}] = {got}, expected {want}"
+            )

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from functorlab import restrict
 from functorlab import (
     CartanInstance,
+    CartanVerdict,
     DimensionMismatch,
     DimensionTooLarge,
     EmptyComplement,
@@ -18,6 +20,7 @@ from functorlab import (
     NatMatrix,
     NotInvariant,
     NotSymmetric,
+    Permutation,
     RelationNotSatisfied,
     RelationPoly,
     SearchConfig,
@@ -30,6 +33,7 @@ from functorlab import (
     restrict_serre,
     solve,
 )
+from functorlab.zmatrix import _first_mismatch, _mul_rows, _poly_rows, _scalar_rows
 
 SWAP = NatMatrix(((0, 1), (1, 0)))
 BLOCK3 = NatMatrix(((1, 0, 0), (0, 0, 2), (0, 2, 0)))
@@ -469,6 +473,22 @@ def test_divisors_complete_below_the_scan():
         assert restrict._divisors(-x) == restrict._divisors(x)
 
 
+def _normalize_int_vector(vec):
+    denom = 1
+    for x in vec:
+        denom = denom * x.denominator // gcd(denom, x.denominator)
+    ints = [int(x * denom) for x in vec]
+    g = 0
+    for x in ints:
+        g = gcd(g, abs(x))
+    if g > 1:
+        ints = [x // g for x in ints]
+    lead = next((x for x in ints if x), 0)
+    if lead < 0:
+        ints = [-x for x in ints]
+    return tuple(ints)
+
+
 def oracle_kernel_basis(rows):
     """Naive oracle: Gauss-Jordan elimination to reduced row echelon form, then
     one kernel vector per free column (that column 1, other free columns 0)."""
@@ -497,7 +517,7 @@ def oracle_kernel_basis(rows):
         vec[free] = Fraction(1)
         for row_idx, c in enumerate(pivots):
             vec[c] = -m[row_idx][free]
-        basis.append(restrict._normalize_int_vector(vec))
+        basis.append(_normalize_int_vector(vec))
     return basis
 
 
@@ -520,3 +540,252 @@ def test_kernel_basis_matches_oracle(rows):
     assert basis == oracle_kernel_basis(rows)
     for v in basis:
         assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in rows)
+
+
+# -- the rational Cartan path as an oracle -----------------------------------
+# The checker as it stood before it went fraction-free: pivot-1 echelon rows
+# of Fractions, a Fraction Faddeev-LeVerrier and Fraction back-substitution.
+# The fraction-free checker must give the same verdict, field for field.
+
+
+class _OracleRationalSpan:
+    """Growing basis of rational vectors kept in echelon form."""
+
+    def __init__(self, length):
+        self.length = length
+        self.rows = []  # (pivot index, vector) sorted by pivot
+
+    @property
+    def dim(self):
+        return len(self.rows)
+
+    def residue(self, vec):
+        vec = list(vec)
+        for pivot, row in self.rows:
+            c = vec[pivot]
+            if c:
+                for t in range(pivot, self.length):
+                    vec[t] -= c * row[t]
+        return vec
+
+    def add(self, vec):
+        """Insert vec if independent; True when the span grew."""
+        vec = self.residue([Fraction(x) for x in vec])
+        pivot = next((t for t, x in enumerate(vec) if x), None)
+        if pivot is None:
+            return False
+        inv = 1 / vec[pivot]
+        vec = [x * inv for x in vec]
+        self.rows.append((pivot, vec))
+        self.rows.sort(key=lambda pr: pr[0])
+        return True
+
+
+def oracle_char_poly(rows):
+    """Monic characteristic polynomial, descending integer coefficients."""
+    n = len(rows)
+    a = [[Fraction(x) for x in row] for row in rows]
+    coeffs = [Fraction(1)]
+    mk = a
+    for k in range(1, n + 1):
+        ck = -sum(mk[i][i] for i in range(n)) / k
+        coeffs.append(ck)
+        if k < n:
+            shifted = [list(r) for r in mk]
+            for i in range(n):
+                shifted[i][i] += ck
+            mk = _mul_rows(a, shifted)
+    assert all(c.denominator == 1 for c in coeffs)
+    return [c.numerator for c in coeffs]
+
+
+def oracle_rational_kernel(rows):
+    n = len(rows)
+    span = _OracleRationalSpan(n)
+    for row in rows:
+        span.add(row)
+    pivots = {pivot for pivot, _ in span.rows}
+    basis = []
+    for free in range(n):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * n
+        vec[free] = Fraction(1)
+        for pivot, row in reversed(span.rows):  # back-substitute, last pivot first
+            vec[pivot] = -sum(row[t] * vec[t] for t in range(pivot + 1, n))
+        basis.append(_normalize_int_vector(vec))
+    return basis
+
+
+def oracle_cartan_check(instance):
+    c = instance.cartan
+    n = c.n
+    for idx, f in enumerate(instance.functors):
+        bad = _first_mismatch(
+            _mul_rows(f.entries, c.entries), _mul_rows(c.entries, f.entries)
+        )
+        if bad is not None:
+            pos, left, right = bad
+            return CartanVerdict(
+                "fail_commutation", functor=idx + 1, position=pos, left=left, right=right
+            )
+    span = _OracleRationalSpan(n * n)
+    gens = [f.entries for f in instance.functors]
+    queue = []
+    for rows in [_scalar_rows(n, 1)] + gens:
+        if span.add(restrict._flatten(rows)):
+            queue.append(rows)
+    while queue and span.dim < n * n:
+        current = queue.pop(0)
+        for g in gens:
+            prod = _mul_rows(current, g)
+            if span.add(restrict._flatten(prod)):
+                queue.append(prod)
+    if span.dim == n * n:
+        scale = c.entries[0][0]
+        bad = _first_mismatch(c.entries, _scalar_rows(n, scale))
+        if bad is not None:
+            return CartanVerdict("inconsistent_input", position=bad[0])
+        return CartanVerdict("pass", scale=scale)
+    for idx, f in enumerate(instance.functors):
+        for ev in restrict._integer_roots(oracle_char_poly(f.entries)):
+            shifted = [
+                [x - (ev if i == j else 0) for j, x in enumerate(row)]
+                for i, row in enumerate(f.entries)
+            ]
+            kernel = oracle_rational_kernel(shifted)
+            if not kernel:
+                continue
+            sub = _OracleRationalSpan(n)
+            vec_queue = []
+            for v in kernel:
+                if sub.add(v):
+                    vec_queue.append(v)
+            while vec_queue and sub.dim < n:
+                v = vec_queue.pop(0)
+                for g in gens:
+                    w = restrict._apply(g, v)
+                    if sub.add(w):
+                        vec_queue.append(w)
+            if sub.dim < n:
+                basis = tuple(_normalize_int_vector(row) for _, row in sub.rows)
+                return CartanVerdict(
+                    "reducible", functor=idx + 1, eigenvalue=ev, basis=basis
+                )
+    return CartanVerdict("inconclusive")
+
+
+def _relabel(rows, perm):
+    n = len(rows)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            out[perm[i]][perm[j]] = rows[i][j]
+    return NatMatrix(tuple(tuple(r) for r in out))
+
+
+@st.composite
+def cartan_instances(draw):
+    """A Cartan instance: a random symmetric family (n <= 6, 1-3 generators,
+    entries in {0..3, 7}, optionally a relabeled direct sum of two blocks)
+    under a scalar Cartan matrix, a non-scalar one that commutes with the
+    first generator, or a random symmetric one; or the benchmark's pass shape
+    (relabeled path adjacency plus a projection) or reducible shape (a
+    symmetric permutation matrix)."""
+    n = draw(st.integers(1, 6))
+    scale = draw(st.integers(1, 4))
+    scalar = scale * NatMatrix.identity(n)
+    perm = draw(st.permutations(range(n)))
+    shape = draw(st.sampled_from(["random", "block", "pass", "reducible"]))
+    if shape == "pass":
+        path = [[int(abs(i - j) == 1) for j in range(n)] for i in range(n)]
+        proj = [[int(i == j == 0) for j in range(n)] for i in range(n)]
+        return CartanInstance(scalar, (_relabel(path, perm), _relabel(proj, perm)))
+    if shape == "reducible":
+        pairs = draw(st.integers(0, n // 2))
+        images = list(range(n))
+        for t in range(pairs):
+            a, b = perm[2 * t], perm[2 * t + 1]
+            images[a], images[b] = b, a
+        return CartanInstance(scalar, (Permutation(tuple(images)).matrix(),))
+    entry = st.sampled_from([0, 1, 2, 3, 7])
+    # indices below cut and from cut on never meet: a direct sum of two blocks
+    cut = draw(st.integers(1, n)) if shape == "block" else n
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        upper = draw(st.lists(entry, min_size=n * (n + 1) // 2,
+                              max_size=n * (n + 1) // 2))
+        rows = [[0] * n for _ in range(n)]
+        cells = iter(upper)
+        for i in range(n):
+            for j in range(i, n):
+                x = next(cells)
+                rows[i][j] = rows[j][i] = x if (i < cut) == (j < cut) else 0
+        gens.append(_relabel(rows, perm))
+    cartan = draw(st.sampled_from(["scalar", "commuting", "symmetric"]))
+    if cartan == "scalar":
+        c = scalar
+    elif cartan == "commuting":
+        c = gens[0] * gens[0] + scalar
+    else:
+        c = draw(st.lists(entry, min_size=n * n, max_size=n * n))
+        c = NatMatrix(tuple(tuple(c[i * n:(i + 1) * n]) for i in range(n)))
+        c = c + c.transpose()
+    return CartanInstance(c, tuple(gens))
+
+
+@settings(max_examples=400, deadline=None)
+@given(cartan_instances())
+def test_cartan_check_matches_rational_oracle(inst):
+    assert cartan_check(inst) == oracle_cartan_check(inst)
+
+
+def test_cartan_basis_pivots_positive_after_negative_residue():
+    # the image of the first kernel vector leaves a residue whose leading
+    # entry is negative; the basis row must still come out with a positive pivot
+    cases = [
+        ((((0, 7, 0), (7, 0, 0), (0, 0, 0)), ((0, 0, 0), (0, 2, 0), (0, 0, 0))),
+         (1, -7, ((1, -1, 0), (0, 1, 0)))),
+        ((((3, 0, 2), (0, 0, 0), (2, 0, 0)), ((2, 0, 7), (0, 3, 0), (7, 0, 3))),
+         (1, -1, ((1, 0, -2), (0, 0, 1)))),
+    ]
+    for gens, (functor, eigenvalue, basis) in cases:
+        inst = CartanInstance(NatMatrix.identity(3), tuple(NatMatrix(g) for g in gens))
+        verdict = cartan_check(inst)
+        assert (verdict.kind, verdict.functor, verdict.eigenvalue, verdict.basis) == (
+            "reducible", functor, eigenvalue, basis
+        )
+        assert verdict == oracle_cartan_check(inst)
+
+
+def _fraction_det(rows):
+    m = [[Fraction(x) for x in row] for row in rows]
+    n = len(m)
+    det = Fraction(1)
+    for c in range(n):
+        hit = next((i for i in range(c, n) if m[i][c]), None)
+        if hit is None:
+            return Fraction(0)
+        if hit != c:
+            m[c], m[hit] = m[hit], m[c]
+            det = -det
+        det *= m[c][c]
+        for i in range(c + 1, n):
+            f = m[i][c] / m[c][c]
+            m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return det
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_char_poly_integer_identities(rows):
+    n = len(rows)
+    coeffs = restrict._char_poly(rows)
+    assert coeffs == oracle_char_poly(rows)
+    assert coeffs[0] == 1 and len(coeffs) == n + 1
+    # Cayley-Hamilton: p(A) = 0, with p's coefficients in ascending order
+    frozen = tuple(tuple(row) for row in rows)
+    assert _poly_rows(tuple(reversed(coeffs)), frozen) == _scalar_rows(n, 0)
+    assert sum(rows[i][i] for i in range(n)) == -coeffs[1]
+    assert _fraction_det(rows) == (-1) ** n * coeffs[n]
