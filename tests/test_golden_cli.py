@@ -86,6 +86,13 @@ INPUTS = {
                                   [3, 0, 0, 0, 0, 0], [2, 0, 1, 0, 0, 0], [0, 0, 2, 0, 0, 0]]},
     "order6.json": {"n": 5, "rows": [[0, 0, 1, 0, 0], [1, 0, 0, 0, 0], [0, 1, 0, 0, 0],
                                      [0, 0, 0, 0, 1], [0, 0, 0, 1, 0]]},
+    "nil3.json": {"n": 3, "rows": [[0, 0, 0], [0, 0, 1], [0, 0, 0]]},
+    "mix7.json": {"n": 7, "rows": [[0, 0, 0, 0, 0, 4, 0], [0, 2, 0, 0, 0, 0, 0],
+                                  [0, 0, 0, 0, 1, 0, 0], [0, 0, 0, 2, 0, 0, 0],
+                                  [0, 0, 4, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0],
+                                  [0, 0, 0, 0, 0, 0, 2]]},
+    "pinv5.json": {"n": 5, "rows": [[0, 0, 0, 1, 0], [0, 0, 0, 0, 0], [0, 0, 1, 0, 0],
+                                    [1, 0, 0, 0, 0], [0, 0, 0, 0, 0]]},
     "bad.json": "{not json",
     "negative.json": {"n": 1, "rows": [[-1]]},
 }
@@ -169,6 +176,11 @@ QUERIES = [
      "proj8.json"],
     ["cartan", "--cartan", "scalar6.json", "--functor", "sym6.json"],
     ["classify", "root", "--matrix", "order6.json", "--exp", "18446744073709551617"],
+    ["decompose", "--matrix", "nil3.json", "--k", "0"],
+    ["decompose", "--matrix", "zero2.json", "--k", "0"],
+    ["decompose", "--matrix", "mix7.json", "--k", "4"],
+    ["sqrt-classify", "--matrix", "zero2.json", "--k", "0"],
+    ["classify", "cyclic", "--matrix", "pinv5.json", "--k", "5", "--m", "3"],
 ]
 
 SUBCOMMANDS = [
