@@ -1,12 +1,15 @@
 """Canonical block form of square roots of k times the identity.
 
-Over the nonnegative integers, M^2 = k*I forces a very rigid shape: after a
-relabeling of the indices, M is a direct sum of 2x2 blocks [[0, a], [b, 0]]
-with a*b = k and 1x1 blocks [a] with a^2 = k.  The decomposition here walks
-the smallest unplaced index, finds its forced partner (or fixes it), and never
-searches.  Symmetry collapses every 2x2 block to a = b, so symmetric square
-roots exist iff k is a perfect square and are exactly sqrt(k) times a
-symmetric permutation matrix.
+Over the nonnegative integers, M^2 = k*I with k >= 1 forces a very rigid
+shape.  M^(-1) = M/k is nonnegative too, so M is monomial (one nonzero entry
+in each row and column), and the columns of those entries form an involution
+because M^2 is diagonal.  After a relabeling, M is a direct sum of 2x2 blocks
+[[0, a], [b, 0]] with a*b = k and 1x1 blocks [a] with a^2 = k; for k = 0 only
+the zero matrix has this shape.  The readers take each row's nonzero column,
+rebuild the claimed form from those columns and compare it with the input
+once; they never search.  Symmetry collapses every 2x2 block to a = b, so
+symmetric square roots exist iff k is a perfect square and are exactly
+sqrt(k) times a symmetric permutation matrix.
 """
 
 from dataclasses import dataclass
@@ -24,8 +27,10 @@ from .zmatrix import (
     _check_canon_cap,
     _check_symmetric,
     _first_mismatch,
+    _monomial_rows,
     _mul_rows,
     _require_int,
+    _row_images,
     _scalar_rows,
     scalar_mul,
 )
@@ -54,27 +59,32 @@ class BlockForm:
     blocks: tuple
     k: int
 
-    def block_diagonal(self):
+    def _rows(self, order):
+        # the block diagonal with each position p renamed order[p]
         n = self.perm.n
-        rows = [[0] * n for _ in range(n)]
+        images = [0] * n
+        values = [0] * n
         pos = 0
         for block in self.blocks:
             if isinstance(block, Block1):
-                rows[pos][pos] = block.a
+                i = order[pos]
+                images[i], values[i] = i, block.a
                 pos += 1
             else:
-                rows[pos][pos + 1] = block.a
-                rows[pos + 1][pos] = block.b
+                i, j = order[pos], order[pos + 1]
+                images[i], values[i] = j, block.a
+                images[j], values[j] = i, block.b
                 pos += 2
         if pos != n:
             raise InternalFault("block sizes do not add up to the dimension")
-        return NatMatrix(tuple(tuple(r) for r in rows))
+        return NatMatrix(_monomial_rows(images, values))
+
+    def block_diagonal(self):
+        return self._rows(range(self.perm.n))
 
     def recompose(self):
         """The original matrix: undo the relabeling of the block diagonal."""
-        from .zmatrix import conjugate
-
-        return conjugate(self.block_diagonal(), self.perm.inverse())
+        return self._rows(self.perm.inverse().images)
 
 
 @dataclass(frozen=True)
@@ -107,73 +117,36 @@ def _verify_square(m, k):
 def decompose(m, k):
     """Split a verified square root of k*I into its forced blocks.
 
-    Returns a BlockForm whose recompose() equals m.  Raises NotASquareRoot if
-    M^2 != k*I, and NotDecomposable in the one genuinely blockless situation:
-    k = 0 with m nonzero (a nonzero nilpotent has no such block shape).
+    Returns a BlockForm whose recompose() equals m, with the blocks in order
+    of their least original index.  Raises NotASquareRoot if M^2 != k*I, and
+    NotDecomposable in the one genuinely blockless situation: k = 0 with m
+    nonzero (a nonzero nilpotent has no such block shape); its index is the
+    first index with a nonzero row or column.
     """
     _require_int(k, "k", 0)
     _verify_square(m, k)
-    n = m.n
     e = m.entries
-    remaining = list(range(n))
+    if k == 0 and not m.is_zero():
+        i = next(i for i, row in enumerate(e) if any(row) or any(r[i] for r in e))
+        raise NotDecomposable(
+            f"index {i + 1} has no partner and a nonzero row or column",
+            index=i + 1,
+            k=k,
+        )
+    images = _row_images(e)
+    if any(images[j] != i for i, j in enumerate(images)):
+        raise InternalFault("the nonzero entries of a square root do not pair "
+                            "up into an involution")
     order = []
     blocks = []
-    while remaining:
-        i = remaining[0]
-        if e[i][i]:
-            # fixed index: its row and column must vanish elsewhere, since
-            # (M^2)[i][j] picks up e[i][i]*e[i][j] with no negative terms
-            if e[i][i] * e[i][i] != k:
-                raise InternalFault(
-                    f"diagonal entry {e[i][i]} at index {i + 1} squares to "
-                    f"{e[i][i] ** 2}, not {k}"
-                )
-            for t in range(n):
-                if t != i and (e[i][t] or e[t][i]):
-                    raise InternalFault(
-                        f"fixed index {i + 1} has off-diagonal mass at {t + 1}"
-                    )
+    for i, j in enumerate(images):
+        if i == j:
             blocks.append(Block1(e[i][i]))
             order.append(i)
-            remaining.remove(i)
-            continue
-        partners = [j for j in remaining[1:] if e[i][j] and e[j][i]]
-        if not partners:
-            if any(e[i][t] or e[t][i] for t in range(n) if t != i):
-                # only reachable for k = 0: a nonzero nilpotent row with no
-                # two-cycle partner fits no block
-                raise NotDecomposable(
-                    f"index {i + 1} has no partner and a nonzero row or column",
-                    index=i + 1,
-                    k=k,
-                )
-            blocks.append(Block1(0))
-            order.append(i)
-            remaining.remove(i)
-            continue
-        if len(partners) > 1:
-            raise InternalFault(
-                f"index {i + 1} pairs with several partners {sorted(x + 1 for x in partners)}"
-            )
-        j = partners[0]
-        a, b = e[i][j], e[j][i]
-        if a * b != k:
-            raise InternalFault(
-                f"pair ({i + 1}, {j + 1}) has weight product {a * b}, not {k}"
-            )
-        for t in range(n):
-            if t not in (i, j) and (e[i][t] or e[t][i] or e[j][t] or e[t][j]):
-                raise InternalFault(
-                    f"pair ({i + 1}, {j + 1}) has mass outside the block at {t + 1}"
-                )
-        blocks.append(Block2(a, b))
-        order.extend((i, j))
-        remaining.remove(i)
-        remaining.remove(j)
-    images = [0] * n
-    for pos, original in enumerate(order):
-        images[original] = pos
-    form = BlockForm(Permutation(tuple(images)), tuple(blocks), k)
+        elif i < j:
+            blocks.append(Block2(e[i][j], e[j][i]))
+            order += (i, j)
+    form = BlockForm(Permutation(tuple(order)).inverse(), tuple(blocks), k)
     if form.recompose() != m:
         raise InternalFault("block form does not recompose to the input")
     return form
@@ -189,8 +162,6 @@ def classify_selfadjoint_sqrt(m, k):
     """
     _require_int(k, "k", 0)
     _check_symmetric(m)
-    n = m.n
-    e = m.entries
     root = isqrt(k)
     if root * root != k:
         raise KNotPerfectSquare(
@@ -198,25 +169,14 @@ def classify_selfadjoint_sqrt(m, k):
             k=k,
         )
     _verify_square(m, k)
-    if root == 0:
-        # M symmetric with M^2 = 0 forces M = 0: the diagonal of M^2 sums squares
-        if not m.is_zero():
-            raise InternalFault("symmetric nilpotent of order two that is nonzero")
-        return SqrtClassification(0, Permutation.identity(n))
-    images = [0] * n
-    for i in range(n):
-        hits = [j for j in range(n) if e[i][j]]
-        if len(hits) != 1 or e[i][hits[0]] != root:
-            raise InternalFault(
-                f"row {i + 1} of a symmetric square root is not {root} times a "
-                f"permutation row"
-            )
-        images[i] = hits[0]
-    sigma = Permutation(tuple(images))
-    if not sigma.is_involution():
-        raise InternalFault("support permutation of a symmetric square root "
-                            "is not an involution")
-    return SqrtClassification(root, sigma)
+    # a symmetric monomial matrix permutes by an involution; the zero matrix
+    # (k = 0) reads as the identity
+    images = _row_images(m.entries)
+    if m.entries != _monomial_rows(images, (root,) * m.n):
+        raise InternalFault(
+            f"a symmetric square root of {k}*I is not {root} times a permutation matrix"
+        )
+    return SqrtClassification(root, Permutation(images))
 
 
 def enumerate_involutions(n):

@@ -13,8 +13,10 @@ restrictive over the nonnegative integers:
   at most 2.
 
 The classifiers verify the claimed equation first (negative verdicts carry a
-witness position), then read the forced shape off; a shape failure after a
-verified equation is an internal fault, never a user error.
+witness position).  Every forced shape is monomial (at most one nonzero entry
+per row), so it is read off each row's nonzero column and proved by one
+rebuild compared with the input.  A shape failure after a verified equation
+is an internal fault, never a user error.
 
 Note the partial-involution case reports the permutation on the support only;
 distinct functors can share that shadow, so nothing finer is recovered here.
@@ -36,31 +38,21 @@ from .zmatrix import (
     Permutation,
     _check_symmetric,
     _first_mismatch,
+    _monomial_rows,
     _pow_rows,
     _require_int,
+    _row_images,
     _scalar_rows,
 )
 
 
 def _diagonal_support(m):
-    # 1-based indices carrying a diagonal 1; everything else must vanish
-    e = m.entries
-    support = []
-    for i in range(m.n):
-        if e[i][i] not in (0, 1):
-            raise ShapeViolation(
-                f"diagonal entry ({i + 1}, {i + 1}) = {e[i][i]} is not 0 or 1"
-            )
-        if e[i][i]:
-            support.append(i + 1)
-    for i in range(m.n):
-        for j in range(m.n):
-            if i != j and e[i][j]:
-                raise ShapeViolation(
-                    f"off-diagonal entry ({i + 1}, {j + 1}) = {e[i][j]} in a "
-                    f"diagonal idempotent"
-                )
-    return tuple(support)
+    # 1-based indices carrying a diagonal 1; m must be that 0/1 diagonal (an
+    # entry above 1 is rebuilt as 1, so the compare rejects it)
+    ones = [min(row[i], 1) for i, row in enumerate(m.entries)]
+    if m.entries != _monomial_rows(range(m.n), ones):
+        raise ShapeViolation("a symmetric idempotent is not a diagonal 0/1 matrix")
+    return tuple(i + 1 for i, one in enumerate(ones) if one)
 
 
 @dataclass(frozen=True)
@@ -71,10 +63,10 @@ class IdempotentClassification:
     support: tuple
 
     def matrix(self):
-        rows = [[0] * self.n for _ in range(self.n)]
+        ones = [0] * self.n
         for i in self.support:
-            rows[i - 1][i - 1] = 1
-        return NatMatrix(tuple(tuple(r) for r in rows))
+            ones[i - 1] = 1
+        return NatMatrix(_monomial_rows(range(self.n), ones))
 
 
 def classify_idempotent(m):
@@ -198,24 +190,17 @@ def classify_cyclic(m, k, mm):
             expected=want,
         )
     if (k - mm) % 2 == 1:
-        # odd gap collapses to an idempotent
-        if _pow_rows(m.entries, 2) != m.entries:
-            raise ShapeViolation(
-                "symmetric solution with odd exponent gap is not idempotent"
-            )
+        # odd gap collapses to an idempotent, which is a 0/1 diagonal
         return CyclicClassification("idempotent", m.n, _diagonal_support(m))
-    e = m.entries
-    support = [i for i in range(m.n) if any(e[i])]
-    images = {}
-    for i in support:
-        hits = [j for j in range(m.n) if e[i][j]]
-        if len(hits) != 1 or e[i][hits[0]] != 1:
-            raise ShapeViolation(
-                f"row {i + 1} of a partial involution is not a 0/1 permutation row"
-            )
-        images[i] = hits[0]
-    if any(j not in images or images[images[i]] != i for i, j in images.items()):
-        raise ShapeViolation("support rows do not pair up into an involution")
+    images = _row_images(m.entries)
+    ones = [min(row[j], 1) for row, j in zip(m.entries, images)]
+    if m.entries != _monomial_rows(images, ones) or any(
+        images[j] != i for i, j in enumerate(images)
+    ):
+        raise ShapeViolation(
+            "symmetric solution with even exponent gap is not a 0/1 partial involution"
+        )
+    support = [i for i, one in enumerate(ones) if one]
     return CyclicClassification(
         "partial_involution",
         m.n,

@@ -71,9 +71,28 @@ def _check_entry(x):
 # The solver iterates over huge candidate spaces, so the inner arithmetic
 # works on plain tuples of row tuples; NatMatrix wraps them for the API.
 
+def _monomial_rows(images, values):
+    # row i holds values[i] at column images[i] and zeros elsewhere
+    n = len(values)
+    rows = []
+    for j, v in zip(images, values):
+        row = [0] * n
+        row[j] = v
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _row_images(rows):
+    # each row's column of its largest entry (its one nonzero entry when the
+    # matrix is monomial), or the row's own index for a zero row
+    return tuple(
+        [row.index(top) if (top := max(row)) else i for i, row in enumerate(rows)]
+    )
+
+
 def _scalar_rows(n, c):
     # c times the n x n identity
-    return tuple((0,) * i + (c,) + (0,) * (n - 1 - i) for i in range(n))
+    return _monomial_rows(range(n), (c,) * n)
 
 
 def _mul_rows(a, b):

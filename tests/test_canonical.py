@@ -3,11 +3,16 @@ import random
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from functorlab import (
     Block1,
     Block2,
     DimensionTooLarge,
+    FunctorLabError,
+    InternalFault,
+    InvalidInput,
     KNotPerfectSquare,
     NatMatrix,
     NotASquareRoot,
@@ -19,6 +24,9 @@ from functorlab import (
     decompose,
     enumerate_involutions,
 )
+from functorlab import canonical
+from functorlab.canonical import BlockForm, SqrtClassification, _verify_square
+from functorlab.cli import _code_for
 
 
 def random_square_root(rng):
@@ -202,3 +210,226 @@ def test_enumerate_involutions():
     assert [p.images for p in got] == sorted(p.images for p in got)
     with pytest.raises(DimensionTooLarge):
         enumerate_involutions(9)
+
+
+# Independent check: the block readers as they stood before they were reduced
+# to one rebuild-and-compare check.  The partner walk tests every entry on
+# its own, so it shares no shape logic with the module under test.
+
+
+def _oracle_decompose(m, k):
+    _verify_square(m, k)
+    n = m.n
+    e = m.entries
+    remaining = list(range(n))
+    order = []
+    blocks = []
+    while remaining:
+        i = remaining[0]
+        if e[i][i]:
+            if e[i][i] * e[i][i] != k:
+                raise InternalFault("diagonal entry does not square to k")
+            for t in range(n):
+                if t != i and (e[i][t] or e[t][i]):
+                    raise InternalFault("fixed index has off-diagonal mass")
+            blocks.append(Block1(e[i][i]))
+            order.append(i)
+            remaining.remove(i)
+            continue
+        partners = [j for j in remaining[1:] if e[i][j] and e[j][i]]
+        if not partners:
+            if any(e[i][t] or e[t][i] for t in range(n) if t != i):
+                raise NotDecomposable(
+                    f"index {i + 1} has no partner and a nonzero row or column",
+                    index=i + 1,
+                    k=k,
+                )
+            blocks.append(Block1(0))
+            order.append(i)
+            remaining.remove(i)
+            continue
+        if len(partners) > 1:
+            raise InternalFault("index pairs with several partners")
+        j = partners[0]
+        a, b = e[i][j], e[j][i]
+        if a * b != k:
+            raise InternalFault("pair weight product is not k")
+        for t in range(n):
+            if t not in (i, j) and (e[i][t] or e[t][i] or e[j][t] or e[t][j]):
+                raise InternalFault("pair has mass outside the block")
+        blocks.append(Block2(a, b))
+        order.extend((i, j))
+        remaining.remove(i)
+        remaining.remove(j)
+    images = [0] * n
+    for pos, original in enumerate(order):
+        images[original] = pos
+    return BlockForm(Permutation(tuple(images)), tuple(blocks), k)
+
+
+def _oracle_sqrt(m, k):
+    from functorlab.zmatrix import _check_symmetric
+
+    _check_symmetric(m)
+    n = m.n
+    e = m.entries
+    root = isqrt(k)
+    if root * root != k:
+        raise KNotPerfectSquare(
+            f"no symmetric square root of {k}*I exists: {k} is not a perfect square",
+            k=k,
+        )
+    _verify_square(m, k)
+    if root == 0:
+        if not m.is_zero():
+            raise InternalFault("symmetric nilpotent of order two that is nonzero")
+        return SqrtClassification(0, Permutation.identity(n))
+    images = [0] * n
+    for i in range(n):
+        hits = [j for j in range(n) if e[i][j]]
+        if len(hits) != 1 or e[i][hits[0]] != root:
+            raise InternalFault("row is not root times a permutation row")
+        images[i] = hits[0]
+    sigma = Permutation(tuple(images))
+    if not sigma.is_involution():
+        raise InternalFault("support permutation is not an involution")
+    return SqrtClassification(root, sigma)
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", repr(fn(*args))
+    except FunctorLabError as err:
+        return type(err), err.code, err.message, err.details
+
+
+@st.composite
+def _pairing(draw, indices):
+    """An involution of `indices` as a dict: each index to its partner."""
+    rest = list(draw(st.permutations(indices)))
+    partner = {}
+    while rest:
+        i = rest.pop()
+        j = rest.pop() if rest and draw(st.booleans()) else i
+        partner[i], partner[j] = j, i
+    return partner
+
+
+@st.composite
+def reader_cases(draw):
+    """(matrix, k) for the block readers, n <= 10, under a random relabeling.
+
+    Kinds: monomial involutions with weights a*b = k, symmetric roots r*P,
+    0/1 partial involutions with zero rows and fixed points, diagonal
+    idempotents, nilpotents that square to zero (k = 0) and random matrices.
+    """
+    n = draw(st.integers(1, 10))
+    kind = draw(st.sampled_from(
+        ["monomial", "symmetric_root", "partial", "idempotent", "nilpotent", "random"]
+    ))
+    rows = [[0] * n for _ in range(n)]
+    if kind == "monomial":
+        k = draw(st.integers(1, 36))
+        root = isqrt(k)
+        i = 0
+        while i < n:
+            if i + 1 < n and (root * root != k or draw(st.booleans())):
+                a = draw(st.sampled_from([d for d in range(1, k + 1) if k % d == 0]))
+                rows[i][i + 1], rows[i + 1][i] = a, k // a
+                i += 2
+            else:
+                # an odd index left over at non-square k stays a zero row
+                rows[i][i] = root if root * root == k else 0
+                i += 1
+    elif kind in ("symmetric_root", "partial"):
+        r = draw(st.integers(0, 5)) if kind == "symmetric_root" else 1
+        support = range(n) if kind == "symmetric_root" else [
+            i for i in range(n) if draw(st.booleans())
+        ]
+        for i, j in draw(_pairing(support)).items():
+            rows[i][j] = r
+        k = r * r if kind == "symmetric_root" else draw(st.integers(0, 1))
+    elif kind == "idempotent":
+        for i in range(n):
+            rows[i][i] = draw(st.integers(0, 1))
+        k = draw(st.integers(0, 1))
+    elif kind == "nilpotent":
+        # entries only from a source row to a later sink column: M^2 = 0
+        source = [draw(st.booleans()) for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if source[i] and not source[j]:
+                    rows[i][j] = draw(st.integers(0, 3))
+        k = 0
+    else:
+        rows = [[draw(st.integers(0, 3)) for _ in range(n)] for _ in range(n)]
+        k = draw(st.integers(0, 9))
+    relabel = Permutation(tuple(draw(st.permutations(range(n)))))
+    return conjugate(NatMatrix.from_rows(rows), relabel), k
+
+
+@settings(max_examples=400, deadline=None)
+@given(reader_cases())
+def test_readers_match_oracle(case):
+    m, k = case
+    assert _outcome(decompose, m, k) == _outcome(_oracle_decompose, m, k)
+    assert _outcome(classify_selfadjoint_sqrt, m, k) == _outcome(_oracle_sqrt, m, k)
+
+
+@pytest.mark.parametrize("rows, k", [
+    (((1, 1), (1, 1)), 2),                       # two entries in a row
+    (((0, 1, 0), (0, 0, 1), (1, 0, 0)), 1),      # a 3-cycle, not an involution
+    (((0, 1), (0, 0)), 1),                       # a zero row hit by another row
+    (((0, 1), (0, 1)), 1),                       # two rows hit one column
+    (((2, 1), (1, 2)), 5),
+])
+def test_decompose_corrupt_shape_exits_3(rows, k, monkeypatch):
+    # with the equation check forced to pass, a shape the theory excludes is
+    # an internal fault (exit 3), never a user error
+    monkeypatch.setattr(canonical, "_verify_square", lambda m, k: None)
+    with pytest.raises(FunctorLabError) as info:
+        decompose(NatMatrix(rows), k)
+    assert isinstance(info.value, InternalFault)
+    assert not isinstance(info.value, InvalidInput)
+    assert _code_for(info.value) == 3
+
+
+@pytest.mark.parametrize("rows, k", [
+    (((1, 1), (1, 1)), 1),
+    (((0, 0), (0, 0)), 4),
+    (((1, 0), (0, 0)), 1),
+    (((2, 0), (0, 1)), 1),
+    (((0, 1), (1, 0)), 0),
+    (((0, 2, 0), (2, 0, 2), (0, 2, 0)), 4),
+])
+def test_sqrt_classify_corrupt_shape_exits_3(rows, k, monkeypatch):
+    monkeypatch.setattr(canonical, "_verify_square", lambda m, k: None)
+    with pytest.raises(FunctorLabError) as info:
+        classify_selfadjoint_sqrt(NatMatrix(rows), k)
+    assert isinstance(info.value, InternalFault)
+    assert _code_for(info.value) == 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, 2), min_size=n, max_size=n), min_size=n, max_size=n
+)), st.integers(1, 4))
+def test_corrupt_inputs_never_leave_exit_3(rows, k):
+    # with the equation check bypassed, any matrix either reads as a block
+    # form that recomposes to it, or fails as an internal fault
+    m = NatMatrix.from_rows(rows)
+    saved = canonical._verify_square
+    canonical._verify_square = lambda m, k: None
+    try:
+        for reader in (decompose, classify_selfadjoint_sqrt):
+            try:
+                got = reader(m, k)
+            except (NotSymmetric, KNotPerfectSquare):
+                # checks on the input itself, which the bypass leaves in place
+                assert reader is classify_selfadjoint_sqrt
+            except FunctorLabError as err:
+                assert _code_for(err) == 3, err
+            else:
+                assert (got.recompose() if reader is decompose else got.matrix()) == m
+    finally:
+        canonical._verify_square = saved

@@ -1,8 +1,12 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from functorlab import (
+    FunctorLabError,
+    InternalFault,
     InvalidInput,
     NatMatrix,
     NotARoot,
@@ -15,7 +19,13 @@ from functorlab import (
     classify_cyclic,
     classify_idempotent,
     classify_root_of_identity,
+    conjugate,
 )
+from functorlab import classify
+from functorlab.classify import CyclicClassification, IdempotentClassification
+from functorlab.cli import _code_for
+from functorlab.errors import ShapeViolation
+from functorlab.zmatrix import _check_symmetric, _first_mismatch, _pow_rows
 
 SWAP = NatMatrix(((0, 1), (1, 0)))
 
@@ -253,3 +263,151 @@ def test_classify_root_huge_exponent_reduces_by_order():
             assert str(info.value) == (
                 f"(M^{e})[{pos[0]}][{pos[1]}] = {got}, expected {want}"
             )
+
+
+# Independent check: the shape readers as they stood before they were reduced
+# to one rebuild-and-compare check, testing every entry on its own.
+
+
+def _oracle_diagonal_support(m):
+    e = m.entries
+    support = []
+    for i in range(m.n):
+        if e[i][i] not in (0, 1):
+            raise ShapeViolation("diagonal entry is not 0 or 1")
+        if e[i][i]:
+            support.append(i + 1)
+    for i in range(m.n):
+        for j in range(m.n):
+            if i != j and e[i][j]:
+                raise ShapeViolation("off-diagonal entry in a diagonal idempotent")
+    return tuple(support)
+
+
+def _oracle_idempotent(m):
+    _check_symmetric(m)
+    bad = _first_mismatch(_pow_rows(m.entries, 2), m.entries)
+    if bad is not None:
+        pos, got, want = bad
+        raise NotIdempotent(
+            f"(M^2)[{pos[0]}][{pos[1]}] = {got} but M there is {want}",
+            position=pos,
+            got=got,
+            expected=want,
+        )
+    return IdempotentClassification(m.n, _oracle_diagonal_support(m))
+
+
+def _oracle_cyclic(m, k, mm):
+    _check_symmetric(m)
+    bad = _first_mismatch(_pow_rows(m.entries, k), _pow_rows(m.entries, mm))
+    if bad is not None:
+        pos, got, want = bad
+        raise NotASolution(
+            f"(M^{k})[{pos[0]}][{pos[1]}] = {got} but (M^{mm}) there is {want}",
+            position=pos,
+            got=got,
+            expected=want,
+        )
+    if (k - mm) % 2 == 1:
+        if _pow_rows(m.entries, 2) != m.entries:
+            raise ShapeViolation("odd exponent gap that is not idempotent")
+        return CyclicClassification("idempotent", m.n, _oracle_diagonal_support(m))
+    e = m.entries
+    support = [i for i in range(m.n) if any(e[i])]
+    images = {}
+    for i in support:
+        hits = [j for j in range(m.n) if e[i][j]]
+        if len(hits) != 1 or e[i][hits[0]] != 1:
+            raise ShapeViolation("support row is not a 0/1 permutation row")
+        images[i] = hits[0]
+    if any(j not in images or images[images[i]] != i for i, j in images.items()):
+        raise ShapeViolation("support rows do not pair up into an involution")
+    return CyclicClassification(
+        "partial_involution",
+        m.n,
+        tuple(i + 1 for i in support),
+        tuple(images[i] + 1 for i in support),
+    )
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", repr(fn(*args))
+    except FunctorLabError as err:
+        return type(err), err.code, err.message, err.details
+
+
+@st.composite
+def shape_cases(draw):
+    """Matrices for the shape readers, n <= 10, under a random relabeling.
+
+    Kinds: 0/1 partial involutions with zero rows and fixed points, diagonal
+    idempotents, symmetric roots r*P, strictly upper nilpotents, symmetric
+    matrices with small entries and random (mostly non-symmetric) matrices.
+    """
+    n = draw(st.integers(1, 10))
+    kind = draw(st.sampled_from(
+        ["partial", "idempotent", "symmetric_root", "nilpotent", "symmetric", "random"]
+    ))
+    rows = [[0] * n for _ in range(n)]
+    if kind in ("partial", "symmetric_root"):
+        r = 1 if kind == "partial" else draw(st.integers(0, 3))
+        rest = [i for i in draw(st.permutations(range(n)))
+                if kind == "symmetric_root" or draw(st.booleans())]
+        while rest:
+            i = rest.pop()
+            j = rest.pop() if rest and draw(st.booleans()) else i
+            rows[i][j] = rows[j][i] = r
+    elif kind == "idempotent":
+        for i in range(n):
+            rows[i][i] = draw(st.integers(0, 1))
+    elif kind == "nilpotent":
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = draw(st.integers(0, 2))
+    elif kind == "symmetric":
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = draw(st.sampled_from([0, 0, 0, 1, 2]))
+    else:
+        rows = [[draw(st.integers(0, 2)) for _ in range(n)] for _ in range(n)]
+    relabel = Permutation(tuple(draw(st.permutations(range(n)))))
+    return conjugate(NatMatrix.from_rows(rows), relabel)
+
+
+@settings(max_examples=400, deadline=None)
+@given(shape_cases(), st.integers(2, 6).flatmap(
+    lambda k: st.tuples(st.just(k), st.integers(1, k - 1))
+))
+def test_shape_readers_match_oracle(m, exponents):
+    k, mm = exponents
+    assert _outcome(classify_idempotent, m) == _outcome(_oracle_idempotent, m)
+    assert _outcome(classify_cyclic, m, k, mm) == _outcome(_oracle_cyclic, m, k, mm)
+
+
+CORRUPT_SYMMETRIC = [
+    ((1, 1), (1, 1)),
+    ((2, 0), (0, 0)),
+    ((0, 2), (2, 0)),
+    ((0, 1, 1), (1, 0, 0), (1, 0, 0)),
+    ((1, 1, 0), (1, 0, 0), (0, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("rows", CORRUPT_SYMMETRIC)
+@pytest.mark.parametrize("reader", [
+    classify_idempotent,
+    lambda m: check_commuting_idempotents(m, m),
+    lambda m: classify_cyclic(m, 3, 1),
+    lambda m: classify_cyclic(m, 4, 1),
+])
+def test_corrupt_shape_exits_3(rows, reader, monkeypatch):
+    # with every equation check forced to pass, a shape the theory excludes
+    # is an internal fault (exit 3), never a user error
+    monkeypatch.setattr(classify, "_first_mismatch", lambda a, b: None)
+    with pytest.raises(FunctorLabError) as info:
+        reader(NatMatrix(rows))
+    assert isinstance(info.value, InternalFault)
+    assert not isinstance(info.value, InvalidInput)
+    assert _code_for(info.value) == 3
