@@ -27,6 +27,7 @@ from functorlab import (
 from functorlab import canonical
 from functorlab.canonical import BlockForm, SqrtClassification, _verify_square
 from functorlab.cli import _code_for
+from functorlab.zmatrix import _check_symmetric
 
 
 def random_square_root(rng):
@@ -268,8 +269,6 @@ def _oracle_decompose(m, k):
 
 
 def _oracle_sqrt(m, k):
-    from functorlab.zmatrix import _check_symmetric
-
     _check_symmetric(m)
     n = m.n
     e = m.entries

@@ -386,16 +386,19 @@ def test_shape_readers_match_oracle(m, exponents):
     assert _outcome(classify_cyclic, m, k, mm) == _outcome(_oracle_cyclic, m, k, mm)
 
 
-CORRUPT_SYMMETRIC = [
+CORRUPT = [
     ((1, 1), (1, 1)),
     ((2, 0), (0, 0)),
     ((0, 2), (2, 0)),
     ((0, 1, 1), (1, 0, 0), (1, 0, 0)),
     ((1, 1, 0), (1, 0, 0), (0, 0, 0)),
+    # not symmetric: 0/1 monomial rows that do not pair up
+    ((0, 1), (0, 0)),
+    ((0, 1, 0), (0, 0, 1), (1, 0, 0)),
 ]
 
 
-@pytest.mark.parametrize("rows", CORRUPT_SYMMETRIC)
+@pytest.mark.parametrize("rows", CORRUPT)
 @pytest.mark.parametrize("reader", [
     classify_idempotent,
     lambda m: check_commuting_idempotents(m, m),
@@ -403,8 +406,10 @@ CORRUPT_SYMMETRIC = [
     lambda m: classify_cyclic(m, 4, 1),
 ])
 def test_corrupt_shape_exits_3(rows, reader, monkeypatch):
-    # with every equation check forced to pass, a shape the theory excludes
-    # is an internal fault (exit 3), never a user error
+    # with the symmetry check and every equation check forced to pass, a
+    # shape the theory excludes is an internal fault (exit 3), never a user
+    # error
+    monkeypatch.setattr(classify, "_check_symmetric", lambda m: None)
     monkeypatch.setattr(classify, "_first_mismatch", lambda a, b: None)
     with pytest.raises(FunctorLabError) as info:
         reader(NatMatrix(rows))
