@@ -12,7 +12,6 @@ symmetric square roots exist iff k is a perfect square and are exactly
 sqrt(k) times a symmetric permutation matrix.
 """
 
-from dataclasses import dataclass
 from math import isqrt
 
 from .errors import (
@@ -24,6 +23,7 @@ from .errors import (
 from .zmatrix import (
     NatMatrix,
     Permutation,
+    _Record,
     _check_canon_cap,
     _check_symmetric,
     _first_mismatch,
@@ -36,23 +36,20 @@ from .zmatrix import (
 )
 
 
-@dataclass(frozen=True)
-class Block1:
+class Block1(_Record):
     """1x1 block [a] with a^2 = k."""
 
     a: int
 
 
-@dataclass(frozen=True)
-class Block2:
+class Block2(_Record):
     """2x2 block [[0, a], [b, 0]] with a*b = k and a, b >= 1."""
 
     a: int
     b: int
 
 
-@dataclass(frozen=True)
-class BlockForm:
+class BlockForm(_Record):
     """A relabeling perm and block list with conj(m, perm) block diagonal."""
 
     perm: Permutation
@@ -60,7 +57,7 @@ class BlockForm:
     k: int
 
     def _rows(self, order):
-        # the block diagonal with each position p renamed order[p]
+        # rows of the block diagonal with each position p renamed order[p]
         n = self.perm.n
         images = [0] * n
         values = [0] * n
@@ -77,18 +74,17 @@ class BlockForm:
                 pos += 2
         if pos != n:
             raise InternalFault("block sizes do not add up to the dimension")
-        return NatMatrix(_monomial_rows(images, values))
+        return _monomial_rows(images, values)
 
     def block_diagonal(self):
-        return self._rows(range(self.perm.n))
+        return NatMatrix(self._rows(range(self.perm.n)))
 
     def recompose(self):
         """The original matrix: undo the relabeling of the block diagonal."""
-        return self._rows(self.perm.inverse().images)
+        return NatMatrix(self._rows(self.perm.inverse().images))
 
 
-@dataclass(frozen=True)
-class SqrtClassification:
+class SqrtClassification(_Record):
     """A symmetric square root of k*I: root*P for an involutive permutation P.
 
     root is isqrt(k); it is 0 exactly when k = 0 and the matrix is zero, in
@@ -147,7 +143,8 @@ def decompose(m, k):
             blocks.append(Block2(e[i][j], e[j][i]))
             order += (i, j)
     form = BlockForm(Permutation(tuple(order)).inverse(), tuple(blocks), k)
-    if form.recompose() != m:
+    # the rows of form.recompose(), without the entry checks m already passed
+    if form._rows(form.perm.inverse().images) != e:
         raise InternalFault("block form does not recompose to the input")
     return form
 

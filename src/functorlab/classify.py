@@ -22,8 +22,6 @@ Note the partial-involution case reports the permutation on the support only;
 distinct functors can share that shadow, so nothing finer is recovered here.
 """
 
-from dataclasses import dataclass
-
 from .errors import (
     InternalFault,
     InvalidInput,
@@ -36,6 +34,7 @@ from .errors import (
 from .zmatrix import (
     NatMatrix,
     Permutation,
+    _Record,
     _check_symmetric,
     _first_mismatch,
     _monomial_rows,
@@ -55,8 +54,7 @@ def _diagonal_support(m):
     return tuple(i + 1 for i, one in enumerate(ones) if one)
 
 
-@dataclass(frozen=True)
-class IdempotentClassification:
+class IdempotentClassification(_Record):
     """A symmetric idempotent: the diagonal projection onto `support`."""
 
     n: int
@@ -85,8 +83,7 @@ def classify_idempotent(m):
     return IdempotentClassification(m.n, _diagonal_support(m))
 
 
-@dataclass(frozen=True)
-class CommutingIdempotents:
+class CommutingIdempotents(_Record):
     """How two symmetric idempotents split the index set.
 
     both / a_only / b_only / neither partition {1..n} by which projection
@@ -128,8 +125,7 @@ def check_commuting_idempotents(a, b):
     return report
 
 
-@dataclass(frozen=True)
-class NilpotencyVerdict:
+class NilpotencyVerdict(_Record):
     """kind "zero" (the only symmetric nilpotent) or "not_nilpotent" with a
     witness entry of M^power that survived."""
 
@@ -157,8 +153,7 @@ def check_nilpotent(m, k):
     raise InternalFault("nonzero symmetric matrix with a vanishing power")
 
 
-@dataclass(frozen=True)
-class CyclicClassification:
+class CyclicClassification(_Record):
     """Shape of a symmetric solution of M^k = M^m (k > m >= 1).
 
     kind "idempotent": M^2 = M, diagonal projection onto support.
@@ -209,8 +204,7 @@ def classify_cyclic(m, k, mm):
     )
 
 
-@dataclass(frozen=True)
-class RootOfIdentity:
+class RootOfIdentity(_Record):
     """M with M^e = I: a permutation matrix of the stated order."""
 
     permutation: Permutation

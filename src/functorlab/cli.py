@@ -16,10 +16,10 @@ exit code.  `_build_parser` builds the parser from these declarations, and
 returns the exit code.  Only `solve`/`oracle` and `construct`, whose work is
 more than load, call, write, keep their own handlers.
 
-A process loads only the layer its subcommand runs: the module keeps
-`jsonio`, `zmatrix` and `errors` at the top, and the runner imports the
-declared layer (`solver`, `canonical`, `classify` or `restrict`) with
-`importlib` when the command runs.
+A process loads only the layer its subcommand runs, and parses with only
+that subcommand's parser: the module keeps `jsonio`, `zmatrix` and `errors`
+at the top, and the runner imports the declared layer (`solver`,
+`canonical`, `classify` or `restrict`) with `importlib` when it runs.
 """
 
 import argparse
@@ -338,7 +338,10 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidInput(message)
 
 
-def _build_parser():
+def _build_parser(argv=()):
+    """The parser for argv: only the branch of the command whose path argv
+    starts with, as argparse picks a subparser by exact name, else every
+    command (top-level or group help, an unknown or partial command)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the report here instead of stdout")
     common.add_argument(
@@ -365,7 +368,8 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     groups = {}
-    for cmd in _COMMANDS:
+    picked = [cmd for cmd in _COMMANDS if tuple(argv[:len(cmd.path)]) == cmd.path]
+    for cmd in picked or _COMMANDS:
         parent = sub
         if len(cmd.path) == 2:
             group = cmd.path[0]
@@ -393,9 +397,10 @@ def _code_for(err):
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
     try:
         try:
-            ns = _build_parser().parse_args(argv)
+            ns = _build_parser(argv).parse_args(argv)
         except SystemExit as exc:
             # only --help exits the parser; usage errors raise InvalidInput
             return 0 if exc.code in (0, None) else 2

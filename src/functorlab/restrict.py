@@ -25,7 +25,6 @@ multiple of the row rational elimination would keep, so every rank, kernel
 and verdict is the one over Q.
 """
 
-from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .errors import (
@@ -41,6 +40,7 @@ from .errors import (
 )
 from .zmatrix import (
     NatMatrix,
+    _Record,
     _first_mismatch,
     _is_int,
     _mul_rows,
@@ -54,8 +54,7 @@ _SUBSET_ENUM_CAP = 20
 _ROOT_DIVISOR_SCAN = 10 ** 6
 
 
-@dataclass(frozen=True)
-class IndexSubset:
+class IndexSubset(_Record):
     """Subset of {1..n}, stored sorted; members are 1-based indices."""
 
     n: int
@@ -160,7 +159,7 @@ def invariant_subsets(m):
         stack.append((taken, decided | anc[v]))
         stack.append((taken | reach[v], decided | reach[v]))
     found.sort(key=lambda members: (len(members), members))
-    return [IndexSubset(n, members) for members in found]
+    return [IndexSubset._trusted(n, members) for members in found]
 
 
 def _require_invariant(m, subset):
@@ -211,8 +210,7 @@ def preserves_add(m, subset):
     return is_invariant_subset(m.transpose(), subset)
 
 
-@dataclass(frozen=True)
-class DescentReport:
+class DescentReport(_Record):
     """Outcome of pushing a relation to the two corners of an invariant subset.
 
     A corner is None when that side is empty (empty subset or full subset);
@@ -394,8 +392,7 @@ def _apply(rows, vec):
 
 # -- the checker itself ------------------------------------------------------
 
-@dataclass(frozen=True)
-class CartanInstance:
+class CartanInstance(_Record):
     """Candidate Cartan matrix plus the symmetric family acting on it."""
 
     cartan: NatMatrix
@@ -418,8 +415,7 @@ class CartanInstance:
         object.__setattr__(self, "functors", functors)
 
 
-@dataclass(frozen=True)
-class CartanVerdict:
+class CartanVerdict(_Record):
     """kind: pass | fail_commutation | reducible | inconsistent_input |
     inconclusive.
 

@@ -45,13 +45,13 @@ once is out of scope.
 
 import itertools
 import os
-from dataclasses import dataclass
 from operator import gt
 
 from .errors import InvalidInput, SearchSpaceTooLarge
 from .zmatrix import (
     NatMatrix,
     RelationPoly,
+    _Record,
     _check_canon_cap,
     _orbit_min_rows,
     _poly_rows,
@@ -59,8 +59,7 @@ from .zmatrix import (
 )
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(_Record):
     """Search space description: dimension, entry bound, and filters.
 
     symmetric_only restricts to symmetric matrices; up_to_iso keeps only the
@@ -93,8 +92,7 @@ class SearchConfig:
                 raise InvalidInput(f"limit must be >= 1, got {self.limit}")
 
 
-@dataclass(frozen=True)
-class SolutionSet:
+class SolutionSet(_Record):
     """Solutions in ascending row-major order, with the search that made them."""
 
     config: SearchConfig
@@ -214,7 +212,7 @@ def solve(rel, config, jobs=1):
         stream = stream[: config.limit]
         complete = False
     stream.sort()
-    return SolutionSet(config, rel, tuple(NatMatrix(r) for r in stream), complete)
+    return SolutionSet(config, rel, tuple(map(NatMatrix._trusted, stream)), complete)
 
 
 _ORACLE_SPACE_CAP = 10 ** 8

@@ -12,10 +12,9 @@ reported positions); internal storage is 0-based.
 """
 
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
-from operator import mul
+from operator import eq, ge, gt, le, lt, mul
 
 from .errors import DimensionMismatch, DimensionTooLarge, InvalidInput, NotSymmetric
 
@@ -267,8 +266,64 @@ def _orbit_min_rows(rows):
 
 # -- public types ------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
-class NatMatrix:
+def _by_fields(op):
+    # the comparison op of two records of one class, by their field tuples
+    return lambda a, b: op(a._values(), b._values()) if type(b) is type(a) else NotImplemented
+
+
+class _Record:
+    """Frozen record, as a frozen dataclass makes it: the fields are the class
+    annotations in order, with class attributes as defaults, and repr,
+    equality, hash and (given order=True) ordering follow the field tuple.
+    The instance dict holds the fields, in order, and nothing else."""
+
+    _fields = ()
+
+    def __init_subclass__(cls, order=False):
+        cls._fields += tuple(cls.__dict__.get("__annotations__", ()))
+        if order:
+            cls.__lt__, cls.__le__, cls.__gt__, cls.__ge__ = map(_by_fields, (lt, le, gt, ge))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):  # fill in defaults, refuse bad arguments
+            tail = fields[len(args):]
+            kwargs = {f: getattr(self, f) for f in tail if hasattr(self, f)} | kwargs
+            if len(args) > len(fields) or len(kwargs) < len(tail) or not kwargs.keys() <= set(tail):
+                raise TypeError(f"{type(self).__name__}() takes the arguments {', '.join(fields)}")
+            args += tuple([kwargs[f] for f in tail])
+        self.__dict__.update(zip(fields, args))
+        self.__post_init__()
+
+    @classmethod
+    def _trusted(cls, *values):
+        """A record of fields valid by construction, set without __post_init__."""
+        self = object.__new__(cls)
+        self.__dict__.update(zip(cls._fields, values))
+        return self
+
+    def __post_init__(self):
+        """Check and normalize the fields once they are set."""
+
+    def _values(self):
+        return tuple(self.__dict__.values())
+
+    def __repr__(self):
+        inner = ", ".join(f"{f}={v!r}" for f, v in self.__dict__.items())
+        return f"{type(self).__qualname__}({inner})"
+
+    __eq__ = _by_fields(eq)
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class NatMatrix(_Record, order=True):
     """Square matrix with nonnegative integer entries."""
 
     entries: tuple
@@ -309,7 +364,7 @@ class NatMatrix:
             raise DimensionMismatch(
                 f"cannot add a {self.n}x{self.n} matrix to a {other.n}x{other.n} one"
             )
-        return NatMatrix(
+        return NatMatrix._trusted(
             tuple(
                 tuple(x + y for x, y in zip(ra, rb))
                 for ra, rb in zip(self.entries, other.entries)
@@ -324,21 +379,21 @@ class NatMatrix:
                 f"cannot multiply a {self.n}x{self.n} matrix by a "
                 f"{other.n}x{other.n} one"
             )
-        return NatMatrix(_mul_rows(self.entries, other.entries))
+        return NatMatrix._trusted(_mul_rows(self.entries, other.entries))
 
     def __rmul__(self, k):
         if not _is_int(k):
             return NotImplemented
         if k < 0:
             raise InvalidInput(f"scalar must be nonnegative, got {k}")
-        return NatMatrix(tuple(tuple(k * x for x in row) for row in self.entries))
+        return NatMatrix._trusted(tuple(tuple(k * x for x in row) for row in self.entries))
 
     def power(self, d):
         _require_int(d, "exponent", 0)
-        return NatMatrix(_pow_rows(self.entries, d))
+        return NatMatrix._trusted(_pow_rows(self.entries, d))
 
     def transpose(self):
-        return NatMatrix(tuple(zip(*self.entries)))
+        return NatMatrix._trusted(tuple(zip(*self.entries)))
 
     def is_symmetric(self):
         return _symmetry_witness(self.entries) is None
@@ -361,18 +416,10 @@ class NatMatrix:
         """The permutation sending i to the row carrying the 1 of column i."""
         if not self.is_permutation_matrix():
             raise InvalidInput("matrix is not a permutation matrix")
-        n = self.n
-        images = [0] * n
-        for j in range(n):
-            for i in range(n):
-                if self.entries[i][j]:
-                    images[j] = i
-                    break
-        return Permutation(tuple(images))
+        return Permutation(_row_images(tuple(zip(*self.entries))))
 
 
-@dataclass(frozen=True, order=True)
-class Permutation:
+class Permutation(_Record, order=True):
     """Permutation of {0, ..., n-1}, stored as the tuple of images."""
 
     images: tuple
@@ -441,11 +488,8 @@ class Permutation:
         return result
 
     def matrix(self):
-        n = self.n
-        rows = [[0] * n for _ in range(n)]
-        for i in range(n):
-            rows[self.images[i]][i] = 1
-        return NatMatrix(tuple(tuple(r) for r in rows))
+        # row images[i] holds its 1 in column i
+        return NatMatrix._trusted(_monomial_rows(self.inverse().images, (1,) * self.n))
 
 
 def _normalize_coeffs(coeffs, side):
@@ -460,8 +504,7 @@ def _normalize_coeffs(coeffs, side):
     return tuple(coeffs)
 
 
-@dataclass(frozen=True)
-class RelationPoly:
+class RelationPoly(_Record):
     """A polynomial identity g(X) = h(X), both sides with coefficients in Z+.
 
     Coefficient lists are ascending (index d holds the coefficient of X^d) and
@@ -493,11 +536,7 @@ class RelationPoly:
         h = self.h + (0,) * (width - len(self.h))
         gr = [a - min(a, b) for a, b in zip(g, h)]
         hr = [b - min(a, b) for a, b in zip(g, h)]
-        while gr and gr[-1] == 0:
-            gr.pop()
-        while hr and hr[-1] == 0:
-            hr.pop()
-        return tuple(gr), tuple(hr)
+        return _normalize_coeffs(gr, "g"), _normalize_coeffs(hr, "h")
 
     def satisfied_by(self, m):
         return _poly_rows(self.g, m.entries) == _poly_rows(self.h, m.entries)
@@ -515,19 +554,14 @@ def scalar_mul(k, m):
 def poly_eval(coeffs, m):
     """Evaluate a Z+ coefficient polynomial at m, degree-0 term meaning c*I."""
     coeffs = _normalize_coeffs(coeffs, "polynomial")
-    return NatMatrix(_poly_rows(coeffs, m.entries))
+    return NatMatrix._trusted(_poly_rows(coeffs, m.entries))
 
 
 def direct_sum(a, b):
-    n = a.n + b.n
-    rows = [[0] * n for _ in range(n)]
-    for i in range(a.n):
-        for j in range(a.n):
-            rows[i][j] = a.entries[i][j]
-    for i in range(b.n):
-        for j in range(b.n):
-            rows[a.n + i][a.n + j] = b.entries[i][j]
-    return NatMatrix(tuple(tuple(r) for r in rows))
+    left, right = (0,) * a.n, (0,) * b.n
+    return NatMatrix._trusted(
+        tuple(row + right for row in a.entries) + tuple(left + row for row in b.entries)
+    )
 
 
 def external_tensor(m, b_simples):
@@ -537,15 +571,10 @@ def external_tensor(m, b_simples):
     terms: the left factor is the major index.
     """
     _require_int(b_simples, "b_simples", 1)
-    n = m.n * b_simples
-    rows = [[0] * n for _ in range(n)]
-    for i in range(m.n):
-        for j in range(m.n):
-            x = m.entries[i][j]
-            if x:
-                for s in range(b_simples):
-                    rows[i * b_simples + s][j * b_simples + s] = x
-    return NatMatrix(tuple(tuple(r) for r in rows))
+    b = range(b_simples)  # letters s, t of the right factor
+    return NatMatrix._trusted(
+        tuple(tuple(x if s == t else 0 for x in row for t in b) for row in m.entries for s in b)
+    )
 
 
 def conjugate(m, s):
@@ -554,7 +583,7 @@ def conjugate(m, s):
         raise DimensionMismatch(
             f"matrix is {m.n}x{m.n} but permutation acts on {s.n} letters"
         )
-    return NatMatrix(_conjugate_rows(m.entries, s.images))
+    return NatMatrix._trusted(_conjugate_rows(m.entries, s.images))
 
 
 def canonical_rep(m):
@@ -566,4 +595,4 @@ def canonical_rep(m):
     FUNCTORLAB_CANON_CAP environment variable).
     """
     _check_canon_cap(m.n, "canonical form dimension is capped by FUNCTORLAB_CANON_CAP")
-    return NatMatrix(_orbit_min_rows(m.entries))
+    return NatMatrix._trusted(_orbit_min_rows(m.entries))

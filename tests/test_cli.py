@@ -1,11 +1,14 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from test_golden_cli import HELP_QUERIES, QUERIES
 
 from functorlab import InternalFault, InvalidInput, NotInvariant, NotSymmetric, zmatrix
-from functorlab import jsonio
+from functorlab import cli, jsonio
 from functorlab.cli import _code_for, main
 
 SWAP = {"n": 2, "rows": [[0, 1], [1, 0]]}
@@ -498,17 +501,17 @@ def test_unexpected_exception_is_internal_fault(write, capsys, monkeypatch):
     }
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        [],
-        ["solve", "--relation", "rel.json"],
-        ["solve", "--relation", "rel.json", "--n", "abc"],
-        ["canon", "--matrix", "m.json", "--format", "xml"],
-        ["canon", "--matrix", "m.json", "--nope"],
-        ["classify"],
-    ],
-)
+USAGE_ERRORS = [
+    [],
+    ["solve", "--relation", "rel.json"],
+    ["solve", "--relation", "rel.json", "--n", "abc"],
+    ["canon", "--matrix", "m.json", "--format", "xml"],
+    ["canon", "--matrix", "m.json", "--nope"],
+    ["classify"],
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS)
 def test_usage_errors_are_json(argv, capsys):
     rc, out, err = run(capsys, *argv)
     assert rc == 2
@@ -524,6 +527,48 @@ def test_help_still_prints_help(capsys):
     assert rc == 0
     assert out.startswith("usage: functorlab solve")
     assert err == ""
+
+
+def _parsed(parser, argv):
+    """(vars of the namespace, exit code, stdout, stderr) of parsing argv
+    the way main does; the namespace is None when parsing stops."""
+    out, err = io.StringIO(), io.StringIO()
+    ns, code = None, 0
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            ns = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            code = exc.code
+        except InvalidInput as exc:
+            code = 2
+            sys.stderr.write(jsonio.dumps(jsonio.error_to_obj(exc)))
+    return ns, code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", QUERIES + USAGE_ERRORS + [["solve"]] + HELP_QUERIES)
+def test_one_command_parser_parses_like_the_full_one(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    parser = cli._build_parser(argv)
+    commands = parser._subparsers._group_actions[0].choices
+    matched = any(argv[:len(cmd.path)] == list(cmd.path) for cmd in cli._COMMANDS)
+    assert len(commands) == (1 if matched else 9)
+    assert _parsed(parser, argv) == _parsed(cli._build_parser(), argv)
+
+
+def test_main_parses_sys_argv_with_one_command(write, monkeypatch, capsys):
+    m = write("m.json", SWAP2)
+    argv = ["classify", "idempotent", "--matrix", m, "--nope"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "functorlab.cli", *argv], capture_output=True, text=True
+    )
+    _, code, out, err = _parsed(cli._build_parser(), argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+    built = []
+    real = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda argv=(): built.append(argv) or real(argv))
+    monkeypatch.setattr(sys, "argv", ["functorlab", *argv])
+    assert main() == code
+    assert built == [argv] and capsys.readouterr().err == err
 
 
 BIG = (1 << 53) + 1
@@ -644,6 +689,8 @@ def test_each_document_is_wired_once(write, capsys, monkeypatch):
 
 _CLI_CORE = {"functorlab.cli", "functorlab.errors", "functorlab.jsonio", "functorlab.zmatrix"}
 _POOL_MODULES = {"concurrent.futures.process", "multiprocessing"}
+# what a frozen dataclass would cost every call to import
+_RECORD_MODULES = {"dataclasses", "inspect"}
 
 
 def _modules_after(*statements):
@@ -662,7 +709,7 @@ def _modules_after(*statements):
 def test_bare_import_loads_no_submodule():
     loaded = _modules_after("import functorlab")
     assert {name for name in loaded if name.startswith("functorlab.")} <= {"functorlab.errors"}
-    assert not loaded & _POOL_MODULES
+    assert not loaded & (_POOL_MODULES | _RECORD_MODULES)
 
 
 def test_each_subcommand_loads_only_its_layer(write):
@@ -687,7 +734,7 @@ def test_each_subcommand_loads_only_its_layer(write):
         )
         want = _CLI_CORE | ({f"functorlab.{layer}"} if layer else set())
         assert {name for name in loaded if name.startswith("functorlab.")} == want, argv
-        assert not loaded & _POOL_MODULES, argv
+        assert not loaded & (_POOL_MODULES | _RECORD_MODULES), argv
 
 
 @pytest.mark.parametrize("rel_obj, code", [(XSQ_EQ_4, 0), ({"g": [0, 0, 1], "h": [2]}, 1)])

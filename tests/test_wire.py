@@ -6,7 +6,6 @@ a top-level key and exactly when the source held such an integer, and must
 read back to the source value.
 """
 
-import dataclasses
 import json
 
 from hypothesis import assume, given, settings
@@ -26,6 +25,7 @@ from functorlab import jsonio
 from functorlab.canonical import Block1, Block2, BlockForm, SqrtClassification
 from functorlab.restrict import DescentReport
 from functorlab.solver import SolutionSet
+from functorlab.zmatrix import _Record
 
 SAFE = (1 << 53) - 1
 
@@ -134,8 +134,8 @@ def _ints(value):
     """Every integer (not bool) inside a record, an error, a tuple or a dict."""
     if isinstance(value, Exception):
         value = value.details
-    if dataclasses.is_dataclass(value):
-        value = dataclasses.astuple(value)
+    if isinstance(value, _Record):
+        value = tuple(getattr(value, f) for f in value._fields)
     if isinstance(value, dict):
         value = tuple(value.values())
     if isinstance(value, (tuple, list)):
