@@ -281,6 +281,7 @@ class _Record:
 
     def __init_subclass__(cls, order=False):
         cls._fields += tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {f: getattr(cls, f) for f in cls._fields if hasattr(cls, f)}
         if order:
             cls.__lt__, cls.__le__, cls.__gt__, cls.__ge__ = map(_by_fields, (lt, le, gt, ge))
 
@@ -288,10 +289,10 @@ class _Record:
         fields = self._fields
         if kwargs or len(args) != len(fields):  # fill in defaults, refuse bad arguments
             tail = fields[len(args):]
-            kwargs = {f: getattr(self, f) for f in tail if hasattr(self, f)} | kwargs
-            if len(args) > len(fields) or len(kwargs) < len(tail) or not kwargs.keys() <= set(tail):
+            given = self._defaults | kwargs
+            if len(args) > len(fields) or not kwargs.keys() <= set(tail) <= given.keys():
                 raise TypeError(f"{type(self).__name__}() takes the arguments {', '.join(fields)}")
-            args += tuple([kwargs[f] for f in tail])
+            args += tuple([given[f] for f in tail])
         self.__dict__.update(zip(fields, args))
         self.__post_init__()
 
