@@ -198,7 +198,7 @@ def enumerate_involutions(n):
         while i < n and images[i] is not None:
             i += 1
         if i == n:
-            out.append(Permutation(tuple(images)))
+            out.append(Permutation._trusted(tuple(images)))
             return
         for j in range(i, n):
             if images[j] is None:

@@ -14,7 +14,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from functorlab.canonical import Block1, Block2, BlockForm, SqrtClassification
+from functorlab.canonical import (
+    Block1,
+    Block2,
+    BlockForm,
+    SqrtClassification,
+    enumerate_involutions,
+)
 from functorlab.classify import (
     CommutingIdempotents,
     CyclicClassification,
@@ -188,6 +194,12 @@ def test_trusted_builds_pass_the_public_constructor(inputs):
         assert type(out) is NatMatrix and NatMatrix(out.entries) == out
     for subset in invariant_subsets(a):
         assert IndexSubset(subset.n, subset.members) == subset
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_enumerated_involutions_pass_the_public_constructor(n):
+    for p in enumerate_involutions(n):
+        assert type(p) is Permutation and Permutation(p.images) == p
 
 
 @settings(max_examples=50, deadline=None)
