@@ -57,7 +57,7 @@ class BlockForm(_Record):
     k: int
 
     def _rows(self, order):
-        # rows of the block diagonal with each position p renamed order[p]
+        # the block diagonal with each position p renamed order[p]
         n = self.perm.n
         images = [0] * n
         values = [0] * n
@@ -74,14 +74,14 @@ class BlockForm(_Record):
                 pos += 2
         if pos != n:
             raise InternalFault("block sizes do not add up to the dimension")
-        return _monomial_rows(images, values)
+        return NatMatrix(_monomial_rows(images, values))
 
     def block_diagonal(self):
-        return NatMatrix(self._rows(range(self.perm.n)))
+        return self._rows(range(self.perm.n))
 
     def recompose(self):
         """The original matrix: undo the relabeling of the block diagonal."""
-        return NatMatrix(self._rows(self.perm.inverse().images))
+        return self._rows(self.perm.inverse().images)
 
 
 class SqrtClassification(_Record):
@@ -143,8 +143,7 @@ def decompose(m, k):
             blocks.append(Block2(e[i][j], e[j][i]))
             order += (i, j)
     form = BlockForm(Permutation(tuple(order)).inverse(), tuple(blocks), k)
-    # the rows of form.recompose(), without the entry checks m already passed
-    if form._rows(form.perm.inverse().images) != e:
+    if form.recompose() != m:
         raise InternalFault("block form does not recompose to the input")
     return form
 

@@ -212,7 +212,7 @@ def solve(rel, config, jobs=1):
         stream = stream[: config.limit]
         complete = False
     stream.sort()
-    return SolutionSet(config, rel, tuple(map(NatMatrix._trusted, stream)), complete)
+    return SolutionSet(config, rel, tuple(NatMatrix(r) for r in stream), complete)
 
 
 _ORACLE_SPACE_CAP = 10 ** 8

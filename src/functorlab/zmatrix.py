@@ -280,7 +280,8 @@ class _Record:
     _fields = ()
 
     def __init_subclass__(cls, order=False):
-        cls._fields += tuple(cls.__dict__.get("__annotations__", ()))
+        # a class's own annotations (3.10 on), also where they are evaluated lazily
+        cls._fields += tuple(cls.__annotations__)
         cls._defaults = {f: getattr(cls, f) for f in cls._fields if hasattr(cls, f)}
         if order:
             cls.__lt__, cls.__le__, cls.__gt__, cls.__ge__ = map(_by_fields, (lt, le, gt, ge))
@@ -290,7 +291,10 @@ class _Record:
         if kwargs or len(args) != len(fields):  # fill in defaults, refuse bad arguments
             tail = fields[len(args):]
             given = self._defaults | kwargs
-            if len(args) > len(fields) or not kwargs.keys() <= set(tail) <= given.keys():
+            too_many = len(args) > len(fields)
+            unexpected = any(f not in tail for f in kwargs)  # unknown, or also positional
+            missing = any(f not in given for f in tail)
+            if too_many or unexpected or missing:
                 raise TypeError(f"{type(self).__name__}() takes the arguments {', '.join(fields)}")
             args += tuple([given[f] for f in tail])
         self.__dict__.update(zip(fields, args))
@@ -298,7 +302,8 @@ class _Record:
 
     @classmethod
     def _trusted(cls, *values):
-        """A record of fields valid by construction, set without __post_init__."""
+        """A record of fields valid by construction, set without __post_init__,
+        for the builders where the checks cost measurable time."""
         self = object.__new__(cls)
         self.__dict__.update(zip(cls._fields, values))
         return self
@@ -365,7 +370,7 @@ class NatMatrix(_Record, order=True):
             raise DimensionMismatch(
                 f"cannot add a {self.n}x{self.n} matrix to a {other.n}x{other.n} one"
             )
-        return NatMatrix._trusted(
+        return NatMatrix(
             tuple(
                 tuple(x + y for x, y in zip(ra, rb))
                 for ra, rb in zip(self.entries, other.entries)
@@ -387,14 +392,14 @@ class NatMatrix(_Record, order=True):
             return NotImplemented
         if k < 0:
             raise InvalidInput(f"scalar must be nonnegative, got {k}")
-        return NatMatrix._trusted(tuple(tuple(k * x for x in row) for row in self.entries))
+        return NatMatrix(tuple(tuple(k * x for x in row) for row in self.entries))
 
     def power(self, d):
         _require_int(d, "exponent", 0)
-        return NatMatrix._trusted(_pow_rows(self.entries, d))
+        return NatMatrix(_pow_rows(self.entries, d))
 
     def transpose(self):
-        return NatMatrix._trusted(tuple(zip(*self.entries)))
+        return NatMatrix(tuple(zip(*self.entries)))
 
     def is_symmetric(self):
         return _symmetry_witness(self.entries) is None
@@ -490,7 +495,7 @@ class Permutation(_Record, order=True):
 
     def matrix(self):
         # row images[i] holds its 1 in column i
-        return NatMatrix._trusted(_monomial_rows(self.inverse().images, (1,) * self.n))
+        return NatMatrix(_monomial_rows(self.inverse().images, (1,) * self.n))
 
 
 def _normalize_coeffs(coeffs, side):
@@ -559,10 +564,15 @@ def poly_eval(coeffs, m):
 
 
 def direct_sum(a, b):
-    left, right = (0,) * a.n, (0,) * b.n
-    return NatMatrix._trusted(
-        tuple(row + right for row in a.entries) + tuple(left + row for row in b.entries)
-    )
+    n = a.n + b.n
+    rows = [[0] * n for _ in range(n)]
+    for i in range(a.n):
+        for j in range(a.n):
+            rows[i][j] = a.entries[i][j]
+    for i in range(b.n):
+        for j in range(b.n):
+            rows[a.n + i][a.n + j] = b.entries[i][j]
+    return NatMatrix(tuple(tuple(r) for r in rows))
 
 
 def external_tensor(m, b_simples):
@@ -572,10 +582,15 @@ def external_tensor(m, b_simples):
     terms: the left factor is the major index.
     """
     _require_int(b_simples, "b_simples", 1)
-    b = range(b_simples)  # letters s, t of the right factor
-    return NatMatrix._trusted(
-        tuple(tuple(x if s == t else 0 for x in row for t in b) for row in m.entries for s in b)
-    )
+    n = m.n * b_simples
+    rows = [[0] * n for _ in range(n)]
+    for i in range(m.n):
+        for j in range(m.n):
+            x = m.entries[i][j]
+            if x:
+                for s in range(b_simples):
+                    rows[i * b_simples + s][j * b_simples + s] = x
+    return NatMatrix(tuple(tuple(r) for r in rows))
 
 
 def conjugate(m, s):
@@ -584,7 +599,7 @@ def conjugate(m, s):
         raise DimensionMismatch(
             f"matrix is {m.n}x{m.n} but permutation acts on {s.n} letters"
         )
-    return NatMatrix._trusted(_conjugate_rows(m.entries, s.images))
+    return NatMatrix(_conjugate_rows(m.entries, s.images))
 
 
 def canonical_rep(m):
@@ -596,4 +611,4 @@ def canonical_rep(m):
     FUNCTORLAB_CANON_CAP environment variable).
     """
     _check_canon_cap(m.n, "canonical form dimension is capped by FUNCTORLAB_CANON_CAP")
-    return NatMatrix._trusted(_orbit_min_rows(m.entries))
+    return NatMatrix(_orbit_min_rows(m.entries))
