@@ -303,7 +303,7 @@ class _Record:
     @classmethod
     def _trusted(cls, *values):
         """A record of fields valid by construction, set without __post_init__,
-        for the builders where the checks cost measurable time."""
+        for builders that make many records in one call."""
         self = object.__new__(cls)
         self.__dict__.update(zip(cls._fields, values))
         return self
@@ -385,7 +385,7 @@ class NatMatrix(_Record, order=True):
                 f"cannot multiply a {self.n}x{self.n} matrix by a "
                 f"{other.n}x{other.n} one"
             )
-        return NatMatrix._trusted(_mul_rows(self.entries, other.entries))
+        return NatMatrix(_mul_rows(self.entries, other.entries))
 
     def __rmul__(self, k):
         if not _is_int(k):
@@ -560,7 +560,7 @@ def scalar_mul(k, m):
 def poly_eval(coeffs, m):
     """Evaluate a Z+ coefficient polynomial at m, degree-0 term meaning c*I."""
     coeffs = _normalize_coeffs(coeffs, "polynomial")
-    return NatMatrix._trusted(_poly_rows(coeffs, m.entries))
+    return NatMatrix(_poly_rows(coeffs, m.entries))
 
 
 def direct_sum(a, b):
