@@ -57,7 +57,7 @@ class BlockForm(_Record):
     k: int
 
     def _rows(self, order):
-        # the block diagonal with each position p renamed order[p]
+        # rows of the block diagonal with each position p renamed order[p]
         n = self.perm.n
         images = [0] * n
         values = [0] * n
@@ -74,14 +74,18 @@ class BlockForm(_Record):
                 pos += 2
         if pos != n:
             raise InternalFault("block sizes do not add up to the dimension")
-        return NatMatrix(_monomial_rows(images, values))
+        return _monomial_rows(images, values)
+
+    def _original_rows(self):
+        # rows of the original matrix: the relabeling of the block diagonal undone
+        return self._rows(self.perm.inverse().images)
 
     def block_diagonal(self):
-        return self._rows(range(self.perm.n))
+        return NatMatrix(self._rows(range(self.perm.n)))
 
     def recompose(self):
         """The original matrix: undo the relabeling of the block diagonal."""
-        return self._rows(self.perm.inverse().images)
+        return NatMatrix(self._original_rows())
 
 
 class SqrtClassification(_Record):
@@ -143,7 +147,7 @@ def decompose(m, k):
             blocks.append(Block2(e[i][j], e[j][i]))
             order += (i, j)
     form = BlockForm(Permutation(tuple(order)).inverse(), tuple(blocks), k)
-    if form.recompose() != m:
+    if form._original_rows() != e:  # recompose(), without re-checking m's entries
         raise InternalFault("block form does not recompose to the input")
     return form
 

@@ -303,7 +303,7 @@ class _Record:
     @classmethod
     def _trusted(cls, *values):
         """A record of fields valid by construction, set without __post_init__,
-        for builders that make many records in one call."""
+        for the builders whose checks showed in a benchmark workload."""
         self = object.__new__(cls)
         self.__dict__.update(zip(cls._fields, values))
         return self
@@ -385,7 +385,7 @@ class NatMatrix(_Record, order=True):
                 f"cannot multiply a {self.n}x{self.n} matrix by a "
                 f"{other.n}x{other.n} one"
             )
-        return NatMatrix(_mul_rows(self.entries, other.entries))
+        return NatMatrix._trusted(_mul_rows(self.entries, other.entries))
 
     def __rmul__(self, k):
         if not _is_int(k):
@@ -399,7 +399,7 @@ class NatMatrix(_Record, order=True):
         return NatMatrix(_pow_rows(self.entries, d))
 
     def transpose(self):
-        return NatMatrix(tuple(zip(*self.entries)))
+        return NatMatrix._trusted(tuple(zip(*self.entries)))
 
     def is_symmetric(self):
         return _symmetry_witness(self.entries) is None

@@ -198,11 +198,17 @@ def test_constructor_refuses_missing_and_extra_arguments(make, text):
 naturals = st.integers(0, 3)
 
 
+def square(n):
+    return st.lists(st.lists(naturals, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 5).flatmap(
-    lambda n: st.lists(st.lists(naturals, min_size=n, max_size=n), min_size=n, max_size=n)))
-def test_invariant_subsets_pass_the_public_constructor(rows):
-    for subset in invariant_subsets(NatMatrix.from_rows(rows)):
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(square(n), square(n))))
+def test_trusted_builds_pass_the_public_constructor(pair):
+    a, b = map(NatMatrix.from_rows, pair)
+    for out in (a * b, a.transpose()):
+        assert type(out) is NatMatrix and NatMatrix(out.entries) == out
+    for subset in invariant_subsets(a):
         assert type(subset) is IndexSubset
         assert IndexSubset(subset.n, subset.members) == subset
 
