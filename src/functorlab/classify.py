@@ -222,7 +222,10 @@ def classify_root_of_identity(m, n_exp):
     order test and the symmetry test are run and cross-checked.
     """
     _require_int(n_exp, "exponent", 1)
-    sigma = m.permutation() if m.is_permutation_matrix() else None
+    # one permutation check; its images are then read directly (m.permutation()
+    # would run the check again)
+    sigma = (Permutation(_row_images(tuple(zip(*m.entries))))
+             if m.is_permutation_matrix() else None)
     # a permutation matrix of order o has M^e = M^(e mod o), so any e is cheap
     power = _pow_rows(m.entries, n_exp if sigma is None else n_exp % sigma.order())
     bad = _first_mismatch(power, _scalar_rows(m.n, 1))

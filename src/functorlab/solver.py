@@ -14,6 +14,19 @@ g(L) > h(U) or h(L) > g(U).  The rule holds for every relation degree; it cuts
 c1*I = c2*I at the first node and a constant side as soon as a diagonal entry
 overshoots it.
 
+The bounds are exact integers packed one matrix per Python int, so the row
+work runs inside C big-int arithmetic (Kronecker substitution).  Entry (i, j)
+sits in an s-bit slot at bit s*(i*n + j); column j of a matrix, packed at
+bits s*n*i, is kept beside L and U and changed on every set and undo.  The
+next power is M*P = sum over j of column j of M times row j of P: the partial
+products land in disjoint slots, and every partial sum is at most the final
+entry.  Every entry of L, U, g and h on them is at most
+T = max(bound, max over both sides of c_0 + sum_k c_k * n^(k-1) * bound^k),
+and s = T.bit_length() + 1, so each value stays below 2^(s-1) and no carry
+crosses a slot.  Bit s-1 of each slot is therefore a free guard bit: with G
+holding them all, x > y in some slot exactly when ((y | G) - x) & G != G, as
+each slot computes 2^(s-1) + y - x > 0 and no borrow crosses it either.
+
 With up_to_iso a second cut rejects isomorphs inside the search (orderly
 generation: Read, 1978; McKay, 1998).  When the fill has just completed row
 a, rows 0..a are fully set, in the symmetric fill and the row-major fill
@@ -45,7 +58,6 @@ once is out of scope.
 
 import itertools
 import os
-from operator import gt
 
 from .errors import InvalidInput, SearchSpaceTooLarge
 from .zmatrix import (
@@ -111,66 +123,101 @@ def _fill_positions(n, symmetric):
     return [(i, j) for i in range(n) for j in range(n)]
 
 
-# Partial matrices never repeat, so bounding them through the cached
-# primitive would only evict useful keys from the process-wide cache.
-_poly_bound = _poly_rows.__wrapped__
+def _spread(count, step):
+    # a 1 every step bits, count times: sum of 1 << step*t for t < count
+    return ((1 << step * count) - 1) // ((1 << step) - 1)
 
 
-def _exceeds(a, b):
-    # some entry of a is larger than the same entry of b
-    return any(map(gt, itertools.chain(*a), itertools.chain(*b)))
+def _packed_kernel(gr, hr, n, bound):
+    """Slot width s, sides(m, cols) -> packed (g(m), h(m)), and exceeds(x, y)."""
+    t = max(bound, *(sum(c * (n ** (k - 1) * bound ** k if k else 1)
+                         for k, c in enumerate(side)) for side in (gr, hr)))
+    s = t.bit_length() + 1
+    width = s * n  # one packed row
+    row_mask = (1 << width) - 1
+    guard = _spread(n * n, s) << (s - 1)
+    ident = _spread(n, width + s)
+    terms = list(itertools.zip_longest(gr, hr, fillvalue=0))
+    g0, h0 = (c * ident for c in terms[0])
+
+    def sides(m, cols):
+        # one chain of powers for both sides: P_k = M*P_(k-1) is the sum
+        # over j of column j of M times row j of P_(k-1)
+        g, h, p = g0, h0, m
+        for k in range(1, len(terms)):
+            if k > 1:
+                p = sum([c * ((p >> width * j) & row_mask) for j, c in enumerate(cols) if c])
+            a, b = terms[k]
+            g += a * p
+            h += b * p
+        return g, h
+
+    def exceeds(x, y):
+        # some slot of x is larger than the same slot of y: the slot's guard
+        # bit survives y - x exactly when x <= y there
+        return ((y | guard) - x) & guard != guard
+
+    return s, sides, exceeds
 
 
 def _search_partition(args):
     (gr, hr, n, bound, symmetric, up_to_iso, cap, first_value) = args
     # the entries each fill step sets: (i, j), and (j, i) when symmetric
     positions = _fill_positions(n, symmetric)
-    cells = [((i, j), (j, i)) if symmetric else ((i, j),) for i, j in positions]
+    cells = [((i, j), (j, i)) if symmetric and i != j else ((i, j),) for i, j in positions]
     total = len(cells)
     # up_to_iso: step k + 1 follows the last entry of row i, so rows 0..i are set
     row_end = ({k + 1: i + 1 for k, (i, j) in enumerate(positions) if j == n - 1}
                if up_to_iso else {})
-    lo = [[0] * n for _ in range(n)]  # unset entries at 0
-    hi = [[bound] * n for _ in range(n)]  # unset entries at bound
+    s, sides, exceeds = _packed_kernel(gr, hr, n, bound)
+    width = s * n
+    # a step's value w adds w * unit to packed L and takes (bound - w) * unit off U
+    units = [sum(1 << s * (a * n + b) for a, b in cell) for cell in cells]
+    # the packed columns of L (unset entries at 0) and U (unset at bound)
+    lo_cols, hi_cols = [0] * n, [bound * _spread(n, width)] * n
+    top = [[bound] * n for _ in range(n)]  # U as rows, for the orbit cut and leaves
     found = []
 
-    def sides(rows):
-        return _poly_bound(gr, rows), _poly_bound(hr, rows)
+    def put(cell, w, sign):
+        # sign 1 sets the cell's entries to w, sign -1 unsets them again
+        for a, b in cell:
+            top[a][b] = w if sign == 1 else bound
+            lo_cols[b] += sign * w << width * a
+            hi_cols[b] -= sign * (bound - w) << width * a
 
-    def rec(idx, v, low, high):
-        # the entry before idx was just set to v; low, high: (g, h) evaluated
-        # on lo and hi before that (v = None: not evaluated yet)
+    def rec(idx, v, lo, hi, low, high):
+        # lo, hi: packed L and U; the entry before idx was just set to v;
+        # low, high: (g, h) on L and U before that (v = None: not evaluated yet)
         if idx == total:
-            # lo = hi = X, so the exact check is the rule itself
-            rows = tuple(tuple(r) for r in lo)
+            # L = U = X, so the exact check is the rule itself
+            rows = tuple(map(tuple, top))
             if _poly_rows(gr, rows) != _poly_rows(hr, rows):
                 return
             if up_to_iso and _orbit_min_rows(rows) != rows:
                 return
             found.append(rows)
             return
-        # v = 0 leaves lo as it was and v = bound leaves hi
-        low = low if v == 0 else sides(lo)
-        high = high if v == bound else sides(hi)
-        if _exceeds(low[0], high[1]) or _exceeds(low[1], high[0]):
+        # v = 0 leaves L as it was and v = bound leaves U
+        low = low if v == 0 else sides(lo, lo_cols)
+        high = high if v == bound else sides(hi, hi_cols)
+        if exceeds(low[0], high[1]) or exceeds(low[1], high[0]):
             return
         known = row_end.get(idx)
         if known:
-            top = tuple(map(tuple, hi))
-            if _orbit_min_rows(top)[:known] < top[:known]:
+            upper = tuple(map(tuple, top))
+            if _orbit_min_rows(upper)[:known] < upper[:known]:
                 return
+        cell, unit = cells[idx], units[idx]
         for w in range(bound + 1):
-            for a, b in cells[idx]:
-                lo[a][b] = hi[a][b] = w
-            rec(idx + 1, w, low, high)
+            put(cell, w, 1)
+            rec(idx + 1, w, lo + w * unit, hi - (bound - w) * unit, low, high)
+            put(cell, w, -1)
             if cap is not None and len(found) >= cap:
                 break
-        for a, b in cells[idx]:
-            lo[a][b], hi[a][b] = 0, bound
 
-    for a, b in cells[0]:
-        lo[a][b] = hi[a][b] = first_value
-    rec(1, None, None, None)
+    put(cells[0], first_value, 1)
+    rec(1, None, first_value * units[0],
+        bound * _spread(n * n, s) - (bound - first_value) * units[0], None, None)
     return found
 
 

@@ -199,6 +199,25 @@ def test_classify_root_examples():
         classify_root_of_identity(SWAP, 0)
 
 
+def test_classify_root_checks_the_permutation_once(monkeypatch):
+    calls = []
+    check = NatMatrix.is_permutation_matrix
+
+    def counted(m):
+        calls.append(m)
+        return check(m)
+
+    monkeypatch.setattr(NatMatrix, "is_permutation_matrix", counted)
+    cycle = NatMatrix(((0, 0, 1), (1, 0, 0), (0, 1, 0)))
+    cls = classify_root_of_identity(cycle, 6)
+    assert len(calls) == 1
+    assert cls.permutation == cycle.permutation()
+    calls.clear()
+    with pytest.raises(NotARoot):
+        classify_root_of_identity(NatMatrix(((0, 1), (1, 1))), 2)
+    assert len(calls) == 1
+
+
 def test_roots_of_identity_exhaustive():
     for n in (1, 2, 3):
         eye = NatMatrix.identity(n)

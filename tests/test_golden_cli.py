@@ -36,6 +36,7 @@ INPUTS = {
     "x2_x.json": {"g": [0, 0, 1], "h": [0, 1]},
     "x3_x.json": {"g": [0, 0, 0, 1], "h": [0, 1]},
     "x3_x2.json": {"g": [0, 0, 0, 1], "h": [0, 0, 1]},
+    "x4_4i.json": {"g": [0, 0, 0, 0, 1], "h": [4]},
     "x2_x_2i.json": {"g": [0, 1, 1], "h": [2]},
     "c2_c3.json": {"g": [2], "h": [3]},
     "swap.json": {"n": 2, "rows": [[0, 1], [1, 0]]},
@@ -181,6 +182,7 @@ QUERIES = [
     ["decompose", "--matrix", "mix7.json", "--k", "4"],
     ["sqrt-classify", "--matrix", "zero2.json", "--k", "0"],
     ["classify", "cyclic", "--matrix", "pinv5.json", "--k", "5", "--m", "3"],
+    ["solve", "--relation", "x4_4i.json", "--n", "2", "--bound", "3"],
 ]
 
 SUBCOMMANDS = [

@@ -279,6 +279,10 @@ def test_worker_pool_capped(monkeypatch):
 def test_solve_matches_oracle_on_random_relations(
     g, h, n, bound, symmetric, up_to_iso, limit
 ):
+    _check_against_oracle(g, h, n, bound, symmetric, up_to_iso, limit)
+
+
+def _check_against_oracle(g, h, n, bound, symmetric, up_to_iso, limit):
     try:
         rel = RelationPoly(tuple(g), tuple(h))
     except InvalidInput:  # both sides the same polynomial
@@ -290,6 +294,123 @@ def test_solve_matches_oracle_on_random_relations(
     assert got.solutions == want.solutions
     assert got.complete == want.complete
 
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    g=st.lists(st.integers(0, 9), max_size=6),
+    h=st.lists(st.integers(0, 9), max_size=6),
+    n=st.integers(1, 2),
+    bound=st.integers(0, 6),
+    symmetric=st.booleans(),
+    up_to_iso=st.booleans(),
+    limit=st.none() | st.integers(1, 4),
+)
+@example(g=[2], h=[1], n=2, bound=3, symmetric=False, up_to_iso=False, limit=None)
+@example(g=[0, 0, 1], h=[1], n=2, bound=0, symmetric=False, up_to_iso=False, limit=None)
+@example(g=[0, 0, 0, 0, 1], h=[4], n=1, bound=6, symmetric=False, up_to_iso=False,
+         limit=None)
+@example(g=[0, 0, 0, 0, 0, 9], h=[0, 9, 9], n=2, bound=6, symmetric=False,
+         up_to_iso=True, limit=None)
+def test_solve_matches_oracle_with_wide_slots(g, h, n, bound, symmetric, up_to_iso, limit):
+    # degree up to 5, coefficients up to 9, bound up to 6: packed slots up to
+    # 22 bits wide
+    _check_against_oracle(g, h, n, bound, symmetric, up_to_iso, limit)
+
+
+# The packed layout, written out independently of solver.py: entry (i, j) of
+# an n x n matrix at bit s*(i*n + j), entry i of column j at bit s*n*i.
+def _pack(rows, s):
+    n = len(rows)
+    return sum(x << s * (i * n + j) for i, row in enumerate(rows) for j, x in enumerate(row))
+
+
+def _pack_columns(rows, s):
+    n = len(rows)
+    return [sum(rows[i][j] << s * n * i for i in range(n)) for j in range(n)]
+
+
+def _unpack(x, n, s):
+    assert x >> s * n * n == 0  # nothing beyond the last slot
+    return tuple(tuple((x >> s * (i * n + j)) & ((1 << s) - 1) for j in range(n))
+                 for i in range(n))
+
+
+@st.composite
+def _kernel_cases(draw):
+    n = draw(st.integers(1, 4))
+    bound = draw(st.integers(0, 5))
+    g = tuple(draw(st.lists(st.integers(0, 4), min_size=1, max_size=5)))
+    h = tuple(draw(st.lists(st.integers(0, 4), max_size=5)))
+    rows = draw(st.lists(st.lists(st.integers(0, bound), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    return g, h, n, bound, tuple(map(tuple, rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_kernel_cases())
+@example(case=((1, 2, 3, 4, 4), (4, 0, 0, 0, 1), 4, 5, ((5,) * 4,) * 4))
+@example(case=((3,), (), 1, 0, ((0,),)))
+def test_packed_sides_unpack_to_poly_rows(case):
+    g, h, n, bound, rows = case
+    s, sides, _ = solver._packed_kernel(g, h, n, bound)
+    for m in (rows, ((bound,) * n,) * n):  # the all-bound matrix fills the slots most
+        pg, ph = sides(_pack(m, s), _pack_columns(m, s))
+        for packed, coeffs in ((pg, g), (ph, h)):
+            got = _unpack(packed, n, s)
+            assert got == solver._poly_rows(coeffs, m)
+            assert all(x < 1 << (s - 1) for row in got for x in row)  # guard bit free
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_kernel_cases(), data=st.data())
+def test_packed_exceeds_matches_dense_compare(case, data):
+    g, h, n, bound, _ = case
+    s, _, exceeds = solver._packed_kernel(g, h, n, bound)
+    slot = st.integers(0, (1 << (s - 1)) - 1)
+    x = data.draw(st.lists(slot, min_size=n * n, max_size=n * n))
+    # y: x itself (all ties), x with a few slots moved, or independent
+    y = data.draw(st.just(list(x)) | st.lists(slot, min_size=n * n, max_size=n * n))
+    for k in data.draw(st.lists(st.integers(0, n * n - 1), max_size=3)):
+        y[k] = data.draw(slot)
+
+    def pack(flat):
+        return _pack([flat[i * n:(i + 1) * n] for i in range(n)], s)
+
+    assert exceeds(pack(x), pack(y)) == any(a > b for a, b in zip(x, y))
+    assert exceeds(pack(y), pack(x)) == any(b > a for a, b in zip(x, y))
+    assert not exceeds(pack(x), pack(x))
+
+
+def _search_counts(monkeypatch, rel, config):
+    # leaf verifications (each evaluates both sides) and row-end orbit calls
+    calls = {"poly": 0, "orbit": 0}
+    poly, orbit = solver._poly_rows, solver._orbit_min_rows
+
+    def counted_poly(*args):
+        calls["poly"] += 1
+        return poly(*args)
+
+    def counted_orbit(*args):
+        calls["orbit"] += 1
+        return orbit(*args)
+
+    monkeypatch.setattr(solver, "_poly_rows", counted_poly)
+    monkeypatch.setattr(solver, "_orbit_min_rows", counted_orbit)
+    res = solve(rel, config)
+    assert calls["poly"] % 2 == 0
+    return calls["poly"] // 2, calls["orbit"], res.count
+
+
+@pytest.mark.parametrize("rel, n, want", [
+    (X_SQ_EQ_1, 6, (8, 40, 4)),
+    (X_SQ_EQ_X, 6, (12, 42, 7)),
+    (X_CUBE_EQ_X, 7, (38, 200, 20)),
+])
+def test_search_tree_counts(monkeypatch, rel, n, want):
+    # the interval cut and the orderly cut decide these counts, not timing
+    config = SearchConfig(n=n, bound=1, symmetric_only=True, up_to_iso=True)
+    assert _search_counts(monkeypatch, rel, config) == want
 
 def _square_roots_of_4i(n):
     # the block theorem: a relabeled direct sum of blocks [2] and
