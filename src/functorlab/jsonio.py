@@ -1,4 +1,5 @@
-"""JSON schemas for every object the package exchanges.
+"""JSON schemas for what the CLI reads (matrix, relation and subset files)
+and writes (its reports and errors).
 
 All indices are 1-based on the wire.  Every writer applies one rule,
 `wire`: integers beyond 2^53 - 1 in absolute value become decimal
@@ -8,17 +9,17 @@ Each writer is `wire` over a plain document; composite writers nest the
 plain builders (`_matrix`, `_relation`, `_config`, `_subset`), so `wire`
 walks a writer's document once, and `dumps` serializes a writer's document
 without walking it again.
-Readers accept both encodings everywhere.  Serialization is deterministic:
+The three readers accept both encodings.  Serialization is deterministic:
 fixed key order, two-space indent, trailing newline.
 Loading this module loads no solver, canonical, classify or restrict code:
-a function that needs one of their types (a reader constructing it, the
-block-form writer testing it) imports it when it runs.
+a function that needs one of their types (`subset_from_obj` constructing
+it, the block-form writer testing it) imports it when it runs.
 """
 
 import json
 
 from .errors import InvalidInput
-from .zmatrix import NatMatrix, Permutation, RelationPoly, _is_int
+from .zmatrix import NatMatrix, RelationPoly, _is_int
 
 _SAFE_INT = (1 << 53) - 1
 
@@ -110,33 +111,16 @@ def _relation(rel):
     return {"g": rel.g, "h": rel.h}
 
 
-def relation_to_obj(rel):
-    return wire(_relation(rel))
-
-
 def relation_from_obj(obj):
     g = _int_list(_require(obj, "g", "relation"), "relation coefficient")
     h = _int_list(_require(obj, "h", "relation"), "relation coefficient")
     return RelationPoly(tuple(g), tuple(h))
 
 
-# -- permutations and subsets ------------------------------------------------
-
-def permutation_to_obj(p):
-    return wire(p.one_based())
-
-
-def permutation_from_obj(obj):
-    images = _int_list(obj, "permutation image")
-    return Permutation.from_one_based(images)
-
+# -- subsets -----------------------------------------------------------------
 
 def _subset(s):
     return {"n": s.n, "members": s.members}
-
-
-def subset_to_obj(s):
-    return wire(_subset(s))
 
 
 def subsets_to_obj(subsets):
@@ -166,46 +150,12 @@ def block_form_to_obj(form):
     return wire({"perm": form.perm.one_based(), "k": form.k, "blocks": blocks})
 
 
-def block_form_from_obj(obj):
-    from .canonical import Block1, Block2, BlockForm
-
-    perm = permutation_from_obj(_require(obj, "perm", "block form"))
-    k = _decode_int(_require(obj, "k", "block form"), "block form k")
-    raw = _require(obj, "blocks", "block form")
-    if not isinstance(raw, list):
-        raise InvalidInput("block form blocks must be a list")
-    blocks = []
-    for entry in raw:
-        kind = _require(entry, "type", "block")
-        if kind == "b1":
-            blocks.append(Block1(_decode_int(_require(entry, "a", "block"), "block a")))
-        elif kind == "b2":
-            blocks.append(
-                Block2(
-                    _decode_int(_require(entry, "a", "block"), "block a"),
-                    _decode_int(_require(entry, "b", "block"), "block b"),
-                )
-            )
-        else:
-            raise InvalidInput(f"unknown block type {kind!r}")
-    return BlockForm(perm, tuple(blocks), k)
-
-
 def sqrt_to_obj(cls):
     return wire({
         "kind": "sqrt",
         "root": cls.root,
         "involution": cls.involution.one_based(),
     })
-
-
-def sqrt_from_obj(obj):
-    from .canonical import SqrtClassification
-
-    return SqrtClassification(
-        _decode_int(_require(obj, "root", "sqrt classification"), "root"),
-        permutation_from_obj(_require(obj, "involution", "sqrt classification")),
-    )
 
 
 # -- classification verdicts -------------------------------------------------
@@ -257,61 +207,6 @@ def root_to_obj(cls):
     })
 
 
-def classification_from_obj(obj):
-    from .classify import (
-        CommutingIdempotents,
-        CyclicClassification,
-        IdempotentClassification,
-        NilpotencyVerdict,
-        RootOfIdentity,
-    )
-
-    kind = _require(obj, "kind", "classification")
-    if kind == "sqrt":
-        return sqrt_from_obj(obj)
-    if kind == "idempotent":
-        n = _decode_int(_require(obj, "n", "classification"), "n")
-        support = _int_list(_require(obj, "support", "classification"), "support index")
-        if "pairing" in obj:
-            return CyclicClassification("idempotent", n, tuple(support))
-        return IdempotentClassification(n, tuple(support))
-    if kind == "partial_involution":
-        return CyclicClassification(
-            "partial_involution",
-            _decode_int(_require(obj, "n", "classification"), "n"),
-            tuple(_int_list(_require(obj, "support", "classification"), "support index")),
-            tuple(_int_list(_require(obj, "pairing", "classification"), "pairing image")),
-        )
-    if kind == "zero":
-        return NilpotencyVerdict("zero")
-    if kind == "not_nilpotent":
-        position = _int_list(_require(obj, "position", "verdict"), "position")
-        if len(position) != 2:
-            raise InvalidInput("position must have exactly two indices")
-        return NilpotencyVerdict(
-            "not_nilpotent",
-            power=_decode_int(_require(obj, "power", "verdict"), "power"),
-            position=tuple(position),
-            value=_decode_int(_require(obj, "value", "verdict"), "value"),
-        )
-    if kind == "root_of_identity":
-        return RootOfIdentity(
-            permutation_from_obj(_require(obj, "permutation", "classification")),
-            _decode_int(_require(obj, "order", "classification"), "order"),
-            bool(_require(obj, "selfadjoint", "classification")),
-        )
-    if kind == "commuting_idempotents":
-        return CommutingIdempotents(
-            n=_decode_int(_require(obj, "n", "report"), "n"),
-            both=tuple(_int_list(_require(obj, "both", "report"), "index")),
-            a_only=tuple(_int_list(_require(obj, "a_only", "report"), "index")),
-            b_only=tuple(_int_list(_require(obj, "b_only", "report"), "index")),
-            neither=tuple(_int_list(_require(obj, "neither", "report"), "index")),
-            product=matrix_from_obj(_require(obj, "product", "report")),
-        )
-    raise InvalidInput(f"unknown classification kind {kind!r}")
-
-
 # -- search configuration and results ----------------------------------------
 
 def _config(config):
@@ -324,23 +219,6 @@ def _config(config):
     }
 
 
-def config_to_obj(config):
-    return wire(_config(config))
-
-
-def config_from_obj(obj):
-    from .solver import SearchConfig
-
-    limit = obj.get("limit") if isinstance(obj, dict) else None
-    return SearchConfig(
-        n=_decode_int(_require(obj, "n", "search config"), "n"),
-        bound=_decode_int(_require(obj, "bound", "search config"), "bound"),
-        symmetric_only=bool(obj.get("symmetric_only", False)),
-        up_to_iso=bool(obj.get("up_to_iso", False)),
-        limit=None if limit is None else _decode_int(limit, "limit"),
-    )
-
-
 def solution_set_to_obj(result):
     return wire({
         "relation": _relation(result.relation),
@@ -349,20 +227,6 @@ def solution_set_to_obj(result):
         "complete": result.complete,
         "solutions": [_matrix(m) for m in result.solutions],
     })
-
-
-def solution_set_from_obj(obj):
-    from .solver import SolutionSet
-
-    raw = _require(obj, "solutions", "solution set")
-    if not isinstance(raw, list):
-        raise InvalidInput("solutions must be a list")
-    return SolutionSet(
-        config=config_from_obj(_require(obj, "config", "solution set")),
-        relation=relation_from_obj(_require(obj, "relation", "solution set")),
-        solutions=tuple(matrix_from_obj(x) for x in raw),
-        complete=bool(_require(obj, "complete", "solution set")),
-    )
 
 
 # -- restriction reports and Cartan verdicts ---------------------------------
@@ -388,18 +252,6 @@ def verify_report_to_obj(m, rel, inputs_satisfy, output_satisfies):
     })
 
 
-def descent_from_obj(obj):
-    from .restrict import DescentReport
-
-    serre = _require(obj, "serre", "descent report")
-    quotient = _require(obj, "quotient", "descent report")
-    return DescentReport(
-        bool(_require(obj, "ambient_satisfied", "descent report")),
-        None if serre is None else matrix_from_obj(serre),
-        None if quotient is None else matrix_from_obj(quotient),
-    )
-
-
 def cartan_verdict_to_obj(verdict):
     obj = {"verdict": verdict.kind}
     if verdict.kind == "pass":
@@ -418,39 +270,6 @@ def cartan_verdict_to_obj(verdict):
     elif verdict.kind != "inconclusive":
         raise InvalidInput(f"unknown cartan verdict kind {verdict.kind!r}")
     return wire(obj)
-
-
-def cartan_verdict_from_obj(obj):
-    from .restrict import CartanVerdict
-
-    kind = _require(obj, "verdict", "cartan verdict")
-    if kind == "pass":
-        return CartanVerdict("pass", scale=_decode_int(_require(obj, "scale", "verdict"), "scale"))
-    if kind == "fail_commutation":
-        position = _int_list(_require(obj, "position", "verdict"), "position")
-        return CartanVerdict(
-            "fail_commutation",
-            functor=_decode_int(_require(obj, "functor", "verdict"), "functor"),
-            position=tuple(position),
-            left=_decode_int(_require(obj, "left", "verdict"), "left"),
-            right=_decode_int(_require(obj, "right", "verdict"), "right"),
-        )
-    if kind == "reducible":
-        raw = _require(obj, "basis", "verdict")
-        if not isinstance(raw, list):
-            raise InvalidInput("basis must be a list of vectors")
-        return CartanVerdict(
-            "reducible",
-            functor=_decode_int(_require(obj, "functor", "verdict"), "functor"),
-            eigenvalue=_decode_int(_require(obj, "eigenvalue", "verdict"), "eigenvalue"),
-            basis=tuple(tuple(_int_list(vec, "basis entry")) for vec in raw),
-        )
-    if kind == "inconsistent_input":
-        position = _int_list(_require(obj, "position", "verdict"), "position")
-        return CartanVerdict("inconsistent_input", position=tuple(position))
-    if kind == "inconclusive":
-        return CartanVerdict("inconclusive")
-    raise InvalidInput(f"unknown cartan verdict kind {kind!r}")
 
 
 # -- errors ------------------------------------------------------------------

@@ -59,7 +59,7 @@ once is out of scope.
 import itertools
 import os
 
-from .errors import InvalidInput, SearchSpaceTooLarge
+from .errors import DimensionTooLarge, InvalidInput, SearchSpaceTooLarge
 from .zmatrix import (
     NatMatrix,
     RelationPoly,
@@ -221,6 +221,11 @@ def _search_partition(args):
     return found
 
 
+# The search recurses once per filled cell, so a fill of at most 900 cells
+# (n <= 30, or n <= 41 symmetric) stays well inside the default recursion limit.
+_MAX_N = {False: 30, True: 41}
+
+
 def _usable_cpus():
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -232,11 +237,19 @@ def solve(rel, config, jobs=1):
 
     jobs > 1 splits the search on the first entry's value across processes,
     at most one per usable CPU; the result is byte-for-byte identical for
-    every worker count.
+    every worker count.  n is capped at 30 (41 symmetric), before any worker
+    starts.
     """
     _require_int(jobs, "jobs", 1)
     if config.up_to_iso:
         _check_canon_cap(config.n, "up_to_iso dimension is capped by FUNCTORLAB_CANON_CAP")
+    most = _MAX_N[config.symmetric_only]
+    if config.n > most:
+        raise DimensionTooLarge(
+            f"solve recurses once per filled entry; n={config.n} exceeds cap {most}",
+            n=config.n,
+            cap=most,
+        )
     gr, hr = rel.reduced()
     cap = None if config.limit is None else config.limit + 1
     tasks = [

@@ -575,6 +575,9 @@ def direct_sum(a, b):
     return NatMatrix(tuple(tuple(r) for r in rows))
 
 
+_TENSOR_CAP = 1024  # the product is built as an n*b by n*b list of lists
+
+
 def external_tensor(m, b_simples):
     """Kronecker product of m with the identity on b_simples letters.
 
@@ -583,6 +586,12 @@ def external_tensor(m, b_simples):
     """
     _require_int(b_simples, "b_simples", 1)
     n = m.n * b_simples
+    if n > _TENSOR_CAP:
+        raise DimensionTooLarge(
+            f"tensor product dimension n*b is capped; n={n} exceeds cap {_TENSOR_CAP}",
+            n=n,
+            cap=_TENSOR_CAP,
+        )
     rows = [[0] * n for _ in range(n)]
     for i in range(m.n):
         for j in range(m.n):

@@ -409,6 +409,18 @@ def test_sqrt_classify_corrupt_shape_exits_3(rows, k, monkeypatch):
     assert _code_for(info.value) == 3
 
 
+@settings(max_examples=400, deadline=None)
+@given(reader_cases())
+def test_block_diagonal_is_the_relabeled_input(case):
+    # the BlockForm claim: relabeling the input by perm gives the block diagonal
+    m, k = case
+    try:
+        form = decompose(m, k)
+    except FunctorLabError:
+        return
+    assert conjugate(m, form.perm) == form.block_diagonal()
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 6).flatmap(lambda n: st.lists(
     st.lists(st.integers(0, 2), min_size=n, max_size=n), min_size=n, max_size=n

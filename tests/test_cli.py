@@ -297,6 +297,34 @@ def test_construct_tensor(write, capsys):
     ]
 
 
+def test_construct_tensor_refuses_huge_b(write, capsys):
+    swap = write("swap.json", SWAP)
+    rc, out, err = run(capsys, "construct", "tensor", "--matrix", swap, "--b", str(10**18))
+    assert (rc, out) == (2, "")
+    n = 2 * 10**18
+    assert json.loads(err) == {
+        "error": "dimension_too_large",
+        "message": f"tensor product dimension n*b is capped; n={n} exceeds cap 1024",
+        "details": {"n": str(n), "cap": 1024},
+        "bigints": True,
+    }
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("flags, cap", [((), 30), (("--symmetric",), 41)])
+def test_solve_refuses_fills_deeper_than_the_cap(write, capsys, jobs, flags, cap):
+    # X = 0: the search walks the all-zero path and cuts every other branch
+    rel = write("rel.json", {"g": [0, 1], "h": []})
+    argv = ["solve", "--relation", rel, "--bound", "1", "--jobs", jobs, *flags]
+    rc, out, _ = run(capsys, *argv, "--n", str(cap))
+    assert rc == 0 and json.loads(out)["count"] == 1
+    rc, out, err = run(capsys, *argv, "--n", str(cap + 1))
+    assert (rc, out) == (2, "")
+    doc = json.loads(err)
+    assert doc["error"] == "dimension_too_large"
+    assert doc["details"] == {"n": cap + 1, "cap": cap}
+
+
 def test_construct_scale_zero(write, capsys):
     m = write("m.json", SWAP2)
     rc, out, _ = run(capsys, "construct", "scale", "--matrix", m, "--k", "0")
@@ -598,16 +626,22 @@ def test_bigint_sqrt_classify(write, capsys):
     m = write("m.json", {"n": 2, "rows": [[0, BIG], [BIG, 0]]})
     rc, out, _ = run(capsys, "sqrt-classify", "--matrix", m, "--k", str(BIG * BIG))
     assert rc == 0
-    doc = _wire_doc(out)
-    assert jsonio.sqrt_from_obj(doc).root == BIG
+    assert _wire_doc(out) == {
+        "kind": "sqrt", "root": str(BIG), "involution": [2, 1], "bigints": True
+    }
 
 
 def test_bigint_nilpotent_power(write, capsys):
     m = write("m.json", {"n": 2, "rows": [[1, 0], [0, 1]]})
     rc, out, _ = run(capsys, "classify", "nilpotent", "--matrix", m, "--k", str(BIG))
     assert rc == 1
-    doc = _wire_doc(out)
-    assert jsonio.classification_from_obj(doc).power == BIG
+    assert _wire_doc(out) == {
+        "kind": "not_nilpotent",
+        "power": str(BIG),
+        "position": [1, 1],
+        "value": 1,
+        "bigints": True,
+    }
 
 
 def test_bigint_solve_limit(write, capsys):
@@ -616,16 +650,32 @@ def test_bigint_solve_limit(write, capsys):
         capsys, "solve", "--relation", rel, "--n", "1", "--bound", "1", "--limit", str(BIG)
     )
     assert rc == 0
-    doc = _wire_doc(out)
-    assert jsonio.solution_set_from_obj(doc).config.limit == BIG
+    assert _wire_doc(out) == {
+        "relation": {"g": [0, 0, 1], "h": [1]},
+        "config": {
+            "n": 1, "bound": 1, "symmetric_only": False, "up_to_iso": False, "limit": str(BIG)
+        },
+        "count": 1,
+        "complete": True,
+        "solutions": [{"n": 1, "rows": [[1]]}],
+        "bigints": True,
+    }
 
 
 def test_bigint_solve_relation_marker_on_top(write, capsys):
     rel = write("rel.json", {"g": [0, 0, 1], "h": [BIG]})
     rc, out, _ = run(capsys, "solve", "--relation", rel, "--n", "1", "--bound", "1")
     assert rc == 1
-    doc = _wire_doc(out)
-    assert jsonio.solution_set_from_obj(doc).relation.h == (BIG,)
+    assert _wire_doc(out) == {
+        "relation": {"g": [0, 0, 1], "h": [str(BIG)]},
+        "config": {
+            "n": 1, "bound": 1, "symmetric_only": False, "up_to_iso": False, "limit": None
+        },
+        "count": 0,
+        "complete": True,
+        "solutions": [],
+        "bigints": True,
+    }
 
 
 def test_bigint_oracle_error_details(write, capsys):
@@ -646,8 +696,14 @@ def test_bigint_descent_marker_on_top(write, capsys):
         capsys, "restrict", "descend", "--matrix", m, "--subset", s, "--relation", rel
     )
     assert rc == 0
-    report = jsonio.descent_from_obj(_wire_doc(out))
-    assert report.serre.entries == report.quotient.entries == ((BIG,),)
+    corner = {"n": 1, "rows": [[str(BIG)]]}
+    assert _wire_doc(out) == {
+        "kind": "descent",
+        "ambient_satisfied": True,
+        "serre": corner,
+        "quotient": corner,
+        "bigints": True,
+    }
 
 
 def test_bigint_construct_verify_report(write, capsys):

@@ -1,5 +1,8 @@
 import json
 import random
+import re
+import types
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +16,7 @@ from functorlab import (
     NilpotencyVerdict,
     Permutation,
     RelationPoly,
+    RootOfIdentity,
     SearchConfig,
     cartan_check,
     check_commuting_idempotents,
@@ -24,7 +28,7 @@ from functorlab import (
     relation_descends,
     solve,
 )
-from functorlab import jsonio
+from functorlab import cli, jsonio
 
 
 def roundtrip(to_obj, from_obj, value):
@@ -33,6 +37,11 @@ def roundtrip(to_obj, from_obj, value):
     back = from_obj(json.loads(text))
     assert back == value
     return obj
+
+
+def written(to_obj, value):
+    """The writer's document for value, as a JSON consumer parses it."""
+    return json.loads(jsonio.dumps(to_obj(value)))
 
 
 def test_dumps_shape():
@@ -78,30 +87,33 @@ def test_matrix_malformed():
 
 
 def test_relation_roundtrip():
+    # relations reach the wire inside the construct report
+    def report(rel):
+        return jsonio.verify_report_to_obj(NatMatrix(((0,),)), rel, [False], False)
+
     rel = RelationPoly((0, 0, 1), (4,))
-    obj = roundtrip(jsonio.relation_to_obj, jsonio.relation_from_obj, rel)
+    obj = written(report, rel)["verify"]["relation"]
     assert obj == {"g": [0, 0, 1], "h": [4]}
+    assert jsonio.relation_from_obj(obj) == rel
     big = (1 << 55) + 3
     rel = RelationPoly((0, big), (1,))
-    obj = jsonio.relation_to_obj(rel)
-    assert obj["bigints"] is True
-    assert jsonio.relation_from_obj(json.loads(jsonio.dumps(obj))) == rel
+    doc = written(report, rel)
+    assert doc["bigints"] is True
+    assert doc["verify"]["relation"] == {"g": [0, str(big)], "h": [1]}
+    assert jsonio.relation_from_obj(doc["verify"]["relation"]) == rel
     with pytest.raises(InvalidInput):
         jsonio.relation_from_obj({"g": [0, 1]})
 
 
 def test_permutation_and_subset_roundtrip():
+    # permutations reach the wire as 1-based image lists inside verdicts
     p = Permutation.from_one_based([2, 3, 1])
-    assert roundtrip(jsonio.permutation_to_obj, jsonio.permutation_from_obj, p) == [
-        2,
-        3,
-        1,
-    ]
+    doc = written(jsonio.root_to_obj, RootOfIdentity(p, 3, False))
+    assert doc["permutation"] == [2, 3, 1]
     s = IndexSubset(3, (2, 3))
-    assert roundtrip(jsonio.subset_to_obj, jsonio.subset_from_obj, s) == {
-        "n": 3,
-        "members": [2, 3],
-    }
+    doc = written(jsonio.subsets_to_obj, (s,))
+    assert doc == {"count": 1, "subsets": [{"n": 3, "members": [2, 3]}]}
+    assert jsonio.subset_from_obj(doc["subsets"][0]) == s
     with pytest.raises(InvalidInput):
         jsonio.subset_from_obj({"n": 3})
 
@@ -109,80 +121,103 @@ def test_permutation_and_subset_roundtrip():
 def test_block_form_roundtrip():
     m = NatMatrix(((0, 0, 1), (0, 2, 0), (4, 0, 0)))
     form = decompose(m, 4)
-    obj = roundtrip(jsonio.block_form_to_obj, jsonio.block_form_from_obj, form)
-    assert set(obj) == {"perm", "k", "blocks"}
-    assert all(b["type"] in ("b1", "b2") for b in obj["blocks"])
-    with pytest.raises(InvalidInput):
-        jsonio.block_form_from_obj(
-            {"perm": [1], "k": 1, "blocks": [{"type": "b9"}]}
-        )
+    # indices 1 and 3 pair into [[0, 1], [4, 0]]; index 2 is the block [2]
+    assert written(jsonio.block_form_to_obj, form) == {
+        "perm": [1, 3, 2],
+        "k": 4,
+        "blocks": [{"type": "b2", "a": 1, "b": 4}, {"type": "b1", "a": 2}],
+    }
 
 
 def test_sqrt_roundtrip():
     cls = classify_selfadjoint_sqrt(NatMatrix(((0, 2), (2, 0))), 4)
-    obj = roundtrip(jsonio.sqrt_to_obj, jsonio.sqrt_from_obj, cls)
+    obj = written(jsonio.sqrt_to_obj, cls)
     assert obj == {"kind": "sqrt", "root": 2, "involution": [2, 1]}
 
 
 def test_classification_roundtrips():
     idem = classify_idempotent(NatMatrix(((1, 0), (0, 0))))
-    obj = roundtrip(jsonio.idempotent_to_obj, jsonio.classification_from_obj, idem)
+    obj = written(jsonio.idempotent_to_obj, idem)
     assert obj == {"kind": "idempotent", "n": 2, "support": [1]}
 
     report = check_commuting_idempotents(
         NatMatrix(((1, 0), (0, 0))), NatMatrix(((1, 0), (0, 1)))
     )
-    roundtrip(jsonio.commuting_to_obj, jsonio.classification_from_obj, report)
+    assert written(jsonio.commuting_to_obj, report) == {
+        "kind": "commuting_idempotents",
+        "n": 2,
+        "both": [1],
+        "a_only": [],
+        "b_only": [2],
+        "neither": [],
+        "product": {"n": 2, "rows": [[1, 0], [0, 0]]},
+    }
 
     zero = NilpotencyVerdict("zero")
-    assert roundtrip(
-        jsonio.nilpotency_to_obj, jsonio.classification_from_obj, zero
-    ) == {"kind": "zero"}
+    assert written(jsonio.nilpotency_to_obj, zero) == {"kind": "zero"}
     witness = NilpotencyVerdict("not_nilpotent", power=2, position=(1, 1), value=3)
-    roundtrip(jsonio.nilpotency_to_obj, jsonio.classification_from_obj, witness)
+    assert written(jsonio.nilpotency_to_obj, witness) == {
+        "kind": "not_nilpotent",
+        "power": 2,
+        "position": [1, 1],
+        "value": 3,
+    }
 
     # an idempotent-kind cyclic verdict serializes as a plain idempotent
-    # document; round trip holds at the document level
+    # document, the same one classify idempotent writes
     cyc = classify_cyclic(NatMatrix(((1, 0), (0, 0))), 3, 2)
     doc = jsonio.cyclic_to_obj(cyc)
     assert doc == {"kind": "idempotent", "n": 2, "support": [1]}
-    reparsed = jsonio.classification_from_obj(json.loads(jsonio.dumps(doc)))
-    assert jsonio.idempotent_to_obj(reparsed) == doc
+    assert jsonio.idempotent_to_obj(idem) == doc
     cyc = classify_cyclic(NatMatrix(((0, 1), (1, 0))), 3, 1)
-    obj = roundtrip(jsonio.cyclic_to_obj, jsonio.classification_from_obj, cyc)
-    assert obj["kind"] == "partial_involution"
+    assert written(jsonio.cyclic_to_obj, cyc) == {
+        "kind": "partial_involution",
+        "n": 2,
+        "support": [1, 2],
+        "pairing": [2, 1],
+    }
 
     root = classify_root_of_identity(NatMatrix(((0, 1), (1, 0))), 2)
-    obj = roundtrip(jsonio.root_to_obj, jsonio.classification_from_obj, root)
-    assert obj["selfadjoint"] is True
-
-    with pytest.raises(InvalidInput):
-        jsonio.classification_from_obj({"kind": "mystery"})
-    with pytest.raises(InvalidInput):
-        jsonio.classification_from_obj({"no_kind": 1})
+    assert written(jsonio.root_to_obj, root) == {
+        "kind": "root_of_identity",
+        "permutation": [2, 1],
+        "order": 2,
+        "selfadjoint": True,
+    }
 
 
 def test_solution_set_roundtrip():
     rel = RelationPoly((0, 0, 1), (1,))
     config = SearchConfig(n=2, bound=1, symmetric_only=True)
     result = solve(rel, config)
-    obj = roundtrip(jsonio.solution_set_to_obj, jsonio.solution_set_from_obj, result)
-    assert obj["count"] == 2
-    assert obj["complete"] is True
-    assert obj["relation"] == {"g": [0, 0, 1], "h": [1]}
-    assert obj["config"]["symmetric_only"] is True
-    # config fields accept string-encoded integers
-    cfg = jsonio.config_from_obj({"n": "2", "bound": "1"})
-    assert cfg == SearchConfig(n=2, bound=1)
+    assert written(jsonio.solution_set_to_obj, result) == {
+        "relation": {"g": [0, 0, 1], "h": [1]},
+        "config": {
+            "n": 2,
+            "bound": 1,
+            "symmetric_only": True,
+            "up_to_iso": False,
+            "limit": None,
+        },
+        "count": 2,
+        "complete": True,
+        "solutions": [
+            {"n": 2, "rows": [[0, 1], [1, 0]]},
+            {"n": 2, "rows": [[1, 0], [0, 1]]},
+        ],
+    }
 
 
 def test_descent_roundtrip():
     rel = RelationPoly((0, 0, 1), (1,))
     swap = NatMatrix(((0, 1), (1, 0)))
     report = relation_descends(swap, IndexSubset(2, ()), rel)
-    obj = roundtrip(jsonio.descent_to_obj, jsonio.descent_from_obj, report)
-    assert obj["serre"] is None
-    assert obj["quotient"] == {"n": 2, "rows": [[0, 1], [1, 0]]}
+    assert written(jsonio.descent_to_obj, report) == {
+        "kind": "descent",
+        "ambient_satisfied": True,
+        "serre": None,
+        "quotient": {"n": 2, "rows": [[0, 1], [1, 0]]},
+    }
 
 
 def test_cartan_verdict_roundtrips():
@@ -203,10 +238,14 @@ def test_cartan_verdict_roundtrips():
         "inconsistent_input",
         "inconclusive",
     ]
-    for v in verdicts:
-        roundtrip(jsonio.cartan_verdict_to_obj, jsonio.cartan_verdict_from_obj, v)
-    with pytest.raises(InvalidInput):
-        jsonio.cartan_verdict_from_obj({"verdict": "sideways"})
+    assert [written(jsonio.cartan_verdict_to_obj, v) for v in verdicts] == [
+        {"verdict": "pass", "scale": 2},
+        {"verdict": "fail_commutation", "functor": 1, "position": [1, 2], "left": 1,
+         "right": 2},
+        {"verdict": "reducible", "functor": 1, "eigenvalue": -1, "basis": [[1, -1]]},
+        {"verdict": "inconsistent_input", "position": [1, 2]},
+        {"verdict": "inconclusive"},
+    ]
 
 
 def test_error_to_obj():
@@ -242,3 +281,27 @@ def test_matrix_roundtrip_random():
         assert jsonio.matrix_from_obj(
             json.loads(jsonio.dumps(jsonio.matrix_to_obj(m)))
         ) == m
+
+
+def test_every_codec_is_reached_from_the_cli():
+    # each CLI process compiles jsonio, so a codec only the tests call costs
+    # every call: a public function must be named in cli.py, be the reader of
+    # an input-file kind, or be named by a function that is
+    source = Path(cli.__file__).read_text(encoding="utf-8")
+    public = {
+        name
+        for name, f in vars(jsonio).items()
+        if isinstance(f, types.FunctionType)
+        and f.__module__ == jsonio.__name__
+        and not name.startswith("_")
+    }
+    reached = {name for name in public if re.search(rf"\bjsonio\.{name}\b", source)}
+    reached |= {f"{kind}_from_obj" for kind in cli._FILE_OPTIONS.values()}
+    todo = list(reached)
+    while todo:
+        for name in getattr(jsonio, todo.pop()).__code__.co_names:
+            if name in public and name not in reached:
+                reached.add(name)
+                todo.append(name)
+    assert "wire" in reached
+    assert sorted(public - reached) == []

@@ -126,6 +126,14 @@ def test_external_tensor_examples():
         external_tensor(SWAP, 0)
 
 
+def test_external_tensor_dimension_cap():
+    # the product is built in full, so its dimension n*b is capped at 1024
+    assert external_tensor(NatMatrix(((1,),)), 1024).n == 1024
+    with pytest.raises(DimensionTooLarge) as err:
+        external_tensor(SWAP, 513)
+    assert err.value.details == {"n": 1026, "cap": 1024}
+
+
 def test_external_tensor_preserves_relations():
     g, h = (0, 0, 0, 1), (0, 1)  # x^3 = x
     m = SWAP
