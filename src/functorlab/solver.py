@@ -48,9 +48,10 @@ cross-check: plain enumeration in the same entry order, full evaluation of
 the unreduced relation, no pruning, sharing only the polynomial-evaluation
 primitive with `solve`.
 
-Results are deterministic: solutions sort by row-major entry order and the
-parallel path partitions on the first entry's value, so worker count never
-changes the output.
+Results are deterministic: solutions sort by row-major entry order, and the
+parallel path gives each worker task one first-entry value and joins the
+buffers in value order, the order one search visits them, so worker count
+never changes the output.
 
 Searches are per-dimension; deciding solvability across all dimensions at
 once is out of scope.
@@ -161,11 +162,13 @@ def _packed_kernel(gr, hr, n, bound):
 
 
 def _search_partition(args):
-    (gr, hr, n, bound, symmetric, up_to_iso, cap, first_value) = args
+    (gr, hr, n, bound, symmetric, up_to_iso, cap, share) = args
     # the entries each fill step sets: (i, j), and (j, i) when symmetric
     positions = _fill_positions(n, symmetric)
     cells = [((i, j), (j, i)) if symmetric and i != j else ((i, j),) for i, j in positions]
     total = len(cells)
+    # the first entry takes only this task's share of values
+    choices = [share] + [range(bound + 1)] * (total - 1)
     # up_to_iso: step k + 1 follows the last entry of row i, so rows 0..i are set
     row_end = ({k + 1: i + 1 for k, (i, j) in enumerate(positions) if j == n - 1}
                if up_to_iso else {})
@@ -208,22 +211,27 @@ def _search_partition(args):
             if _orbit_min_rows(upper)[:known] < upper[:known]:
                 return
         cell, unit = cells[idx], units[idx]
-        for w in range(bound + 1):
+        for w in choices[idx]:
             put(cell, w, 1)
             rec(idx + 1, w, lo + w * unit, hi - (bound - w) * unit, low, high)
             put(cell, w, -1)
             if cap is not None and len(found) >= cap:
                 break
 
-    put(cells[0], first_value, 1)
-    rec(1, None, first_value * units[0],
-        bound * _spread(n * n, s) - (bound - first_value) * units[0], None, None)
+    rec(0, None, 0, bound * _spread(n * n, s), None, None)
     return found
 
 
-# The search recurses once per filled cell, so a fill of at most 900 cells
-# (n <= 30, or n <= 41 symmetric) stays well inside the default recursion limit.
+# The search recurses once per filled cell after one root call, so a fill of
+# at most 900 cells (n <= 30, or n <= 41 symmetric) is at most 901 frames deep,
+# inside the default recursion limit.
 _MAX_N = {False: 30, True: 41}
+
+
+def _check_depth(config, why):
+    most = _MAX_N[config.symmetric_only]
+    if config.n > most:
+        raise DimensionTooLarge(f"{why}; n={config.n} exceeds cap {most}", n=config.n, cap=most)
 
 
 def _usable_cpus():
@@ -235,37 +243,29 @@ def _usable_cpus():
 def solve(rel, config, jobs=1):
     """All solutions of rel in the space described by config.
 
-    jobs > 1 splits the search on the first entry's value across processes,
-    at most one per usable CPU; the result is byte-for-byte identical for
-    every worker count.  n is capped at 30 (41 symmetric), before any worker
-    starts.
+    jobs = 1 runs one search over every value of the first entry; jobs > 1
+    runs one search per first-entry value across processes, at most one per
+    usable CPU.  The result is byte-for-byte identical for every worker
+    count.  n is capped at 30 (41 symmetric), before any worker starts.
     """
     _require_int(jobs, "jobs", 1)
     if config.up_to_iso:
         _check_canon_cap(config.n, "up_to_iso dimension is capped by FUNCTORLAB_CANON_CAP")
-    most = _MAX_N[config.symmetric_only]
-    if config.n > most:
-        raise DimensionTooLarge(
-            f"solve recurses once per filled entry; n={config.n} exceeds cap {most}",
-            n=config.n,
-            cap=most,
-        )
+    _check_depth(config, "solve recurses once per filled entry")
     gr, hr = rel.reduced()
     cap = None if config.limit is None else config.limit + 1
-    tasks = [
-        (gr, hr, config.n, config.bound, config.symmetric_only,
-         config.up_to_iso, cap, v)
-        for v in range(config.bound + 1)
-    ]
-    workers = min(jobs, len(tasks), _usable_cpus())
+    task = (gr, hr, config.n, config.bound, config.symmetric_only, config.up_to_iso, cap)
+    values = range(config.bound + 1)
+    workers = min(jobs, len(values), _usable_cpus())
     if workers == 1:
-        buffers = [_search_partition(t) for t in tasks]
+        buffers = [_search_partition(task + (values,))]
     else:
         # imported here so that a single-worker call never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
+        # one task per first value; the buffers come back in value order
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            buffers = list(pool.map(_search_partition, tasks))
+            buffers = list(pool.map(_search_partition, [task + ((v,),) for v in values]))
     stream = [rows for buf in buffers for rows in buf]
     complete = True
     if config.limit is not None and len(stream) > config.limit:
@@ -293,10 +293,12 @@ def brute_force_oracle(rel, config):
 
     Every candidate is built and the unreduced relation evaluated on it, so
     the only code shared with solve is the polynomial-evaluation primitive.
-    Refuses spaces beyond 10^8 candidates.
+    Refuses spaces beyond 10^8 candidates, and n beyond solve's cap: it
+    only cross-checks solve, so it needs no larger dimension.
     """
     if config.up_to_iso:
         _check_canon_cap(config.n, "up_to_iso filters through n! relabelings")
+    _check_depth(config, "oracle cross-checks solve and shares its dimension cap")
     n = config.n
     positions = _fill_positions(n, config.symmetric_only)
     space = (config.bound + 1) ** len(positions)

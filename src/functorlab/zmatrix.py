@@ -141,26 +141,17 @@ def _poly_rows(coeffs, rows):
 def _first_mismatch(a, b):
     """First differing entry of two row sequences: ((i, j) 1-based, a's, b's)."""
     for i, (ra, rb) in enumerate(zip(a, b)):
-        for j, (x, y) in enumerate(zip(ra, rb)):
-            if x != y:
-                return (i + 1, j + 1), x, y
-    return None
-
-
-def _symmetry_witness(rows):
-    """First (i, j) with i < j and rows[i][j] != rows[j][i], or None; shaped
-    like _first_mismatch: ((i, j) 1-based, rows[i][j], rows[j][i])."""
-    n = len(rows)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
-                return (i + 1, j + 1), rows[i][j], rows[j][i]
+        if ra != rb:
+            for j, (x, y) in enumerate(zip(ra, rb)):
+                if x != y:
+                    return (i + 1, j + 1), x, y
     return None
 
 
 def _check_symmetric(m):
-    """Raise NotSymmetric at the first asymmetric pair of m."""
-    bad = _symmetry_witness(m.entries)
+    """Raise NotSymmetric at the first asymmetric pair of m: against the
+    transpose the first mismatch has i < j, as every earlier row matched."""
+    bad = _first_mismatch(m.entries, tuple(zip(*m.entries)))
     if bad is not None:
         (i, j), x, y = bad
         raise NotSymmetric(
@@ -402,7 +393,7 @@ class NatMatrix(_Record, order=True):
         return NatMatrix._trusted(tuple(zip(*self.entries)))
 
     def is_symmetric(self):
-        return _symmetry_witness(self.entries) is None
+        return _first_mismatch(self.entries, tuple(zip(*self.entries))) is None
 
     def is_zero(self):
         return all(x == 0 for row in self.entries for x in row)
@@ -442,13 +433,6 @@ class Permutation(_Record, order=True):
     @classmethod
     def identity(cls, n):
         return cls(tuple(range(n)))
-
-    @classmethod
-    def from_one_based(cls, seq):
-        seq = list(seq)
-        if not all(_is_int(x) for x in seq):
-            raise InvalidInput(f"permutation images must be integers: {seq}")
-        return cls(tuple(x - 1 for x in seq))
 
     @property
     def n(self):
@@ -529,10 +513,6 @@ class RelationPoly(_Record):
             raise InvalidInput("relation is trivial: both sides are the same polynomial")
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "h", h)
-
-    @property
-    def max_degree(self):
-        return max(len(self.g), len(self.h)) - 1
 
     def reduced(self):
         """Both sides with the common part cancelled (sound over the integers:

@@ -297,6 +297,23 @@ def test_construct_tensor(write, capsys):
     ]
 
 
+@pytest.mark.parametrize("flags, cap", [((), 30), (("--symmetric",), 41)])
+def test_oracle_refuses_dimensions_past_the_solve_cap(write, capsys, flags, cap):
+    # bound 0 is a one-candidate space, so only the dimension cap can refuse
+    rel = write("rel.json", {"g": [0, 0, 1], "h": [0, 1]})
+    argv = ["oracle", "--relation", rel, "--bound", "0", *flags]
+    rc, out, _ = run(capsys, *argv, "--n", str(cap))
+    assert rc == 0 and json.loads(out)["count"] == 1
+    rc, out, err = run(capsys, *argv, "--n", str(cap + 1))
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "dimension_too_large",
+        "message": "oracle cross-checks solve and shares its dimension cap; "
+                   f"n={cap + 1} exceeds cap {cap}",
+        "details": {"n": cap + 1, "cap": cap},
+    }
+
+
 def test_construct_tensor_refuses_huge_b(write, capsys):
     swap = write("swap.json", SWAP)
     rc, out, err = run(capsys, "construct", "tensor", "--matrix", swap, "--b", str(10**18))

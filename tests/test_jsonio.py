@@ -107,7 +107,7 @@ def test_relation_roundtrip():
 
 def test_permutation_and_subset_roundtrip():
     # permutations reach the wire as 1-based image lists inside verdicts
-    p = Permutation.from_one_based([2, 3, 1])
+    p = Permutation(tuple(x - 1 for x in [2, 3, 1]))
     doc = written(jsonio.root_to_obj, RootOfIdentity(p, 3, False))
     assert doc["permutation"] == [2, 3, 1]
     s = IndexSubset(3, (2, 3))

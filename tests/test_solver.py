@@ -149,19 +149,25 @@ def test_up_to_iso_cap():
 
 
 def test_jobs_do_not_change_output():
-    for rel in (X_SQ_EQ_1, X_CUBE_EQ_X, RelationPoly((0, 0, 1), (4,))):
-        for config in (
-            SearchConfig(n=2, bound=4, symmetric_only=True),
-            SearchConfig(n=3, bound=2),
-            SearchConfig(n=2, bound=4, symmetric_only=True, limit=1),
-        ):
-            assert solve(rel, config, jobs=1) == solve(rel, config, jobs=4)
-    # the up-to-iso cut, in the symmetric fill and in the row-major fill
-    for rel, config in (
-        (X_CUBE_EQ_X, SearchConfig(n=6, bound=1, symmetric_only=True, up_to_iso=True)),
-        (X_SQ_EQ_X, SearchConfig(n=4, bound=1, up_to_iso=True)),
-    ):
-        assert solve(rel, config, jobs=1) == solve(rel, config, jobs=2)
+    # every limit up to one past the count, so each truncation point is met
+    cases = [
+        (rel, fields)
+        for fields in (dict(n=2, bound=4, symmetric_only=True), dict(n=3, bound=2))
+        for rel in (X_SQ_EQ_1, X_CUBE_EQ_X, RelationPoly((0, 0, 1), (4,)))
+    ] + [
+        # the up-to-iso cut, in the symmetric fill and in the row-major fill
+        (X_CUBE_EQ_X, dict(n=6, bound=1, symmetric_only=True, up_to_iso=True)),
+        (X_SQ_EQ_X, dict(n=4, bound=1, up_to_iso=True)),
+    ]
+    for rel, fields in cases:
+        full = solve(rel, SearchConfig(**fields))
+        assert solve(rel, SearchConfig(**fields), jobs=4) == full
+        for k in range(1, full.count + 2):
+            config = SearchConfig(**fields, limit=k)
+            res = solve(rel, config, jobs=1)
+            assert solve(rel, config, jobs=2) == res
+            assert res.solutions == full.solutions[:k]
+            assert res.complete == (k >= full.count)
 
 
 def test_search_space_guard():
@@ -226,7 +232,8 @@ def test_result_echoes_inputs():
     assert res.count == 2
 
 
-def test_worker_pool_capped(monkeypatch):
+def _serial_pool(monkeypatch):
+    # the pooled path run in-process on 3 usable CPUs; returns the pool sizes
     seen = []
 
     class SerialPool:
@@ -247,6 +254,11 @@ def test_worker_pool_capped(monkeypatch):
     monkeypatch.setattr(
         solver.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False
     )
+    return seen
+
+
+def test_worker_pool_capped(monkeypatch):
+    seen = _serial_pool(monkeypatch)
     config = SearchConfig(n=2, bound=4, symmetric_only=True)  # 5 tasks
     want = solve(X_SQ_EQ_1, config)
     assert solve(X_SQ_EQ_1, config, jobs=64) == want  # capped by the 3 CPUs
@@ -254,6 +266,25 @@ def test_worker_pool_capped(monkeypatch):
     small = SearchConfig(n=2, bound=1, symmetric_only=True)  # 2 tasks
     assert solve(X_SQ_EQ_1, small, jobs=64) == solve(X_SQ_EQ_1, small)
     assert seen == [3, 2, 2]
+
+
+@pytest.mark.parametrize("bound", range(4))
+def test_search_is_built_once_per_task(monkeypatch, bound):
+    # one task at jobs=1; with workers, one task per first-entry value
+    calls = []
+    kernel = solver._packed_kernel
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(solver, "_packed_kernel", counted)
+    config = SearchConfig(n=2, bound=bound)
+    want = solve(X_SQ_EQ_X, config)
+    assert len(calls) == 1
+    _serial_pool(monkeypatch)
+    assert solve(X_SQ_EQ_X, config, jobs=2) == want
+    assert len(calls) == 1 + bound + 1
 
 
 @settings(max_examples=300, deadline=None)

@@ -89,7 +89,9 @@ nilpotency = st.builds(
     position=positions,
     value=naturals,
 ) | st.just(NilpotencyVerdict("zero"))
-involutions = st.sampled_from([(1,), (2, 1), (1, 3, 2)]).map(Permutation.from_one_based)
+involutions = st.sampled_from([(1,), (2, 1), (1, 3, 2)]).map(
+    lambda seq: Permutation(tuple(x - 1 for x in seq))
+)
 sqrts = st.builds(SqrtClassification, naturals, involutions)
 block_forms = st.builds(
     BlockForm,

@@ -10,6 +10,7 @@ from functorlab import (
     DimensionTooLarge,
     InvalidInput,
     NatMatrix,
+    NotSymmetric,
     Permutation,
     RelationPoly,
     canonical_rep,
@@ -19,7 +20,7 @@ from functorlab import (
     poly_eval,
     scalar_mul,
 )
-from functorlab.zmatrix import CANON_CAP_ENV
+from functorlab.zmatrix import CANON_CAP_ENV, _check_symmetric
 
 SWAP = NatMatrix(((0, 1), (1, 0)))
 
@@ -146,7 +147,7 @@ def test_conjugate_examples():
     m = NatMatrix(((1, 2), (3, 4)))
     assert conjugate(m, Permutation.identity(2)) == m
     src = NatMatrix(((0, 0, 1), (0, 2, 0), (4, 0, 0)))
-    sigma = Permutation.from_one_based((1, 3, 2))  # the transposition (2 3)
+    sigma = Permutation(tuple(x - 1 for x in (1, 3, 2)))  # the transposition (2 3)
     got = conjugate(src, sigma)
     # oracle: rebuild by the entry map out[s(i)][s(j)] = in[i][j]
     expected = [[0] * 3 for _ in range(3)]
@@ -376,13 +377,13 @@ def test_canonical_rep_automorphism_rich_n8():
 
 
 def test_permutation_basics():
-    s = Permutation.from_one_based((2, 3, 1))
+    s = Permutation(tuple(x - 1 for x in (2, 3, 1)))
     assert s.one_based() == (2, 3, 1)
     assert s.order() == 3
     assert s.inverse().compose(s).is_identity()
     assert s.compose(s.inverse()).is_identity()
     assert not s.is_involution()
-    t = Permutation.from_one_based((2, 1, 3))
+    t = Permutation(tuple(x - 1 for x in (2, 1, 3)))
     assert t.is_involution()
     assert t.order() == 2
     assert t.matrix().entries == ((0, 1, 0), (1, 0, 0), (0, 0, 1))
@@ -395,7 +396,7 @@ def test_relation_poly_normalization():
     rel = RelationPoly((0, 0, 1, 0), (4, 0))
     assert rel.g == (0, 0, 1)
     assert rel.h == (4,)
-    assert rel.max_degree == 2
+    assert len(rel.g) - 1 == 2
     with pytest.raises(InvalidInput):
         RelationPoly((0, 1), (0, 1, 0))  # same polynomial, padded
     with pytest.raises(InvalidInput):
@@ -471,6 +472,47 @@ def test_poly_eval_matches_naive_product(rows, coeffs):
                 want[i][j] += c * p[i][j]
     got = poly_eval(coeffs, NatMatrix.from_rows(rows))
     assert [list(r) for r in got.entries] == want
+
+
+def naive_symmetry_witness(rows):
+    # the first (i, j) with i < j in row-major order where the matrix and its
+    # transpose differ: ((i, j) 1-based, rows[i][j], rows[j][i])
+    n = len(rows)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rows[i][j] != rows[j][i]:
+                return (i + 1, j + 1), rows[i][j], rows[j][i]
+    return None
+
+
+@st.composite
+def nearly_symmetric(draw):
+    # a symmetric matrix with a few entries redrawn, so both verdicts are common
+    n = draw(st.integers(1, 6))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(st.integers(0, 3))
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[i][j] = draw(st.integers(0, 3))
+    return tuple(map(tuple, rows))
+
+
+@settings(max_examples=400, deadline=None)
+@given(nearly_symmetric())
+def test_symmetry_check_matches_upper_triangle_scan(rows):
+    want = naive_symmetry_witness(rows)
+    m = NatMatrix(rows)
+    assert m.is_symmetric() == (want is None)
+    if want is None:
+        _check_symmetric(m)
+        return
+    (i, j), x, y = want
+    with pytest.raises(NotSymmetric) as info:
+        _check_symmetric(m)
+    assert info.value.details == {"position": (i, j)}
+    assert str(info.value) == f"entry ({i}, {j}) is {x} but ({j}, {i}) is {y}"
 
 
 def test_integer_argument_messages():
