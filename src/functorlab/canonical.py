@@ -24,7 +24,7 @@ from .zmatrix import (
     NatMatrix,
     Permutation,
     _Record,
-    _check_canon_cap,
+    _check_cap,
     _check_symmetric,
     _first_mismatch,
     _monomial_rows,
@@ -32,6 +32,7 @@ from .zmatrix import (
     _require_int,
     _row_images,
     _scalar_rows,
+    canonical_cap,
     scalar_mul,
 )
 
@@ -190,9 +191,8 @@ def enumerate_involutions(n):
     overridable via the FUNCTORLAB_CANON_CAP environment variable).
     """
     _require_int(n, "n", 1)
-    _check_canon_cap(
-        n, "involution enumeration dimension is capped by FUNCTORLAB_CANON_CAP"
-    )
+    _check_cap(n, canonical_cap(),
+               "involution enumeration dimension is capped by FUNCTORLAB_CANON_CAP")
     out = []
     images = [None] * n
 

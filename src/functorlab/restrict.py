@@ -29,7 +29,6 @@ from math import gcd, isqrt
 
 from .errors import (
     DimensionMismatch,
-    DimensionTooLarge,
     EmptyComplement,
     EmptySubset,
     InternalFault,
@@ -41,6 +40,7 @@ from .errors import (
 from .zmatrix import (
     NatMatrix,
     _Record,
+    _check_cap,
     _first_mismatch,
     _is_int,
     _mul_rows,
@@ -138,13 +138,7 @@ def invariant_subsets(m):
     has fewer than twice as many nodes as there are subsets.
     """
     n = m.n
-    if n > _SUBSET_ENUM_CAP:
-        raise DimensionTooLarge(
-            f"invariant subsets can number 2^n; n={n} exceeds cap "
-            f"{_SUBSET_ENUM_CAP}",
-            n=n,
-            cap=_SUBSET_ENUM_CAP,
-        )
+    _check_cap(n, _SUBSET_ENUM_CAP, "invariant subsets can number 2^n")
     reach, anc = _reach_masks(m)
     full = (1 << n) - 1
     found = []

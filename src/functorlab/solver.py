@@ -60,15 +60,16 @@ once is out of scope.
 import itertools
 import os
 
-from .errors import DimensionTooLarge, InvalidInput, SearchSpaceTooLarge
+from .errors import InvalidInput, SearchSpaceTooLarge
 from .zmatrix import (
     NatMatrix,
     RelationPoly,
     _Record,
-    _check_canon_cap,
+    _check_cap,
     _orbit_min_rows,
     _poly_rows,
     _require_int,
+    canonical_cap,
 )
 
 
@@ -228,12 +229,6 @@ def _search_partition(args):
 _MAX_N = {False: 30, True: 41}
 
 
-def _check_depth(config, why):
-    most = _MAX_N[config.symmetric_only]
-    if config.n > most:
-        raise DimensionTooLarge(f"{why}; n={config.n} exceeds cap {most}", n=config.n, cap=most)
-
-
 def _usable_cpus():
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -250,8 +245,9 @@ def solve(rel, config, jobs=1):
     """
     _require_int(jobs, "jobs", 1)
     if config.up_to_iso:
-        _check_canon_cap(config.n, "up_to_iso dimension is capped by FUNCTORLAB_CANON_CAP")
-    _check_depth(config, "solve recurses once per filled entry")
+        _check_cap(config.n, canonical_cap(),
+                   "up_to_iso dimension is capped by FUNCTORLAB_CANON_CAP")
+    _check_cap(config.n, _MAX_N[config.symmetric_only], "solve recurses once per filled entry")
     gr, hr = rel.reduced()
     cap = None if config.limit is None else config.limit + 1
     task = (gr, hr, config.n, config.bound, config.symmetric_only, config.up_to_iso, cap)
@@ -297,8 +293,9 @@ def brute_force_oracle(rel, config):
     only cross-checks solve, so it needs no larger dimension.
     """
     if config.up_to_iso:
-        _check_canon_cap(config.n, "up_to_iso filters through n! relabelings")
-    _check_depth(config, "oracle cross-checks solve and shares its dimension cap")
+        _check_cap(config.n, canonical_cap(), "up_to_iso filters through n! relabelings")
+    _check_cap(config.n, _MAX_N[config.symmetric_only],
+               "oracle cross-checks solve and shares its dimension cap")
     n = config.n
     positions = _fill_positions(n, config.symmetric_only)
     space = (config.bound + 1) ** len(positions)
@@ -335,31 +332,24 @@ def brute_force_oracle(rel, config):
 def derive_entry_bound(rel, symmetric_only=False):
     """A provably sufficient entry bound for rel, or None.
 
-    Two shapes are recognized.  X^d = c*I with c >= 1: any solution is a
-    monomial matrix whose cycle weight products equal c, so entries are at
-    most c.  X^2 = X with symmetric_only: symmetric idempotents are diagonal
-    0/1, so the bound is 1 (false without symmetry, e.g. [[1, t], [0, 0]]).
+    Read on rel.reduced(), the relation solve searches, so a polynomial added
+    to both sides changes nothing.  One form is recognized: a side that is
+    exactly X^d with d >= 1.  Against c*I (c >= 1) any solution is a monomial
+    matrix whose cycle weight products equal c, so entries are at most c.
+    Against X^m with symmetric_only, every eigenvalue is real with
+    lambda^d = lambda^m, so it is 0 or +-1 and every entry is at most 1
+    (false without symmetry, e.g. [[1, t], [0, 0]] for X^2 = X).
     """
 
-    def monomial_degree(side):
-        if len(side) >= 2 and side[-1] == 1 and not any(side[:-1]):
-            return len(side) - 1
-        return None
+    def is_power(side):
+        # exactly X^d with d >= 1
+        return len(side) >= 2 and side[-1] == 1 and not any(side[:-1])
 
-    def constant(side):
-        if len(side) == 0:
-            return 0
-        if len(side) == 1:
-            return side[0]
-        return None
-
-    for lhs, rhs in ((rel.g, rel.h), (rel.h, rel.g)):
-        d = monomial_degree(lhs)
-        c = constant(rhs)
-        if d is not None and c is not None and c >= 1:
-            return c
-    if symmetric_only:
-        sides = {rel.g, rel.h}
-        if sides == {(0, 0, 1), (0, 1)}:
-            return 1
+    gr, hr = rel.reduced()
+    for one, other in ((gr, hr), (hr, gr)):
+        if is_power(one):
+            if len(other) == 1:
+                return other[0]
+            if symmetric_only and is_power(other):
+                return 1
     return None

@@ -39,9 +39,9 @@ def canonical_cap():
     return cap
 
 
-def _check_canon_cap(n, what):
-    """Refuse the relabeling operation `what` describes above the canonical cap."""
-    cap = canonical_cap()
+def _check_cap(n, cap, what):
+    """Refuse a request of size n above cap; `what` says what n counts and why
+    it is capped.  The one place that raises DimensionTooLarge."""
     if n > cap:
         raise DimensionTooLarge(f"{what}; n={n} exceeds cap {cap}", n=n, cap=cap)
 
@@ -566,12 +566,7 @@ def external_tensor(m, b_simples):
     """
     _require_int(b_simples, "b_simples", 1)
     n = m.n * b_simples
-    if n > _TENSOR_CAP:
-        raise DimensionTooLarge(
-            f"tensor product dimension n*b is capped; n={n} exceeds cap {_TENSOR_CAP}",
-            n=n,
-            cap=_TENSOR_CAP,
-        )
+    _check_cap(n, _TENSOR_CAP, "tensor product dimension n*b is capped")
     rows = [[0] * n for _ in range(n)]
     for i in range(m.n):
         for j in range(m.n):
@@ -599,5 +594,6 @@ def canonical_rep(m):
     permutations.  n is still capped (default 8, overridable via the
     FUNCTORLAB_CANON_CAP environment variable).
     """
-    _check_canon_cap(m.n, "canonical form dimension is capped by FUNCTORLAB_CANON_CAP")
+    _check_cap(m.n, canonical_cap(),
+               "canonical form dimension is capped by FUNCTORLAB_CANON_CAP")
     return NatMatrix(_orbit_min_rows(m.entries))

@@ -38,6 +38,7 @@ INPUTS = {
     "x3_x2.json": {"g": [0, 0, 0, 1], "h": [0, 0, 1]},
     "x4_4i.json": {"g": [0, 0, 0, 0, 1], "h": [4]},
     "x2_x_2i.json": {"g": [0, 1, 1], "h": [2]},
+    "x2_x_padded.json": {"g": [0, 1, 1], "h": [0, 2]},
     "c2_c3.json": {"g": [2], "h": [3]},
     "swap.json": {"n": 2, "rows": [[0, 1], [1, 0]]},
     "swap2.json": {"n": 2, "rows": [[0, 2], [2, 0]]},
@@ -183,6 +184,8 @@ QUERIES = [
     ["sqrt-classify", "--matrix", "zero2.json", "--k", "0"],
     ["classify", "cyclic", "--matrix", "pinv5.json", "--k", "5", "--m", "3"],
     ["solve", "--relation", "x4_4i.json", "--n", "2", "--bound", "3"],
+    ["solve", "--relation", "x2_x_padded.json", "--n", "2", "--symmetric"],
+    ["solve", "--relation", "x3_x.json", "--n", "3", "--symmetric", "--up-to-iso"],
 ]
 
 SUBCOMMANDS = [

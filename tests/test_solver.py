@@ -197,6 +197,15 @@ def test_derive_entry_bound():
     # 2x^2 = 4 has a non-unit leading coefficient: no pattern either
     assert derive_entry_bound(RelationPoly((0, 0, 2), (4,))) is None
     assert derive_entry_bound(RelationPoly((0, 0, 1), (0,))) is None
+    # read on the reduced relation: X^2 + X = 2X is X^2 = X, X^3 + I = 2I is X^3 = I
+    assert derive_entry_bound(RelationPoly((0, 1, 1), (0, 2)), symmetric_only=True) == 1
+    assert derive_entry_bound(RelationPoly((0, 1, 1), (0, 2))) is None
+    assert derive_entry_bound(RelationPoly((1, 0, 0, 1), (2,))) == 1
+    # X^k = X^m bounds only symmetric solutions
+    assert derive_entry_bound(X_CUBE_EQ_X, symmetric_only=True) == 1
+    assert derive_entry_bound(X_CUBE_EQ_X) is None
+    # X^2 = X + I is not of the form X^d = c*I or X^k = X^m
+    assert derive_entry_bound(RelationPoly((0, 0, 1), (1, 1)), symmetric_only=True) is None
 
 
 def test_derived_bound_sound_for_symmetric_idempotents():
@@ -212,6 +221,50 @@ def test_derived_bound_sound_for_monomial_relations():
     tight = brute_force_oracle(rel, SearchConfig(n=2, bound=4, symmetric_only=True))
     wide = brute_force_oracle(rel, SearchConfig(n=2, bound=6, symmetric_only=True))
     assert tight.solutions == wide.solutions
+
+
+def _padded(side, pad):
+    return tuple(a + b for a, b in itertools.zip_longest(side, pad, fillvalue=0))
+
+
+_power = st.integers(1, 4).map(lambda d: (0,) * d + (1,))
+_sides = st.one_of(_power, st.integers(1, 4).map(lambda c: (c,)),
+                   st.lists(st.integers(0, 3), max_size=5).map(tuple))
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=_sides, h=_sides, pad=st.lists(st.integers(0, 3), max_size=5),
+       symmetric=st.booleans())
+@example(g=(0, 0, 1), h=(0, 1), pad=[0, 1], symmetric=True)
+@example(g=(0, 0, 0, 1), h=(1,), pad=[1], symmetric=False)
+def test_derived_bound_ignores_a_common_summand(g, h, pad, symmetric):
+    # g + p = h + p is the same relation as g = h, so it has the same bound
+    try:
+        rel = RelationPoly(g, h)
+    except InvalidInput:  # both sides the same polynomial
+        assume(False)
+    padded = RelationPoly(_padded(g, pad), _padded(h, pad))
+    assert derive_entry_bound(padded, symmetric) == derive_entry_bound(rel, symmetric)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 3), other=st.one_of(st.integers(1, 2).map(lambda c: (c,)), _power),
+       pad=st.lists(st.integers(0, 2), max_size=3), n=st.integers(1, 3),
+       flip=st.booleans())
+@example(d=3, other=(0, 1), pad=[], n=3, flip=False)
+@example(d=2, other=(0, 1), pad=[0, 1], n=3, flip=True)
+def test_derived_bound_loses_no_symmetric_solution(d, other, pad, n, flip):
+    # a recognized form, possibly padded: the oracle two past the bound finds
+    # nothing that solve at the bound misses
+    one = (0,) * d + (1,)
+    assume(one != other)
+    g, h = _padded(one, pad), _padded(other, pad)
+    rel = RelationPoly(h, g) if flip else RelationPoly(g, h)
+    bound = derive_entry_bound(rel, symmetric_only=True)
+    assert bound is not None
+    got = solve(rel, SearchConfig(n=n, bound=bound, symmetric_only=True))
+    want = brute_force_oracle(rel, SearchConfig(n=n, bound=bound + 2, symmetric_only=True))
+    assert got.solutions == want.solutions
 
 
 def test_general_vs_symmetric_search():

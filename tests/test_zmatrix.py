@@ -1,10 +1,13 @@
+import ast
 import itertools
+import pathlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import functorlab
 from functorlab import (
     DimensionMismatch,
     DimensionTooLarge,
@@ -299,6 +302,25 @@ def test_over_cap_messages_name_what_is_capped(monkeypatch):
     with pytest.raises(DimensionTooLarge) as err:
         brute_force_oracle(rel, config)
     assert str(err.value) == "up_to_iso filters through n! relabelings; n=9 exceeds cap 8"
+
+
+def test_dimension_too_large_is_raised_only_by_check_cap():
+    # every size cap in the package refuses through zmatrix._check_cap
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == "DimensionTooLarge"):
+                sites.append(scope)
+            visit(child, inner)
+
+    for path in sorted(pathlib.Path(functorlab.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert sites == ["zmatrix._check_cap"]
 
 
 def naive_orbit_min(rows):
