@@ -57,9 +57,11 @@ class BlockForm(_Record):
     blocks: tuple
     k: int
 
-    def _rows(self, order):
-        # rows of the block diagonal with each position p renamed order[p]
-        n = self.perm.n
+    def _original_rows(self):
+        # rows of the original matrix: block position p of the block diagonal
+        # is original index order[p], the relabeling undone
+        order = self.perm.inverse().images
+        n = len(order)
         images = [0] * n
         values = [0] * n
         pos = 0
@@ -76,13 +78,6 @@ class BlockForm(_Record):
         if pos != n:
             raise InternalFault("block sizes do not add up to the dimension")
         return _monomial_rows(images, values)
-
-    def _original_rows(self):
-        # rows of the original matrix: the relabeling of the block diagonal undone
-        return self._rows(self.perm.inverse().images)
-
-    def block_diagonal(self):
-        return NatMatrix(self._rows(range(self.perm.n)))
 
     def recompose(self):
         """The original matrix: undo the relabeling of the block diagonal."""

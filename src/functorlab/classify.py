@@ -222,8 +222,7 @@ def classify_root_of_identity(m, n_exp):
     order test and the symmetry test are run and cross-checked.
     """
     _require_int(n_exp, "exponent", 1)
-    # one permutation check; its images are then read directly (m.permutation()
-    # would run the check again)
+    # one permutation check, then i goes to the row holding column i's 1
     sigma = (Permutation(_row_images(tuple(zip(*m.entries))))
              if m.is_permutation_matrix() else None)
     # a permutation matrix of order o has M^e = M^(e mod o), so any e is cheap

@@ -6,9 +6,10 @@ All indices are 1-based on the wire.  Every writer applies one rule,
 strings (JSON numbers lose exactness past that in common consumers), and
 a document holding one ends with a single top-level "bigints": true marker.
 Each writer is `wire` over a plain document; composite writers nest the
-plain builders (`_matrix`, `_relation`, `_config`, `_subset`), so `wire`
-walks a writer's document once, and `dumps` serializes a writer's document
-without walking it again.
+plain builders (`_matrix`, `_relation`, `_config`, `_subset`), never a
+wired document, so no marker is ever nested, `wire` walks a writer's
+document once, and `dumps` serializes a writer's document without walking
+it again.
 The three readers accept both encodings.  Serialization is deterministic:
 fixed key order, two-space indent, trailing newline.
 Loading this module loads no solver, canonical, classify or restrict code:
@@ -25,17 +26,15 @@ _SAFE_INT = (1 << 53) - 1
 
 
 def wire(doc):
-    """`doc` with every int (not bool) beyond +-(2^53 - 1) as its decimal string,
-    every "bigints" key dropped, and one "bigints": true appended at the top
-    level if the document holds such a string, including one a nested writer
-    already encoded (its nested marker says so).  Tuples become lists."""
+    """`doc`, a plain document, with every int (not bool) beyond +-(2^53 - 1)
+    as its decimal string, and one "bigints": true appended at the top level
+    if it holds such a string.  Tuples become lists."""
     found = False
 
     def encode(v):
         nonlocal found
         if isinstance(v, dict):
-            found = found or bool(v.get("bigints"))
-            return {key: encode(x) for key, x in v.items() if key != "bigints"}
+            return {key: encode(x) for key, x in v.items()}
         if isinstance(v, (list, tuple)):  # small ints skip the call
             return [x if type(x) is int and -_SAFE_INT <= x <= _SAFE_INT else encode(x) for x in v]
         if _is_int(v) and abs(v) > _SAFE_INT:

@@ -17,12 +17,15 @@ commuting with a candidate Cartan matrix forces that matrix to be scalar:
 commutation is checked exactly, then irreducibility of the family via the
 dimension of the algebra it spans (a span of n^2 is decisive), with a
 reducibility witness search through integer eigenvectors as the fallback.
-The checker is sound but deliberately incomplete: `inconclusive` is a
-possible verdict, never a wrong one.  All arithmetic is exact integer,
-fraction-free: elimination cross-multiplies integer rows (as in Bareiss,
-Math. Comp. 22, 1968) and keeps each echelon row as the primitive integer
-multiple of the row rational elimination would keep, so every rank, kernel
-and verdict is the one over Q.
+That search finds every integer eigenvalue of every generator (exact root
+isolation, `_integer_roots`), but a family whose invariant subspaces meet
+no integer eigenspace still escapes it: the checker is sound but
+incomplete, and `inconclusive` is a possible verdict, never a wrong one.
+All arithmetic is exact integer, fraction-free: elimination
+cross-multiplies integer rows (as in Bareiss, Math. Comp. 22, 1968) and
+keeps each echelon row as the primitive integer multiple of the row
+rational elimination would keep, so every rank, kernel and verdict is the
+one over Q.
 """
 
 from math import gcd, isqrt
@@ -50,8 +53,6 @@ from .zmatrix import (
 )
 
 _SUBSET_ENUM_CAP = 20
-# trial divisors the Cartan checker's integer-eigenvalue search tries at most
-_ROOT_DIVISOR_SCAN = 10 ** 6
 
 
 class IndexSubset(_Record):
@@ -322,37 +323,52 @@ def _char_poly(rows):
     return coeffs
 
 
-def _divisors(x):
-    """Divisors d and |x|/d of |x| for the trial divisors d up to
-    min(sqrt|x|, _ROOT_DIVISOR_SCAN), ascending: every divisor when
-    |x| <= _ROOT_DIVISOR_SCAN ** 2, the outer ones only above that."""
-    x = abs(x)
-    small, large = [], []
-    for d in range(1, min(isqrt(x), _ROOT_DIVISOR_SCAN) + 1):
-        if x % d == 0:
-            small.append(d)
-            if d != x // d:
-                large.append(x // d)
-    return small + large[::-1]
+def _horner(coeffs, num, den_bits=0):
+    """2^(den_bits * degree) times the polynomial (descending coefficients) at
+    num / 2^den_bits: an integer of the value's sign."""
+    acc = 0
+    for i, c in enumerate(coeffs):
+        acc = acc * num + (c << i * den_bits)
+    return acc
 
 
 def _integer_roots(coeffs):
-    """Integer roots among the candidates `_divisors` offers; a root beyond
-    the trial-divisor scan goes untried, which can only cost a witness."""
-    cs = list(coeffs)
-    roots = set()
-    while len(cs) > 1 and cs[-1] == 0:
-        cs.pop()
-        roots.add(0)
-    if len(cs) > 1:
-        for d in _divisors(cs[-1]):
-            for cand in (d, -d):
-                acc = 0
-                for c in cs:
-                    acc = acc * cand + c
-                if acc == 0:
-                    roots.add(cand)
-    return sorted(roots)
+    """Every integer root, ascending, of a monic integer polynomial
+    (descending coefficients) whose roots are all real, as a characteristic
+    polynomial of a symmetric matrix is.
+
+    With only real roots, Budan-Fourier counts exactly: the roots in (a, b]
+    number V(a) - V(b), V(x) the sign changes along p(x), p'(x), p''(x), ...
+    with zeros dropped.  A root of a monic integer polynomial is an integer
+    or irrational, and lies within sqrt(c1^2 - 2 c2) of 0 (the sum of the
+    squared roots), so bisecting [t, u] on the counts at t - 1/2 and u + 1/2
+    isolates every integer root, which Horner's rule then confirms.
+    """
+    derivs = [list(coeffs)]
+    while len(derivs[-1]) > 1:
+        q = derivs[-1]
+        derivs.append([c * (len(q) - 1 - i) for i, c in enumerate(q[:-1])])
+
+    def changes(num):  # V(num / 2)
+        signs = [v > 0 for v in (_horner(d, num, 1) for d in derivs) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    c1, c2 = (derivs[0] + [0, 0])[1:3]
+    r = isqrt(c1 * c1 - 2 * c2)
+    roots = []
+    stack = [(-r, r, changes(-2 * r - 1), changes(2 * r + 1))]
+    while stack:
+        t, u, vt, vu = stack.pop()
+        if vt == vu:
+            continue
+        if t == u:
+            if _horner(derivs[0], t) == 0:
+                roots.append(t)
+            continue
+        mid = (t + u) // 2
+        vm = changes(2 * mid + 1)
+        stack += [(mid + 1, u, vm, vu), (t, mid, vt, vm)]  # left half first
+    return roots
 
 
 def _kernel_basis(rows):
@@ -465,7 +481,8 @@ def cartan_check(instance):
             return CartanVerdict("inconsistent_input", position=bad[0])
         return CartanVerdict("pass", scale=scale)
     # fallback: hunt for a proper subspace invariant under the whole family,
-    # grown from an integer eigenspace of one generator
+    # grown from each integer eigenspace of each generator in turn (every
+    # integer eigenvalue is found)
     for idx, f in enumerate(instance.functors):
         for ev in _integer_roots(_char_poly(f.entries)):
             shifted = [

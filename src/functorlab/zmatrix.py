@@ -14,7 +14,7 @@ reported positions); internal storage is 0-based.
 import os
 from functools import lru_cache
 from math import lcm
-from operator import eq, ge, gt, le, lt, mul
+from operator import mul
 
 from .errors import DimensionMismatch, DimensionTooLarge, InvalidInput, NotSymmetric
 
@@ -257,25 +257,18 @@ def _orbit_min_rows(rows):
 
 # -- public types ------------------------------------------------------------
 
-def _by_fields(op):
-    # the comparison op of two records of one class, by their field tuples
-    return lambda a, b: op(a._values(), b._values()) if type(b) is type(a) else NotImplemented
-
-
 class _Record:
     """Frozen record, as a frozen dataclass makes it: the fields are the class
     annotations in order, with class attributes as defaults, and repr,
-    equality, hash and (given order=True) ordering follow the field tuple.
+    equality and hash follow the field tuple; records are not ordered.
     The instance dict holds the fields, in order, and nothing else."""
 
     _fields = ()
 
-    def __init_subclass__(cls, order=False):
+    def __init_subclass__(cls):
         # a class's own annotations (3.10 on), also where they are evaluated lazily
         cls._fields += tuple(cls.__annotations__)
         cls._defaults = {f: getattr(cls, f) for f in cls._fields if hasattr(cls, f)}
-        if order:
-            cls.__lt__, cls.__le__, cls.__gt__, cls.__ge__ = map(_by_fields, (lt, le, gt, ge))
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
@@ -309,7 +302,9 @@ class _Record:
         inner = ", ".join(f"{f}={v!r}" for f, v in self.__dict__.items())
         return f"{type(self).__qualname__}({inner})"
 
-    __eq__ = _by_fields(eq)
+    def __eq__(self, other):
+        # records of one class only, by their field tuples
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
 
     def __hash__(self):
         return hash(self._values())
@@ -320,7 +315,7 @@ class _Record:
     __delattr__ = __setattr__
 
 
-class NatMatrix(_Record, order=True):
+class NatMatrix(_Record):
     """Square matrix with nonnegative integer entries."""
 
     entries: tuple
@@ -341,10 +336,6 @@ class NatMatrix(_Record, order=True):
     @classmethod
     def from_rows(cls, rows):
         return cls(tuple(tuple(row) for row in rows))
-
-    @classmethod
-    def zero(cls, n):
-        return cls(tuple(tuple(0 for _ in range(n)) for _ in range(n)))
 
     @classmethod
     def identity(cls, n):
@@ -398,9 +389,6 @@ class NatMatrix(_Record, order=True):
     def is_zero(self):
         return all(x == 0 for row in self.entries for x in row)
 
-    def is_identity(self):
-        return self.entries == _scalar_rows(self.n, 1)
-
     def is_permutation_matrix(self):
         e = self.entries
         n = self.n
@@ -409,14 +397,8 @@ class NatMatrix(_Record, order=True):
                 return False
         return all(sum(e[i][j] for i in range(n)) == 1 for j in range(n))
 
-    def permutation(self):
-        """The permutation sending i to the row carrying the 1 of column i."""
-        if not self.is_permutation_matrix():
-            raise InvalidInput("matrix is not a permutation matrix")
-        return Permutation(_row_images(tuple(zip(*self.entries))))
 
-
-class Permutation(_Record, order=True):
+class Permutation(_Record):
     """Permutation of {0, ..., n-1}, stored as the tuple of images."""
 
     images: tuple
@@ -430,10 +412,6 @@ class Permutation(_Record, order=True):
             raise InvalidInput(f"not a permutation of 0..{n - 1}: {images}")
         object.__setattr__(self, "images", images)
 
-    @classmethod
-    def identity(cls, n):
-        return cls(tuple(range(n)))
-
     @property
     def n(self):
         return len(self.images)
@@ -441,23 +419,11 @@ class Permutation(_Record, order=True):
     def one_based(self):
         return tuple(x + 1 for x in self.images)
 
-    def __call__(self, i):
-        return self.images[i]
-
-    def compose(self, other):
-        """self after other: (self.compose(other))(i) = self(other(i))."""
-        if self.n != other.n:
-            raise DimensionMismatch("cannot compose permutations of different sizes")
-        return Permutation(tuple(self.images[other.images[i]] for i in range(self.n)))
-
     def inverse(self):
         inv = [0] * self.n
         for i, img in enumerate(self.images):
             inv[img] = i
         return Permutation(tuple(inv))
-
-    def is_identity(self):
-        return all(img == i for i, img in enumerate(self.images))
 
     def is_involution(self):
         return all(self.images[img] == i for i, img in enumerate(self.images))

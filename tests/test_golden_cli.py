@@ -95,6 +95,7 @@ INPUTS = {
                                   [0, 0, 0, 0, 0, 0, 2]]},
     "pinv5.json": {"n": 5, "rows": [[0, 0, 0, 1, 0], [0, 0, 0, 0, 0], [0, 0, 1, 0, 0],
                                     [1, 0, 0, 0, 0], [0, 0, 0, 0, 0]]},
+    "primes2.json": {"n": 2, "rows": [[1000003, 0], [0, 1000033]]},
     "bad.json": "{not json",
     "negative.json": {"n": 1, "rows": [[-1]]},
 }
@@ -186,6 +187,7 @@ QUERIES = [
     ["solve", "--relation", "x4_4i.json", "--n", "2", "--bound", "3"],
     ["solve", "--relation", "x2_x_padded.json", "--n", "2", "--symmetric"],
     ["solve", "--relation", "x3_x.json", "--n", "3", "--symmetric", "--up-to-iso"],
+    ["cartan", "--cartan", "ident2.json", "--functor", "primes2.json"],
 ]
 
 SUBCOMMANDS = [

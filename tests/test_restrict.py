@@ -466,11 +466,40 @@ def test_cartan_moderate_entries_still_reducible():
     assert (verdict.functor, verdict.eigenvalue, verdict.basis) == (1, 1000, ((1, 0),))
 
 
-def test_divisors_complete_below_the_scan():
-    rng = random.Random(11)
-    for x in [1, 2, 36, 97, 10 ** 6] + [rng.randint(1, 10 ** 5) for _ in range(50)]:
-        assert restrict._divisors(x) == [d for d in range(1, x + 1) if x % d == 0]
-        assert restrict._divisors(-x) == restrict._divisors(x)
+def test_cartan_finds_eigenvalues_with_large_prime_factors():
+    # 1000003 * 1000033 has no divisor at or below 10^6 but 1, so a search
+    # through small divisors of the constant term misses both eigenvalues
+    functor = NatMatrix(((1000003, 0), (0, 1000033)))
+    verdict = cartan_check(CartanInstance(NatMatrix.identity(2), (functor,)))
+    assert (verdict.kind, verdict.functor, verdict.eigenvalue, verdict.basis) == (
+        "reducible", 1, 1000003, ((1, 0),)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.lists(
+    st.lists(st.sampled_from([0, 1, 2, 3, 5, 9]), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_integer_roots_match_a_scan_of_the_spectral_range(rows):
+    n = len(rows)
+    sym = tuple(tuple(rows[min(i, j)][max(i, j)] for j in range(n)) for i in range(n))
+    assert restrict._integer_roots(restrict._char_poly(sym)) == scan_integer_eigenvalues(sym)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-40, 40), min_size=1, max_size=7),
+       st.lists(st.sampled_from([2, 3, 5, 7, 8, 12]), max_size=2))
+def test_integer_roots_of_real_rooted_products(roots, surds):
+    # (x - a) for each a, times x^2 - k for each non-square k: all roots real,
+    # the surds irrational
+    coeffs = [1]
+    for factor in [[1, -a] for a in roots] + [[1, 0, -k] for k in surds]:
+        out = [0] * (len(coeffs) + len(factor) - 1)
+        for i, c in enumerate(coeffs):
+            for j, f in enumerate(factor):
+                out[i + j] += c * f
+        coeffs = out
+    assert restrict._integer_roots(coeffs) == sorted(set(roots))
 
 
 def _normalize_int_vector(vec):
@@ -599,6 +628,15 @@ def oracle_char_poly(rows):
     return [c.numerator for c in coeffs]
 
 
+def scan_integer_eigenvalues(rows):
+    """Integer eigenvalues of a nonnegative symmetric matrix, ascending: every
+    eigenvalue lies in [-r, r], r the largest row sum, so scan that range."""
+    coeffs = oracle_char_poly(rows)
+    d = len(coeffs) - 1
+    r = max(sum(row) for row in rows)
+    return [x for x in range(-r, r + 1) if sum(c * x ** (d - i) for i, c in enumerate(coeffs)) == 0]
+
+
 def oracle_rational_kernel(rows):
     n = len(rows)
     span = _OracleRationalSpan(n)
@@ -648,7 +686,7 @@ def oracle_cartan_check(instance):
             return CartanVerdict("inconsistent_input", position=bad[0])
         return CartanVerdict("pass", scale=scale)
     for idx, f in enumerate(instance.functors):
-        for ev in restrict._integer_roots(oracle_char_poly(f.entries)):
+        for ev in scan_integer_eigenvalues(f.entries):
             shifted = [
                 [x - (ev if i == j else 0) for j, x in enumerate(row)]
                 for i, row in enumerate(f.entries)

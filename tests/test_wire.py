@@ -328,16 +328,3 @@ def test_wire_error(err):
     doc = check_wire(err, jsonio.error_to_obj)
     assert doc["error"] == err.code and doc["message"] == err.message
     assert {k: decode(v) for k, v in doc.get("details", {}).items()} == err.details
-
-
-def test_wire_hoists_nested_markers():
-    big = SAFE + 2
-    inner = jsonio.matrix_to_obj(NatMatrix(((big,),)))
-    assert inner == {"n": 1, "rows": [[str(big)]], "bigints": True}
-    doc = jsonio.wire({"a": inner, "b": [inner], "c": 1})
-    plain_inner = {"n": 1, "rows": [[str(big)]]}
-    assert doc == {"a": plain_inner, "b": [plain_inner], "c": 1, "bigints": True}
-    assert jsonio.wire(doc) == doc
-    # no big integer: the document is unchanged and carries no marker
-    plain = {"n": 1, "rows": [[SAFE]], "flag": True}
-    assert jsonio.wire(plain) == plain

@@ -78,7 +78,7 @@ def test_transpose_examples():
 def test_scalar_mul_examples():
     assert scalar_mul(2, SWAP).entries == ((0, 2), (2, 0))
     m = NatMatrix(((1, 2), (3, 4)))
-    assert scalar_mul(0, m) == NatMatrix.zero(2)
+    assert scalar_mul(0, m) == NatMatrix(((0, 0), (0, 0)))
     assert scalar_mul(1, m) == m
     with pytest.raises(InvalidInput):
         scalar_mul(-1, m)
@@ -148,7 +148,7 @@ def test_external_tensor_preserves_relations():
 
 def test_conjugate_examples():
     m = NatMatrix(((1, 2), (3, 4)))
-    assert conjugate(m, Permutation.identity(2)) == m
+    assert conjugate(m, Permutation((0, 1))) == m
     src = NatMatrix(((0, 0, 1), (0, 2, 0), (4, 0, 0)))
     sigma = Permutation(tuple(x - 1 for x in (1, 3, 2)))  # the transposition (2 3)
     got = conjugate(src, sigma)
@@ -156,11 +156,11 @@ def test_conjugate_examples():
     expected = [[0] * 3 for _ in range(3)]
     for i in range(3):
         for j in range(3):
-            expected[sigma(i)][sigma(j)] = src.entries[i][j]
+            expected[sigma.images[i]][sigma.images[j]] = src.entries[i][j]
     assert got == NatMatrix.from_rows(expected)
     assert got.entries == ((0, 1, 0), (4, 0, 0), (0, 0, 2))
     with pytest.raises(DimensionMismatch):
-        conjugate(m, Permutation.identity(3))
+        conjugate(m, Permutation((0, 1, 2)))
 
 
 def test_conjugate_equals_permutation_matrix_sandwich():
@@ -245,7 +245,7 @@ def test_canonical_rep_examples():
     m = NatMatrix(((2, 0), (0, 1)))
     # oracle: brute force over both 2-element permutations
     both = [conjugate(m, Permutation(p)) for p in ((0, 1), (1, 0))]
-    assert canonical_rep(m) == min(both)
+    assert canonical_rep(m) == min(both, key=lambda m: m.entries)
     assert canonical_rep(m).entries == ((1, 0), (0, 2))
     eye = NatMatrix.identity(4)
     assert canonical_rep(eye) == eye
@@ -380,7 +380,7 @@ def _graph(n, edges):
 
 
 def test_canonical_rep_automorphism_rich_n8():
-    eye, zero = NatMatrix.identity(8).entries, NatMatrix.zero(8).entries
+    eye, zero = NatMatrix.identity(8).entries, ((0,) * 8,) * 8
     cases = [
         _graph(8, [(0, 1), (2, 3), (4, 5), (6, 7)]),  # four disjoint 2-cycles
         _graph(8, [(i, (i + 1) % 8) for i in range(8)]),  # the 8-cycle
@@ -402,8 +402,8 @@ def test_permutation_basics():
     s = Permutation(tuple(x - 1 for x in (2, 3, 1)))
     assert s.one_based() == (2, 3, 1)
     assert s.order() == 3
-    assert s.inverse().compose(s).is_identity()
-    assert s.compose(s.inverse()).is_identity()
+    assert [s.inverse().images[i] for i in s.images] == [0, 1, 2]
+    assert [s.images[i] for i in s.inverse().images] == [0, 1, 2]
     assert not s.is_involution()
     t = Permutation(tuple(x - 1 for x in (2, 1, 3)))
     assert t.is_involution()
@@ -411,7 +411,8 @@ def test_permutation_basics():
     assert t.matrix().entries == ((0, 1, 0), (1, 0, 0), (0, 0, 1))
     with pytest.raises(InvalidInput):
         Permutation((0, 0))
-    assert s.matrix().permutation() == s
+    # column i of the matrix holds its 1 in row images[i]
+    assert tuple(col.index(1) for col in zip(*s.matrix().entries)) == s.images
 
 
 def test_relation_poly_normalization():
