@@ -50,6 +50,28 @@ class Block2(_Record):
     b: int
 
 
+def _block_rows(order, blocks):
+    """Rows of the matrix whose blocks, relabeled, are `blocks`: block
+    position p of the block diagonal is original index order[p]."""
+    n = len(order)
+    images = [0] * n
+    values = [0] * n
+    pos = 0
+    for block in blocks:
+        if isinstance(block, Block1):
+            i = order[pos]
+            images[i], values[i] = i, block.a
+            pos += 1
+        else:
+            i, j = order[pos], order[pos + 1]
+            images[i], values[i] = j, block.a
+            images[j], values[j] = i, block.b
+            pos += 2
+    if pos != n:
+        raise InternalFault("block sizes do not add up to the dimension")
+    return _monomial_rows(images, values)
+
+
 class BlockForm(_Record):
     """A relabeling perm and block list with conj(m, perm) block diagonal."""
 
@@ -57,31 +79,9 @@ class BlockForm(_Record):
     blocks: tuple
     k: int
 
-    def _original_rows(self):
-        # rows of the original matrix: block position p of the block diagonal
-        # is original index order[p], the relabeling undone
-        order = self.perm.inverse().images
-        n = len(order)
-        images = [0] * n
-        values = [0] * n
-        pos = 0
-        for block in self.blocks:
-            if isinstance(block, Block1):
-                i = order[pos]
-                images[i], values[i] = i, block.a
-                pos += 1
-            else:
-                i, j = order[pos], order[pos + 1]
-                images[i], values[i] = j, block.a
-                images[j], values[j] = i, block.b
-                pos += 2
-        if pos != n:
-            raise InternalFault("block sizes do not add up to the dimension")
-        return _monomial_rows(images, values)
-
     def recompose(self):
         """The original matrix: undo the relabeling of the block diagonal."""
-        return NatMatrix(self._original_rows())
+        return NatMatrix(_block_rows(self.perm.inverse().images, self.blocks))
 
 
 class SqrtClassification(_Record):
@@ -142,10 +142,12 @@ def decompose(m, k):
         elif i < j:
             blocks.append(Block2(e[i][j], e[j][i]))
             order += (i, j)
-    form = BlockForm(Permutation(tuple(order)).inverse(), tuple(blocks), k)
-    if form._original_rows() != e:  # recompose(), without re-checking m's entries
+    if _block_rows(order, blocks) != e:  # recompose(), without re-checking m's entries
         raise InternalFault("block form does not recompose to the input")
-    return form
+    perm = [0] * m.n  # the relabeling: original index order[p] goes to p
+    for p, i in enumerate(order):
+        perm[i] = p
+    return BlockForm(Permutation(tuple(perm)), tuple(blocks), k)
 
 
 def classify_selfadjoint_sqrt(m, k):

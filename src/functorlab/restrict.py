@@ -21,7 +21,10 @@ That search finds every integer eigenvalue of every generator (exact root
 isolation, `_integer_roots`), but a family whose invariant subspaces meet
 no integer eigenspace still escapes it: the checker is sound but
 incomplete, and `inconclusive` is a possible verdict, never a wrong one.
-All arithmetic is exact integer, fraction-free: elimination
+The span is computed mod 2 first, on row bitmasks: n^2 words independent
+mod 2 have an odd, so nonzero, determinant, so a full span mod 2 is a full
+span over Q, and only a span that falls short mod 2 is computed again
+exactly.  All other arithmetic is exact integer, fraction-free: elimination
 cross-multiplies integer rows (as in Bareiss, Math. Comp. 22, 1968) and
 keeps each echelon row as the primitive integer multiple of the row
 rational elimination would keep, so every rank, kernel and verdict is the
@@ -300,6 +303,86 @@ def _flatten(rows):
     return [x for row in rows for x in row]
 
 
+def _gf2_rows(rows):
+    """An integer matrix mod 2 as row bitmasks: bit j of row i is entry
+    (i, j) mod 2."""
+    return tuple(sum((x & 1) << j for j, x in enumerate(row)) for row in rows)
+
+
+def _gf2_mul(a, b):
+    """Product of two bitmask matrices mod 2: row i is the XOR of the rows of
+    b picked by the bits of row i of a."""
+    out = []
+    for row in a:
+        acc = 0
+        while row:
+            low = row & -row
+            acc ^= b[low.bit_length() - 1]
+            row ^= low
+        out.append(acc)
+    return tuple(out)
+
+
+def _gf2_span(n):
+    """Insert function of a growing span of n x n bitmask matrices over GF(2):
+    each matrix is flattened to one n^2-bit int and reduced against an
+    echelon keyed by top bit; True when the span grew."""
+    echelon = {}  # top bit -> vector
+
+    def add(rows):
+        vec = 0
+        for row in rows:
+            vec = vec << n | row
+        while vec:
+            top = vec.bit_length() - 1
+            pivot = echelon.get(top)
+            if pivot is None:
+                echelon[top] = vec
+                return True
+            vec ^= pivot
+        return False
+
+    return add
+
+
+def _word_span_dim(one, gens, mul, add, full):
+    """Dimension, up to full, of the span of every word in gens (the empty
+    word is one) under the product mul and the span insert add.
+
+    Breadth first: each word that grows the span is extended on the right by
+    every generator.  A word in the span extends to words in the span, so
+    the closure found is the span of the whole algebra the words generate.
+    """
+    dim = 0
+    queue = []
+    for rows in [one] + gens:
+        if add(rows):
+            dim += 1
+            queue.append(rows)
+    while queue and dim < full:
+        current = queue.pop(0)
+        for g in gens:
+            prod = mul(current, g)
+            if add(prod):
+                dim += 1
+                queue.append(prod)
+    return dim
+
+
+def _words_span_all(gens, n):
+    """Whether the words in the integer matrices gens span all n x n rational
+    matrices: mod 2 first, exactly only when mod 2 falls short (the
+    soundness argument is in cartan_check)."""
+    full = n * n
+    one = _scalar_rows(n, 1)
+    bits = [_gf2_rows(g) for g in gens]
+    if _word_span_dim(_gf2_rows(one), bits, _gf2_mul, _gf2_span(n), full) == full:
+        return True
+    span = _IntegerSpan()
+    exact = _word_span_dim(one, gens, _mul_rows, lambda rows: span.add(_flatten(rows)), full)
+    return exact == full
+
+
 def _char_poly(rows):
     """Monic characteristic polynomial, descending integer coefficients.
 
@@ -449,6 +532,27 @@ class CartanVerdict(_Record):
 
 
 def cartan_check(instance):
+    """Whether the commuting symmetric family forces a scalar Cartan matrix.
+
+    The tests run in this order, and the first to decide gives the verdict:
+
+    1. Commutation, functor by functor: the first F with F C != C F gives
+       fail_commutation at the first differing entry.
+    2. The span of the words in the family, the empty word included.  When
+       it is all n^2 matrices, no proper subspace is invariant and the
+       commutant is the scalars: pass with C's scale if C is scalar,
+       inconsistent_input at its first off-scalar entry if not.  The span is
+       computed mod 2 first, on row bitmasks.  Every word is an integer
+       matrix, and n^2 words independent mod 2 have an odd, so nonzero,
+       n^2 x n^2 determinant: they are independent over Q, and the exact
+       span is full too.  The converse fails (a generator with only even
+       entries vanishes mod 2), so when mod 2 falls short the exact integer
+       span decides.  The verdict is the same either way.
+    3. The reducibility search: for each functor and each integer eigenvalue,
+       the closure of its eigenspace under the family; a proper closure
+       gives reducible with that basis.
+    4. Otherwise inconclusive.
+    """
     c = instance.cartan
     n = c.n
     for idx, f in enumerate(instance.functors):
@@ -459,22 +563,8 @@ def cartan_check(instance):
             return CartanVerdict(
                 "fail_commutation", functor=idx + 1, position=pos, left=left, right=right
             )
-    # span of the algebra generated by the family (words in the generators,
-    # with the empty word): a span of n^2 means no proper invariant subspace
-    # can exist, over any field
-    span = _IntegerSpan()
     gens = [f.entries for f in instance.functors]
-    queue = []
-    for rows in [_scalar_rows(n, 1)] + gens:
-        if span.add(_flatten(rows)):
-            queue.append(rows)
-    while queue and span.dim < n * n:
-        current = queue.pop(0)
-        for g in gens:
-            prod = _mul_rows(current, g)
-            if span.add(_flatten(prod)):
-                queue.append(prod)
-    if span.dim == n * n:
+    if _words_span_all(gens, n):
         scale = c.entries[0][0]
         bad = _first_mismatch(c.entries, _scalar_rows(n, scale))
         if bad is not None:

@@ -119,6 +119,25 @@ def test_decompose_round_trip_randomized():
                 assert block.a >= 1 and block.b >= 1
 
 
+def test_decompose_builds_one_permutation(monkeypatch):
+    # the recompose check reads the block order itself, so the stored
+    # relabeling is the one permutation a decompose builds
+    rng = random.Random(89)
+    cases = [random_square_root(rng) for _ in range(200)]
+    built = []
+    check = Permutation.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(Permutation, "__post_init__", counted)
+    for m, k in cases:
+        built.clear()
+        form = decompose(m, k)
+        assert built == [form.perm]
+
+
 def test_symmetric_blocks_are_balanced():
     # from a symmetric input every 2x2 block comes out with a = b
     rng = random.Random(97)

@@ -1,9 +1,13 @@
-"""Every method the package defines has a caller outside the tests.
+"""Every function, class and method the package defines has a caller
+outside the tests.
 
-Each CLI process compiles the modules it imports from source, so a method
-only the tests call costs every call.  A method defined on a class under
+Each CLI process compiles the modules it imports from source, so code only
+the tests call costs every call.  A method defined on a class under
 src/functorlab (dunders excepted) must be read as an attribute somewhere in
-src/ or bench/, or be listed in ALLOWED with the reason it stays.
+src/ or bench/, or be listed in ALLOWED with the reason it stays.  A
+top-level function or class (module dunders excepted) must be read there as
+a name, an attribute, an import or a key of the package's `_EXPORTS` table,
+or be listed in ALLOWED_TOP_LEVEL with its reason.
 """
 
 import ast
@@ -20,6 +24,13 @@ ALLOWED = {
     ("zmatrix", "NatMatrix", "power"): "composition with itself d times; the classifier "
                                        "tests' oracle for M^k",
     ("cli", "_Parser", "error"): "argparse calls it on a usage error",
+}
+
+
+# (module, name): why it stays without a reader in src/ or bench/
+ALLOWED_TOP_LEVEL = {
+    ("jsonio", kind + "_from_obj"): "cli._load reaches it through getattr by input kind"
+    for kind in ("matrix", "relation", "subset")
 }
 
 
@@ -50,3 +61,40 @@ def test_every_method_is_read_outside_the_tests():
     methods = _methods()
     assert set(ALLOWED) <= set(methods)
     assert [m for m in methods if m[2] not in read and m not in ALLOWED] == []
+
+
+def _top_level():
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not (
+                node.name.startswith("__") and node.name.endswith("__")
+            ):
+                out.append((path.stem, node.name))
+    return out
+
+
+def _export_keys(tree):
+    return {
+        key.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "_EXPORTS" for t in node.targets)
+        for key in node.value.keys
+    }
+
+
+def test_every_top_level_name_is_read_outside_the_tests():
+    read = set()
+    for tree in _trees(PACKAGE) + _trees(BENCH):
+        read |= _export_keys(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    names = _top_level()
+    assert set(ALLOWED_TOP_LEVEL) <= set(names)
+    assert [t for t in names if t[1] not in read and t not in ALLOWED_TOP_LEVEL] == []

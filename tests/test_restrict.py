@@ -655,6 +655,23 @@ def oracle_rational_kernel(rows):
     return basis
 
 
+def oracle_word_span_dim(gens, n):
+    """Rational dimension of the span of the words in gens, the empty word
+    included, capped at n^2."""
+    span = _OracleRationalSpan(n * n)
+    queue = []
+    for rows in [_scalar_rows(n, 1)] + gens:
+        if span.add(restrict._flatten(rows)):
+            queue.append(rows)
+    while queue and span.dim < n * n:
+        current = queue.pop(0)
+        for g in gens:
+            prod = _mul_rows(current, g)
+            if span.add(restrict._flatten(prod)):
+                queue.append(prod)
+    return span.dim
+
+
 def oracle_cartan_check(instance):
     c = instance.cartan
     n = c.n
@@ -667,19 +684,8 @@ def oracle_cartan_check(instance):
             return CartanVerdict(
                 "fail_commutation", functor=idx + 1, position=pos, left=left, right=right
             )
-    span = _OracleRationalSpan(n * n)
     gens = [f.entries for f in instance.functors]
-    queue = []
-    for rows in [_scalar_rows(n, 1)] + gens:
-        if span.add(restrict._flatten(rows)):
-            queue.append(rows)
-    while queue and span.dim < n * n:
-        current = queue.pop(0)
-        for g in gens:
-            prod = _mul_rows(current, g)
-            if span.add(restrict._flatten(prod)):
-                queue.append(prod)
-    if span.dim == n * n:
+    if oracle_word_span_dim(gens, n) == n * n:
         scale = c.entries[0][0]
         bad = _first_mismatch(c.entries, _scalar_rows(n, scale))
         if bad is not None:
@@ -776,6 +782,81 @@ def cartan_instances(draw):
 @given(cartan_instances())
 def test_cartan_check_matches_rational_oracle(inst):
     assert cartan_check(inst) == oracle_cartan_check(inst)
+
+
+def gf2_word_span_dim(gens):
+    """The checker's span of the words in gens mod 2, capped at n^2."""
+    n = len(gens[0])
+    bits = [restrict._gf2_rows(g) for g in gens]
+    one = restrict._gf2_rows(_scalar_rows(n, 1))
+    return restrict._word_span_dim(one, bits, restrict._gf2_mul, restrict._gf2_span(n), n * n)
+
+
+def _count_exact_inserts(monkeypatch):
+    calls = []
+    add = restrict._IntegerSpan.add
+
+    def counted(self, vec):
+        calls.append(vec)
+        return add(self, vec)
+
+    monkeypatch.setattr(restrict._IntegerSpan, "add", counted)
+    return calls
+
+
+def test_cartan_pass_decided_by_exact_span_when_mod_2_stalls(monkeypatch):
+    # 2 E11 vanishes mod 2, so the words mod 2 span only I and SWAP; over Q
+    # the family spans all four matrices
+    gens = (SWAP, NatMatrix(((2, 0), (0, 0))))
+    assert gf2_word_span_dim([g.entries for g in gens]) == 2
+    assert oracle_word_span_dim([g.entries for g in gens], 2) == 4
+    calls = _count_exact_inserts(monkeypatch)
+    verdict = cartan_check(CartanInstance(2 * NatMatrix.identity(2), gens))
+    assert verdict == CartanVerdict("pass", scale=2)
+    assert calls
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_cartan_pass_certified_mod_2(monkeypatch, n):
+    # the benchmark's pass shape: relabeled path adjacency plus a projection
+    rng = random.Random(n)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    path = [[int(abs(i - j) == 1) for j in range(n)] for i in range(n)]
+    proj = [[int(i == j == 0) for j in range(n)] for i in range(n)]
+    gens = (_relabel(path, perm), _relabel(proj, perm))
+    assert gf2_word_span_dim([g.entries for g in gens]) == n * n
+    calls = _count_exact_inserts(monkeypatch)
+    verdict = cartan_check(CartanInstance(3 * NatMatrix.identity(n), gens))
+    assert verdict == CartanVerdict("pass", scale=3)
+    assert calls == []
+
+
+@settings(max_examples=400, deadline=None)
+@given(cartan_instances())
+def test_full_span_mod_2_is_full_over_q(inst):
+    # n^2 words independent mod 2 have an odd determinant, so they are
+    # independent over Q too
+    gens = [f.entries for f in inst.functors]
+    n = inst.cartan.n
+    if gf2_word_span_dim(gens) == n * n:
+        assert oracle_word_span_dim(gens, n) == n * n
+
+
+def test_cartan_instances_reach_every_span_case():
+    # the oracle comparison above covers the mod 2 certificate, the exact
+    # span after mod 2 falls short, and families that are not full at all
+    seen = set()
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(cartan_instances())
+    def sweep(inst):
+        gens = [f.entries for f in inst.functors]
+        n = inst.cartan.n
+        seen.add((gf2_word_span_dim(gens) == n * n, oracle_word_span_dim(gens, n) == n * n))
+
+    sweep()
+    assert seen == {(True, True), (False, True), (False, False)}
 
 
 def test_cartan_basis_pivots_positive_after_negative_residue():
