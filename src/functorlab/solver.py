@@ -37,9 +37,12 @@ too: before the first entry where U^s and U differ, X^s <= U^s = X, and at
 that entry X^s <= U^s < X.  So X^s <lex X, X is not its orbit minimum, and
 the leaf filter would drop it anyway.  The branch is therefore cut when the
 first a+1 rows of U's orbit minimum (zmatrix._orbit_min_rows) are
-lex-smaller than U's own.  The cut removes only subtrees without an emitted
-leaf, so the leaves, their order and every limit and worker count give the
-same output as filtering at the leaves.
+lex-smaller than U's own.  Neither this cut nor the leaf filter needs the
+whole minimum: the orbit search is told to stop after a+1 rows (n at a
+leaf), and it ends at the first row that differs from its input's, which is
+then the smaller one and decides both tests.  The cut removes only subtrees
+without an emitted leaf, so the leaves, their order and every limit and
+worker count give the same output as filtering at the leaves.
 
 Every surviving leaf is verified by full evaluation, so the interval rule
 can only remove non-solutions and the up_to_iso cut only non-canonical
@@ -197,7 +200,7 @@ def _search_partition(args):
             rows = tuple(map(tuple, top))
             if _poly_rows(gr, rows) != _poly_rows(hr, rows):
                 return
-            if up_to_iso and _orbit_min_rows(rows) != rows:
+            if up_to_iso and _orbit_min_rows(rows, n) != rows:
                 return
             found.append(rows)
             return
@@ -209,7 +212,7 @@ def _search_partition(args):
         known = row_end.get(idx)
         if known:
             upper = tuple(map(tuple, top))
-            if _orbit_min_rows(upper)[:known] < upper[:known]:
+            if _orbit_min_rows(upper, known) < upper[:known]:
                 return
         cell, unit = cells[idx], units[idx]
         for w in choices[idx]:

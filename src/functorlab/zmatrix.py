@@ -196,7 +196,7 @@ def _twin_classes(rows):
     return twin
 
 
-def _orbit_min_rows(rows):
+def _orbit_min_rows(rows, stop=None):
     """Row-major lex-least relabeling: the least out[a][b] = rows[s[a]][s[b]]
     over all permutations s.
 
@@ -210,19 +210,30 @@ def _orbit_min_rows(rows):
     first cell and on each later cell in turn.  Only the candidates whose key
     is least over the whole frontier survive, and each splits every cell by
     the values of row x, ascending.  Every optimal s keeps its prefix in the
-    frontier, up to the twin rule, so the result is the exact minimum.
+    frontier, up to the twin rule, so the result is the exact minimum.  Keys
+    of one step share their length, so a candidate whose first a+1 entries
+    already exceed the best key's is dropped before its sorted tail is built.
 
     Twins are indices whose swap is an automorphism of rows.  Their subtrees
     are images of each other, so a node branches on one index per twin
     class; without this, I, 0 and other very symmetric matrices would grow
     the frontier to n!.
+
+    With stop, only the first stop rows of the minimum are built, and the
+    search ends right after the first one that differs from rows' own.  Row
+    a of the minimum depends only on rows, not on stop, so the result is a
+    prefix of the full minimum.  rows is in its own orbit, so the minimum is
+    at most rows and its first differing row is the smaller one.  The prefix
+    therefore decides both result < rows[:stop] and result != rows, for
+    every stop <= n, with stop = n the check for rows being canonical.
     """
     n = len(rows)
     twin = _twin_classes(rows)
     frontier = [((), (tuple(range(n)),))]  # (placed indices, cells)
     out = []
-    for _ in range(n):
-        best, keep = None, []
+    last = n if stop is None else stop
+    for a in range(last):
+        best, keep = None, []  # best: (first a+1 key entries, sorted tail)
         for placed, cells in frontier:
             first, seen = cells[0], set()
             for x in first:
@@ -230,16 +241,21 @@ def _orbit_min_rows(rows):
                     continue
                 seen.add(twin[x])
                 r = rows[x]
-                key = [r[p] for p in placed]
-                key.append(r[x])
-                key.extend(sorted([r[c] for c in first if c != x]))
+                head = [r[p] for p in placed]
+                head.append(r[x])
+                if best is not None and head > best[0]:
+                    continue
+                tail = sorted([r[c] for c in first if c != x])
                 for cell in cells[1:]:
-                    key.extend(sorted([r[c] for c in cell]))
+                    tail.extend(sorted([r[c] for c in cell]))
+                key = (head, tail)
                 if best is None or key < best:
                     best, keep = key, [(placed, cells, x)]
                 elif key == best:
                     keep.append((placed, cells, x))
-        out.append(tuple(best))
+        out.append(tuple(best[0] + best[1]))
+        if a + 1 == last or (stop is not None and out[a] != rows[a]):
+            break
         frontier = []
         for placed, cells, x in keep:
             r = rows[x]

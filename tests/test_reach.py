@@ -8,9 +8,15 @@ src/ or bench/, or be listed in ALLOWED with the reason it stays.  A
 top-level function or class (module dunders excepted) must be read there as
 a name, an attribute, an import or a key of the package's `_EXPORTS` table,
 or be listed in ALLOWED_TOP_LEVEL with its reason.
+
+The benchmark's traced runs replace some module globals with wrappers that
+take positional arguments only (bench/worker.py's _install_hooks), so each
+hooked name must stay on its module and every call of it in src/ must stay
+positional.
 """
 
 import ast
+import importlib
 import pathlib
 
 import functorlab
@@ -98,3 +104,34 @@ def test_every_top_level_name_is_read_outside_the_tests():
     names = _top_level()
     assert set(ALLOWED_TOP_LEVEL) <= set(names)
     assert [t for t in names if t[1] not in read and t not in ALLOWED_TOP_LEVEL] == []
+
+
+def _benchmark_hooks():
+    """(module, name) of each global bench/worker.py's _install_hooks wraps."""
+    tree = ast.parse((BENCH / "worker.py").read_text(encoding="utf-8"))
+    install = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "_install_hooks")
+    loop = next(node for node in ast.walk(install) if isinstance(node, ast.For))
+    return [(entry.elts[0].id, entry.elts[1].value) for entry in loop.iter.elts]
+
+
+def test_benchmark_hooks_wrap_names_called_positionally():
+    # a renamed global would leave its traced per-layer metrics empty, and a
+    # keyword argument would raise inside the wrapper
+    hooks = _benchmark_hooks()
+    assert ("solver", "_orbit_min_rows") in hooks
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    for module, name in hooks:
+        assert hasattr(importlib.import_module(f"functorlab.{module}"), name)
+        # the wrapper sees only calls through the module's global
+        assert any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                   and node.func.id == name for node in ast.walk(trees[module]))
+        keyword_calls = [
+            (stem, node.lineno)
+            for stem, tree in trees.items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and node.keywords
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        ]
+        assert keyword_calls == [], name

@@ -477,7 +477,9 @@ def _search_counts(monkeypatch, rel, config):
 
     def counted_orbit(*args):
         calls["orbit"] += 1
-        return orbit(*args)
+        out = orbit(*args)
+        assert len(out) <= args[1]  # every call states how many rows it needs
+        return out
 
     monkeypatch.setattr(solver, "_poly_rows", counted_poly)
     monkeypatch.setattr(solver, "_orbit_min_rows", counted_orbit)

@@ -23,7 +23,7 @@ from functorlab import (
     poly_eval,
     scalar_mul,
 )
-from functorlab.zmatrix import CANON_CAP_ENV, _check_symmetric
+from functorlab.zmatrix import CANON_CAP_ENV, _check_symmetric, _orbit_min_rows
 
 SWAP = NatMatrix(((0, 1), (1, 0)))
 
@@ -370,6 +370,18 @@ def orbit_inputs(draw):
 @given(orbit_inputs())
 def test_canonical_rep_matches_naive_orbit_min(rows):
     assert canonical_rep(NatMatrix(rows)).entries == naive_orbit_min(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(orbit_inputs())
+def test_stopped_orbit_min_decides_what_the_full_one_does(rows):
+    # the two questions the up-to-iso search asks, against the n! oracle
+    naive, n = naive_orbit_min(rows), len(rows)
+    for stop in range(1, n + 1):
+        got = _orbit_min_rows(rows, stop)
+        assert len(got) <= stop and got == naive[:len(got)]
+        assert (got < rows[:stop]) == (naive[:stop] < rows[:stop])
+    assert (_orbit_min_rows(rows, n) == rows) == (naive == rows)
 
 
 def _graph(n, edges):
