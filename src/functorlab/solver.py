@@ -44,12 +44,11 @@ then the smaller one and decides both tests.  The cut removes only subtrees
 without an emitted leaf, so the leaves, their order and every limit and
 worker count give the same output as filtering at the leaves.
 
-Every surviving leaf is verified by full evaluation, so the interval rule
-can only remove non-solutions and the up_to_iso cut only non-canonical
-ones.  `brute_force_oracle` is the deliberately naive
-cross-check: plain enumeration in the same entry order, full evaluation of
-the unreduced relation, no pruning, sharing only the polynomial-evaluation
-primitive with `solve`.
+A leaf is a node without children, decided by the same interval cut: there
+L = U = X, so the cut is exactly g(X) != h(X).  `brute_force_oracle` is the
+deliberately naive cross-check: plain enumeration in the same entry order,
+dense evaluation of the unreduced relation, no pruning, and no evaluation
+code shared with `solve`.
 
 Results are deterministic: solutions sort by row-major entry order, and the
 parallel path gives each worker task one first-entry value and joins the
@@ -82,7 +81,7 @@ class SearchConfig(_Record):
     symmetric_only restricts to symmetric matrices; up_to_iso keeps only the
     lexicographically least member of each simultaneous-relabeling orbit (the
     search cuts every subtree whose completed rows already show that no leaf
-    below it is canonical, and a verified leaf that survives is still kept
+    below it is canonical, and a solution that reaches a leaf is still kept
     only if it equals its canonical form, which zmatrix._orbit_min_rows finds
     by a refinement search that branches on one index per twin class, not by
     scanning n! relabelings);
@@ -195,19 +194,17 @@ def _search_partition(args):
     def rec(idx, v, lo, hi, low, high):
         # lo, hi: packed L and U; the entry before idx was just set to v;
         # low, high: (g, h) on L and U before that (v = None: not evaluated yet)
-        if idx == total:
-            # L = U = X, so the exact check is the rule itself
-            rows = tuple(map(tuple, top))
-            if _poly_rows(gr, rows) != _poly_rows(hr, rows):
-                return
-            if up_to_iso and _orbit_min_rows(rows, n) != rows:
-                return
-            found.append(rows)
-            return
         # v = 0 leaves L as it was and v = bound leaves U
         low = low if v == 0 else sides(lo, lo_cols)
         high = high if v == bound else sides(hi, hi_cols)
         if exceeds(low[0], high[1]) or exceeds(low[1], high[0]):
+            return
+        if idx == total:
+            # L = U = X, so the cut just passed says g(X) = h(X)
+            rows = tuple(map(tuple, top))
+            if up_to_iso and _orbit_min_rows(rows, n) != rows:
+                return
+            found.append(rows)
             return
         known = row_end.get(idx)
         if known:
@@ -290,8 +287,8 @@ def _oracle_orbit_is_min(rows):
 def brute_force_oracle(rel, config):
     """Same contract as solve, by plain enumeration with no pruning at all.
 
-    Every candidate is built and the unreduced relation evaluated on it, so
-    the only code shared with solve is the polynomial-evaluation primitive.
+    Every candidate is built and the unreduced relation evaluated on it
+    densely, by code that solve never calls.
     Refuses spaces beyond 10^8 candidates, and n beyond solve's cap: it
     only cross-checks solve, so it needs no larger dimension.
     """

@@ -115,7 +115,8 @@ def _pow_rows(rows, d):
     return _scalar_rows(len(rows), 1) if result is None else result
 
 
-# pays for itself on the solve-vs-oracle sweep, which re-evaluates every leaf
+# pays for itself in brute_force_oracle, which meets the same small candidates
+# again under every bound, symmetric and up_to_iso setting of a sweep
 @lru_cache(maxsize=1 << 16)
 def _poly_rows(coeffs, rows):
     n = len(rows)

@@ -1,6 +1,7 @@
 import concurrent.futures
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -366,6 +367,10 @@ def test_solve_matches_oracle_on_random_relations(
     _check_against_oracle(g, h, n, bound, symmetric, up_to_iso, limit)
 
 
+def _no_dense_evaluation(*args):
+    raise AssertionError("solve evaluated a polynomial densely")
+
+
 def _check_against_oracle(g, h, n, bound, symmetric, up_to_iso, limit):
     try:
         rel = RelationPoly(tuple(g), tuple(h))
@@ -373,7 +378,10 @@ def _check_against_oracle(g, h, n, bound, symmetric, up_to_iso, limit):
         assume(False)
     config = SearchConfig(n=n, bound=bound, symmetric_only=symmetric,
                           up_to_iso=up_to_iso, limit=limit)
-    got = solve(rel, config, jobs=1)
+    # solve decides every leaf by its packed sides alone, so the oracle's
+    # dense evaluation is an independent check
+    with mock.patch.object(solver, "_poly_rows", _no_dense_evaluation):
+        got = solve(rel, config, jobs=1)
     want = brute_force_oracle(rel, config)
     assert got.solutions == want.solutions
     assert got.complete == want.complete
@@ -467,13 +475,19 @@ def test_packed_exceeds_matches_dense_compare(case, data):
 
 
 def _search_counts(monkeypatch, rel, config):
-    # leaf verifications (each evaluates both sides) and row-end orbit calls
-    calls = {"poly": 0, "orbit": 0}
-    poly, orbit = solver._poly_rows, solver._orbit_min_rows
+    # packed sides calls (one per evaluated L or U, leaves included) and
+    # orbit calls (row-end cuts and leaf filters)
+    calls = {"sides": 0, "orbit": 0}
+    kernel, orbit = solver._packed_kernel, solver._orbit_min_rows
 
-    def counted_poly(*args):
-        calls["poly"] += 1
-        return poly(*args)
+    def counted_kernel(*args):
+        s, sides, exceeds = kernel(*args)
+
+        def counted_sides(*call):
+            calls["sides"] += 1
+            return sides(*call)
+
+        return s, counted_sides, exceeds
 
     def counted_orbit(*args):
         calls["orbit"] += 1
@@ -481,17 +495,16 @@ def _search_counts(monkeypatch, rel, config):
         assert len(out) <= args[1]  # every call states how many rows it needs
         return out
 
-    monkeypatch.setattr(solver, "_poly_rows", counted_poly)
+    monkeypatch.setattr(solver, "_packed_kernel", counted_kernel)
     monkeypatch.setattr(solver, "_orbit_min_rows", counted_orbit)
     res = solve(rel, config)
-    assert calls["poly"] % 2 == 0
-    return calls["poly"] // 2, calls["orbit"], res.count
+    return calls["sides"], calls["orbit"], res.count
 
 
 @pytest.mark.parametrize("rel, n, want", [
-    (X_SQ_EQ_1, 6, (8, 40, 4)),
-    (X_SQ_EQ_X, 6, (12, 42, 7)),
-    (X_CUBE_EQ_X, 7, (38, 200, 20)),
+    (X_SQ_EQ_1, 6, (230, 40, 4)),
+    (X_SQ_EQ_X, 6, (184, 42, 7)),
+    (X_CUBE_EQ_X, 7, (830, 200, 20)),
 ])
 def test_search_tree_counts(monkeypatch, rel, n, want):
     # the interval cut and the orderly cut decide these counts, not timing
