@@ -6,21 +6,18 @@ replaced.  For each row the script copies src/ and tests/ to a temporary
 directory, applies the mutant there, runs the named tests against the copy
 under a per-mutant timeout, and prints one JSON object that sorts the rows
 into killed, survived, timed_out and error (pytest could not run the named
-tests).  A timeout means a test hangs where it should fail.  A row with a
-reason under EQUIVALENT is expected to survive: no test can tell it apart
-from the original.  The exit status is 1 when any other row survives, times
-out or errors, else 0.
+tests).  A timeout means a test hangs where it should fail.  The exit status
+is 1 when any row survives, times out or errors, else 0.
 
 Run from the repository root, with the standard library and pytest:
 
-    python3 tests/mutants.py [--timeout SECONDS] [NAME ...]
+    python3 tests/mutants.py
 
 pytest does not collect this file; tests/test_mutants.py checks that every
 snippet still occurs exactly once in its module, so a refactor cannot
 quietly retire a mutant.
 """
 
-import argparse
 import json
 import os
 import pathlib
@@ -31,6 +28,7 @@ import sys
 import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+TIMEOUT = 120  # seconds each mutant's tests may run
 
 _ORACLE = [
     "tests/test_solver.py::test_solve_matches_oracle_on_random_relations",
@@ -38,6 +36,13 @@ _ORACLE = [
 ]
 
 # name: (module, snippet, replacement, test ids that must fail)
+#
+# Not a row: dropping `bound` from the slot bound T in _packed_kernel
+# (`t = max(0, *(` for `t = max(bound, *(`) is equivalent.  L and U enter
+# sides only through a power of degree >= 1, whose slot bound
+# c_k * n^(k-1) * bound^k with c_k >= 1 is already >= bound, so T keeps every
+# value below 2^(s-1); with no such power every relation side is constant and
+# only g0, h0 are compared.
 MUTANTS = {
     "slot-width-no-guard-bit": (
         "solver", "s = t.bit_length() + 1", "s = t.bit_length()",
@@ -63,17 +68,6 @@ MUTANTS = {
         "(stop is not None and out[a] == rows[a])",
         ["tests/test_zmatrix.py::test_stopped_orbit_min_decides_what_the_full_one_does",
          "tests/test_solver.py::test_up_to_iso_equals_orbit_minima_of_full_search"]),
-    "slot-bound-drops-entry-bound": (
-        "solver", "t = max(bound, *(", "t = max(0, *(", _ORACLE),
-}
-
-# name: why no test can kill it
-EQUIVALENT = {
-    "slot-bound-drops-entry-bound": (
-        "L and U enter sides only through a power of degree >= 1, whose slot "
-        "bound c_k * n^(k-1) * bound^k with c_k >= 1 is already >= bound, so T "
-        "keeps every value below 2^(s-1); with no such power every relation "
-        "side is constant and only g0, h0 are compared"),
 }
 
 
@@ -90,7 +84,7 @@ def source(module, root=ROOT):
     return (root / "src" / "functorlab" / f"{module}.py").read_text(encoding="utf-8")
 
 
-def _run(name, timeout):
+def _run(name):
     module, snippet, replacement, tests = MUTANTS[name]
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         tmp = pathlib.Path(tmp)
@@ -113,11 +107,11 @@ def _run(name, timeout):
             cwd=tmp, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
             text=True, start_new_session=True)
         try:
-            out, _ = proc.communicate(timeout=timeout)
+            out, _ = proc.communicate(timeout=TIMEOUT)
         except subprocess.TimeoutExpired:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.communicate()
-            return "timed_out", f"over {timeout} s"
+            return "timed_out", f"over {TIMEOUT} s"
     summary = out.strip().splitlines()[-1] if out.strip() else ""
     # pytest exits 1 when a test failed; any other non-zero code means the
     # named tests did not run
@@ -125,25 +119,13 @@ def _run(name, timeout):
     return outcome, summary
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--timeout", type=float, default=120.0,
-                        help="seconds each mutant's tests may run (default 120)")
-    parser.add_argument("names", nargs="*", metavar="NAME",
-                        help=f"rows to run (default all): {', '.join(MUTANTS)}")
-    args = parser.parse_args(argv)
-    unknown = [n for n in args.names if n not in MUTANTS]
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(unknown)}")
+def main():
     report = {"killed": {}, "survived": {}, "timed_out": {}, "error": {}}
-    for name in args.names or MUTANTS:
-        outcome, detail = _run(name, args.timeout)
+    for name in MUTANTS:
+        outcome, detail = _run(name)
         report[outcome][name] = detail
-    report["equivalent"] = {n: EQUIVALENT[n] for n in report["survived"] if n in EQUIVALENT}
     print(json.dumps(report, indent=2))
-    unexpected = [n for kind in ("survived", "timed_out", "error") for n in report[kind]
-                  if n not in report["equivalent"]]
-    return 1 if unexpected else 0
+    return 1 if report["survived"] or report["timed_out"] or report["error"] else 0
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 import pytest
 
-from mutants import EQUIVALENT, MUTANTS, ROOT, source
+from mutants import MUTANTS, ROOT, source
 
 
 @pytest.mark.parametrize("name", sorted(MUTANTS))
@@ -13,7 +13,3 @@ def test_each_mutant_row_still_applies(name):
     for test in tests:
         path, func = test.split("::")
         assert f"\ndef {func}(" in (ROOT / path).read_text(encoding="utf-8")
-
-
-def test_equivalent_mutants_are_rows():
-    assert set(EQUIVALENT) <= set(MUTANTS)
