@@ -5,11 +5,13 @@ shape.  M^(-1) = M/k is nonnegative too, so M is monomial (one nonzero entry
 in each row and column), and the columns of those entries form an involution
 because M^2 is diagonal.  After a relabeling, M is a direct sum of 2x2 blocks
 [[0, a], [b, 0]] with a*b = k and 1x1 blocks [a] with a^2 = k; for k = 0 only
-the zero matrix has this shape.  The readers take each row's nonzero column,
-rebuild the claimed form from those columns and compare it with the input
-once; they never search.  Symmetry collapses every 2x2 block to a = b, so
-symmetric square roots exist iff k is a perfect square and are exactly
-sqrt(k) times a symmetric permutation matrix.
+the zero matrix has this shape, and every such shape squares to k*I.  The
+readers take each row's nonzero column, rebuild the claimed form from those
+columns and compare it with the input once, so a match proves M^2 = k*I with
+no matrix product; only a failed rebuild squares M, for the witness.
+Symmetry collapses every 2x2 block to a = b, so symmetric square roots exist
+iff k is a perfect square and are exactly sqrt(k) times a symmetric
+permutation matrix.
 """
 
 from math import isqrt
@@ -29,6 +31,7 @@ from .zmatrix import (
     _first_mismatch,
     _monomial_rows,
     _mul_rows,
+    _raise_mismatch,
     _require_int,
     _row_images,
     _scalar_rows,
@@ -99,19 +102,32 @@ class SqrtClassification(_Record):
 
 
 def _verify_square(m, k):
-    bad = _first_mismatch(_mul_rows(m.entries, m.entries), _scalar_rows(m.n, k))
-    if bad is not None:
-        pos, got, want = bad
-        raise NotASquareRoot(
-            f"(M^2)[{pos[0]}][{pos[1]}] = {got}, expected {want}",
-            position=pos,
-            got=got,
-            expected=want,
-        )
+    _raise_mismatch(_first_mismatch(_mul_rows(m.entries, m.entries), _scalar_rows(m.n, k)),
+                    NotASquareRoot, lambda i, j, x, y: f"(M^2)[{i}][{j}] = {x}, expected {y}")
+
+
+def _block_form(e, k):
+    # (order, blocks) when e is monomial with an involutive pattern whose
+    # paired entries multiply to k, else None; for k >= 1 that is exactly
+    # e^2 = k*I, and for k = 0 only the zero matrix passes
+    images = _row_images(e)
+    order, blocks = [], []
+    for i, j in enumerate(images):
+        if images[j] != i or e[i][j] * e[j][i] != k:
+            return None
+        if i == j:
+            blocks.append(Block1(e[i][i]))
+            order.append(i)
+        elif i < j:
+            blocks.append(Block2(e[i][j], e[j][i]))
+            order += (i, j)
+    if _block_rows(order, blocks) != e:  # recompose(), without re-checking e's entries
+        return None
+    return order, blocks
 
 
 def decompose(m, k):
-    """Split a verified square root of k*I into its forced blocks.
+    """Split a square root of k*I into its forced blocks.
 
     Returns a BlockForm whose recompose() equals m, with the blocks in order
     of their least original index.  Raises NotASquareRoot if M^2 != k*I, and
@@ -120,30 +136,18 @@ def decompose(m, k):
     first index with a nonzero row or column.
     """
     _require_int(k, "k", 0)
-    _verify_square(m, k)
-    e = m.entries
-    if k == 0 and not m.is_zero():
-        i = next(i for i, row in enumerate(e) if any(row) or any(r[i] for r in e))
-        raise NotDecomposable(
-            f"index {i + 1} has no partner and a nonzero row or column",
-            index=i + 1,
-            k=k,
-        )
-    images = _row_images(e)
-    if any(images[j] != i for i, j in enumerate(images)):
-        raise InternalFault("the nonzero entries of a square root do not pair "
-                            "up into an involution")
-    order = []
-    blocks = []
-    for i, j in enumerate(images):
-        if i == j:
-            blocks.append(Block1(e[i][i]))
-            order.append(i)
-        elif i < j:
-            blocks.append(Block2(e[i][j], e[j][i]))
-            order += (i, j)
-    if _block_rows(order, blocks) != e:  # recompose(), without re-checking m's entries
-        raise InternalFault("block form does not recompose to the input")
+    form = _block_form(m.entries, k)
+    if form is None:
+        _verify_square(m, k)
+        # M^2 = k*I holds, so the shape is forced unless m is a nonzero
+        # nilpotent (k = 0)
+        e = m.entries
+        if k == 0:
+            i = next(i for i, row in enumerate(e) if any(row) or any(r[i] for r in e))
+            raise NotDecomposable(f"index {i + 1} has no partner and a nonzero row or "
+                                  "column", index=i + 1, k=k)
+        raise InternalFault(f"a square root of {k}*I is not a monomial involution")
+    order, blocks = form
     perm = [0] * m.n  # the relabeling: original index order[p] goes to p
     for p, i in enumerate(order):
         perm[i] = p
@@ -166,11 +170,11 @@ def classify_selfadjoint_sqrt(m, k):
             f"no symmetric square root of {k}*I exists: {k} is not a perfect square",
             k=k,
         )
-    _verify_square(m, k)
-    # a symmetric monomial matrix permutes by an involution; the zero matrix
-    # (k = 0) reads as the identity
+    # a symmetric monomial matrix permutes by an involution, so root times it
+    # squares to k*I; the zero matrix (k = 0) reads as the identity
     images = _row_images(m.entries)
     if m.entries != _monomial_rows(images, (root,) * m.n):
+        _verify_square(m, k)
         raise InternalFault(
             f"a symmetric square root of {k}*I is not {root} times a permutation matrix"
         )

@@ -12,11 +12,13 @@ restrictive over the nonnegative integers:
 * M^e = I forces a permutation matrix, symmetric exactly when its order is
   at most 2.
 
-The classifiers verify the claimed equation first (negative verdicts carry a
-witness position).  Every forced shape is monomial (at most one nonzero entry
-per row), so it is read off each row's nonzero column and proved by one
-rebuild compared with the input.  A shape failure after a verified equation
-is an internal fault, never a user error.
+Each forced shape also solves its equation: D^j = D for a 0/1 diagonal D and
+j >= 1, and a 0/1 partial involution P has P^3 = P, so P^k = P^m when k - m
+is even.  Every forced shape is monomial, so the classifiers read it off each
+row's nonzero column and compare one rebuild with the input: a match proves
+the equation with no power computed.  Only a failed rebuild computes the
+powers, for the witness position a negative verdict carries; a failed
+rebuild where the equation holds is an internal fault, never a user error.
 
 Note the partial-involution case reports the permutation on the support only;
 distinct functors can share that shadow, so nothing finer is recovered here.
@@ -39,6 +41,7 @@ from .zmatrix import (
     _first_mismatch,
     _monomial_rows,
     _pow_rows,
+    _raise_mismatch,
     _require_int,
     _row_images,
     _scalar_rows,
@@ -46,12 +49,27 @@ from .zmatrix import (
 
 
 def _diagonal_support(m):
-    # 1-based indices carrying a diagonal 1; m must be that 0/1 diagonal (an
-    # entry above 1 is rebuilt as 1, so the compare rejects it)
+    # 1-based indices carrying a diagonal 1 when m is a 0/1 diagonal, else
+    # None (an entry above 1 is rebuilt as 1, so the compare rejects it)
     ones = [min(row[i], 1) for i, row in enumerate(m.entries)]
     if m.entries != _monomial_rows(range(m.n), ones):
-        raise ShapeViolation("a symmetric idempotent is not a diagonal 0/1 matrix")
+        return None
     return tuple(i + 1 for i, one in enumerate(ones) if one)
+
+
+def _partial_involution(m):
+    # (support, pairing), 1-based, when m is a 0/1 partial involution, else None
+    images = _row_images(m.entries)
+    ones = [min(row[j], 1) for row, j in zip(m.entries, images)]
+    if m.entries != _monomial_rows(images, ones) or any(
+        images[j] != i for i, j in enumerate(images)
+    ):
+        return None
+    support = [i for i, one in enumerate(ones) if one]
+    return tuple(i + 1 for i in support), tuple(images[i] + 1 for i in support)
+
+
+_NOT_DIAGONAL = "a symmetric idempotent is not a diagonal 0/1 matrix"
 
 
 class IdempotentClassification(_Record):
@@ -68,19 +86,18 @@ class IdempotentClassification(_Record):
 
 
 def classify_idempotent(m):
-    """Verify M symmetric with M^2 = M and return its support."""
+    """Classify symmetric M with M^2 = M by its support.
+
+    A 0/1 diagonal is idempotent, so reading that shape decides the verdict;
+    only another matrix has its square computed, for the witness.
+    """
     _check_symmetric(m)
-    square = _pow_rows(m.entries, 2)
-    bad = _first_mismatch(square, m.entries)
-    if bad is not None:
-        pos, got, want = bad
-        raise NotIdempotent(
-            f"(M^2)[{pos[0]}][{pos[1]}] = {got} but M there is {want}",
-            position=pos,
-            got=got,
-            expected=want,
-        )
-    return IdempotentClassification(m.n, _diagonal_support(m))
+    support = _diagonal_support(m)
+    if support is None:
+        _raise_mismatch(_first_mismatch(_pow_rows(m.entries, 2), m.entries), NotIdempotent,
+                        lambda i, j, x, y: f"(M^2)[{i}][{j}] = {x} but M there is {y}")
+        raise ShapeViolation(_NOT_DIAGONAL)
+    return IdempotentClassification(m.n, support)
 
 
 class CommutingIdempotents(_Record):
@@ -106,23 +123,16 @@ def check_commuting_idempotents(a, b):
         raise InvalidInput(
             f"idempotents act on different index sets ({a.n} vs {b.n})"
         )
-    ab = a * b
-    if ab != b * a:
-        raise InternalFault("diagonal idempotents that do not commute")
     sa, sb = set(ca.support), set(cb.support)
     both = tuple(sorted(sa & sb))
-    report = CommutingIdempotents(
+    return CommutingIdempotents(
         n=a.n,
         both=both,
         a_only=tuple(sorted(sa - sb)),
         b_only=tuple(sorted(sb - sa)),
         neither=tuple(sorted(set(range(1, a.n + 1)) - sa - sb)),
-        product=ab,
+        product=IdempotentClassification(a.n, both).matrix(),
     )
-    if ab != IdempotentClassification(a.n, both).matrix():
-        raise InternalFault("product of diagonal idempotents is not the "
-                            "projection onto the common support")
-    return report
 
 
 class NilpotencyVerdict(_Record):
@@ -175,33 +185,18 @@ def classify_cyclic(m, k, mm):
     if not k > mm >= 1:
         raise InvalidInput(f"exponents must satisfy k > m >= 1, got k={k}, m={mm}")
     _check_symmetric(m)
-    bad = _first_mismatch(_pow_rows(m.entries, k), _pow_rows(m.entries, mm))
-    if bad is not None:
-        pos, got, want = bad
-        raise NotASolution(
-            f"(M^{k})[{pos[0]}][{pos[1]}] = {got} but (M^{mm}) there is {want}",
-            position=pos,
-            got=got,
-            expected=want,
-        )
-    if (k - mm) % 2 == 1:
+    odd = (k - mm) % 2 == 1
+    shape = _diagonal_support(m) if odd else _partial_involution(m)
+    if shape is None:
+        _raise_mismatch(_first_mismatch(_pow_rows(m.entries, k), _pow_rows(m.entries, mm)),
+                        NotASolution,
+                        lambda i, j, x, y: f"(M^{k})[{i}][{j}] = {x} but (M^{mm}) there is {y}")
+        raise ShapeViolation(_NOT_DIAGONAL if odd else "symmetric solution with "
+                             "even exponent gap is not a 0/1 partial involution")
+    if odd:
         # odd gap collapses to an idempotent, which is a 0/1 diagonal
-        return CyclicClassification("idempotent", m.n, _diagonal_support(m))
-    images = _row_images(m.entries)
-    ones = [min(row[j], 1) for row, j in zip(m.entries, images)]
-    if m.entries != _monomial_rows(images, ones) or any(
-        images[j] != i for i, j in enumerate(images)
-    ):
-        raise ShapeViolation(
-            "symmetric solution with even exponent gap is not a 0/1 partial involution"
-        )
-    support = [i for i, one in enumerate(ones) if one]
-    return CyclicClassification(
-        "partial_involution",
-        m.n,
-        tuple(i + 1 for i in support),
-        tuple(images[i] + 1 for i in support),
-    )
+        return CyclicClassification("idempotent", m.n, shape)
+    return CyclicClassification("partial_involution", m.n, *shape)
 
 
 class RootOfIdentity(_Record):
@@ -227,16 +222,9 @@ def classify_root_of_identity(m, n_exp):
              if m.is_permutation_matrix() else None)
     # a permutation matrix of order o has M^e = M^(e mod o), so any e is cheap
     power = _pow_rows(m.entries, n_exp if sigma is None else n_exp % sigma.order())
-    bad = _first_mismatch(power, _scalar_rows(m.n, 1))
-    if bad is not None:
-        pos, got, want = bad
-        raise NotARoot(
-            f"(M^{n_exp})[{pos[0]}][{pos[1]}] = {got}, expected {want}",
-            position=pos,
-            got=got,
-            expected=want,
-            power=n_exp,
-        )
+    _raise_mismatch(_first_mismatch(power, _scalar_rows(m.n, 1)), NotARoot,
+                    lambda i, j, x, y: f"(M^{n_exp})[{i}][{j}] = {x}, expected {y}",
+                    power=n_exp)
     if sigma is None:
         raise NotAPermutationMatrix(
             "root of the identity over nonnegative integers must be a "

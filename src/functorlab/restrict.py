@@ -51,6 +51,7 @@ from .zmatrix import (
     _is_int,
     _mul_rows,
     _poly_rows,
+    _raise_mismatch,
     _require_int,
     _scalar_rows,
 )
@@ -221,27 +222,21 @@ class DescentReport(_Record):
 
 
 def relation_descends(m, subset, rel):
-    """Check rel on m, restrict to both corners, and re-verify it there."""
+    """Check rel on m and restrict it to both corners.
+
+    The corners need no check of their own: with S first, an S-invariant M
+    is block upper triangular, so each corner of g(M) (of g(M)^T = g(M^T) for
+    the quotient) is g of that corner, and g(M) = h(M) passes to both.
+    """
     _check_dims(m, subset)
     _require_invariant(m, subset)
-    bad = _first_mismatch(_poly_rows(rel.g, m.entries), _poly_rows(rel.h, m.entries))
-    if bad is not None:
-        pos, lhs, rhs = bad
-        raise RelationNotSatisfied(
-            f"g(M)[{pos[0]}][{pos[1]}] = {lhs} but h(M) there is {rhs}",
-            position=pos,
-            lhs=lhs,
-            rhs=rhs,
-        )
-    serre = quotient = None
-    if subset.size:
-        serre = _corner(m, subset.zero_based())
-        if _poly_rows(rel.g, serre.entries) != _poly_rows(rel.h, serre.entries):
-            raise InternalFault("relation failed on the subset corner")
-    if subset.size < subset.n:
-        quotient = _corner(m.transpose(), subset.complement().zero_based())
-        if _poly_rows(rel.g, quotient.entries) != _poly_rows(rel.h, quotient.entries):
-            raise InternalFault("relation failed on the quotient corner")
+    _raise_mismatch(_first_mismatch(_poly_rows(rel.g, m.entries), _poly_rows(rel.h, m.entries)),
+                    RelationNotSatisfied,
+                    lambda i, j, x, y: f"g(M)[{i}][{j}] = {x} but h(M) there is {y}",
+                    names=("lhs", "rhs"))
+    serre = _corner(m, subset.zero_based()) if subset.size else None
+    quotient = (_corner(m.transpose(), subset.complement().zero_based())
+                if subset.size < subset.n else None)
     return DescentReport(True, serre, quotient)
 
 

@@ -268,7 +268,8 @@ def solve(rel, config, jobs=1):
         stream = stream[: config.limit]
         complete = False
     stream.sort()
-    return SolutionSet(config, rel, tuple(NatMatrix(r) for r in stream), complete)
+    # every entry is an int in 0..bound by construction
+    return SolutionSet(config, rel, tuple(NatMatrix._trusted(r) for r in stream), complete)
 
 
 _ORACLE_SPACE_CAP = 10 ** 8

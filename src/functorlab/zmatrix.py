@@ -149,15 +149,22 @@ def _first_mismatch(a, b):
     return None
 
 
+def _raise_mismatch(bad, error, describe, names=("got", "expected"), **details):
+    """Raise error at a _first_mismatch result, if there is one: the message
+    is describe(i, j, x, y), and the details hold the position, then x and y
+    under `names`, then `details`."""
+    if bad is not None:
+        (i, j), x, y = bad
+        raise error(describe(i, j, x, y), position=(i, j), **dict(zip(names, (x, y))),
+                    **details)
+
+
 def _check_symmetric(m):
     """Raise NotSymmetric at the first asymmetric pair of m: against the
     transpose the first mismatch has i < j, as every earlier row matched."""
-    bad = _first_mismatch(m.entries, tuple(zip(*m.entries)))
-    if bad is not None:
-        (i, j), x, y = bad
-        raise NotSymmetric(
-            f"entry ({i}, {j}) is {x} but ({j}, {i}) is {y}", position=(i, j)
-        )
+    _raise_mismatch(_first_mismatch(m.entries, tuple(zip(*m.entries))), NotSymmetric,
+                    lambda i, j, x, y: f"entry ({i}, {j}) is {x} but ({j}, {i}) is {y}",
+                    names=())
 
 
 def _conjugate_rows(rows, images):

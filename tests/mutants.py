@@ -1,4 +1,5 @@
-"""Mutation table for the code that alone decides which matrices `solve` emits.
+"""Mutation table for the code that alone decides which matrices `solve` emits,
+and for the shape predicates that alone decide a classifier's positive verdict.
 
 Each row names a module under src/functorlab, one exact source snippet in
 it, a replacement, and the test ids that must fail once the snippet is
@@ -43,6 +44,12 @@ _ORACLE = [
 # c_k * n^(k-1) * bound^k with c_k >= 1 is already >= bound, so T keeps every
 # value below 2^(s-1); with no such power every relation side is constant and
 # only g0, h0 are compared.
+#
+# Not a row: a `k >= 1` guard on decompose's shape path (`_block_form`).  At
+# k = 0 the pair test already admits only the zero matrix, which is the one
+# square root of 0*I: a pair i != j needs both entries nonzero to be each
+# other's image, so their product is at least 1, and a fixed point needs
+# e[i][i]^2 = 0.
 MUTANTS = {
     "slot-width-no-guard-bit": (
         "solver", "s = t.bit_length() + 1", "s = t.bit_length()",
@@ -68,6 +75,24 @@ MUTANTS = {
         "(stop is not None and out[a] == rows[a])",
         ["tests/test_zmatrix.py::test_stopped_orbit_min_decides_what_the_full_one_does",
          "tests/test_solver.py::test_up_to_iso_equals_orbit_minima_of_full_search"]),
+    "diagonal-shape-lets-2-through": (
+        "classify", "ones = [min(row[i], 1) for i, row in enumerate(m.entries)]",
+        "ones = [min(row[i], 2) for i, row in enumerate(m.entries)]",
+        ["tests/test_classify.py::test_near_shapes_match_oracle",
+         "tests/test_classify.py::test_shape_readers_match_oracle"]),
+    "partial-involution-lets-2-through": (
+        "classify", "ones = [min(row[j], 1) for row, j in zip(m.entries, images)]",
+        "ones = [min(row[j], 2) for row, j in zip(m.entries, images)]",
+        ["tests/test_classify.py::test_near_shapes_match_oracle",
+         "tests/test_classify.py::test_shape_readers_match_oracle"]),
+    "partial-involution-skips-pairing": (
+        "classify", "images[j] != i for i, j in enumerate(images)",
+        "images[i] != j for i, j in enumerate(images)",
+        ["tests/test_classify.py::test_corrupt_shape_exits_3"]),
+    "block-pair-product-at-least-k": (
+        "canonical", "e[i][j] * e[j][i] != k", "e[i][j] * e[j][i] < k",
+        ["tests/test_canonical.py::test_near_roots_match_oracle",
+         "tests/test_canonical.py::test_readers_match_oracle"]),
 }
 
 

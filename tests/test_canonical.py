@@ -24,10 +24,10 @@ from functorlab import (
     decompose,
     enumerate_involutions,
 )
-from functorlab import canonical
+from functorlab import canonical, zmatrix
 from functorlab.canonical import BlockForm, SqrtClassification, _verify_square
 from functorlab.cli import _code_for
-from functorlab.zmatrix import _check_symmetric
+from functorlab.zmatrix import _check_symmetric, _pow_rows
 
 
 def random_square_root(rng):
@@ -478,3 +478,70 @@ def test_corrupt_inputs_never_leave_exit_3(rows, k):
                 assert (got.recompose() if reader is decompose else got.matrix()) == m
     finally:
         canonical._verify_square = saved
+
+
+# Shape first: an input with the forced block shape gets its BlockForm or
+# classification from the rebuild alone, every other input from M^2.
+
+
+@st.composite
+def near_roots(draw):
+    """(matrix, k): a monomial involution with weights multiplying to k, or
+    root times a symmetric permutation matrix, n <= 8, under a random
+    relabeling; then at most one change: k moved by one or set to 0, or one
+    entry (or a symmetric pair) moved by one or set to 2."""
+    n = draw(st.integers(1, 8))
+    rows = [[0] * n for _ in range(n)]
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 12))
+        divisors = [d for d in range(1, k + 1) if k % d == 0]
+        for i, j in draw(_pairing(range(n))).items():
+            if i < j:
+                a = draw(st.sampled_from(divisors))
+                rows[i][j], rows[j][i] = a, k // a
+            elif i == j:
+                rows[i][i] = isqrt(k)  # off the shape unless k is a square
+    else:
+        r = draw(st.integers(0, 3))
+        for i, j in draw(_pairing(range(n))).items():
+            rows[i][j] = r
+        k = r * r
+    change = draw(st.sampled_from(["none", "k_up", "k_down", "k_zero", "up", "down",
+                                   "two", "pair_up"]))
+    if change.startswith("k_"):
+        k = {"k_up": k + 1, "k_down": max(k - 1, 0), "k_zero": 0}[change]
+    elif change != "none":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        v = {"down": max(rows[i][j] - 1, 0), "two": 2}.get(change, rows[i][j] + 1)
+        rows[i][j] = v
+        if change == "pair_up":
+            rows[j][i] = v
+    relabel = Permutation(tuple(draw(st.permutations(range(n)))))
+    return conjugate(NatMatrix.from_rows(rows), relabel), k
+
+
+@settings(max_examples=400, deadline=None)
+@given(near_roots())
+def test_near_roots_match_oracle(case):
+    m, k = case
+    assert _outcome(decompose, m, k) == _outcome(_oracle_decompose, m, k)
+    assert _outcome(classify_selfadjoint_sqrt, m, k) == _outcome(_oracle_sqrt, m, k)
+
+
+def _no_product(a, b):
+    raise AssertionError("a positive verdict computed a matrix product")
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_roots())
+def test_positive_verdicts_make_no_matrix_product(case):
+    m, k = case
+    calls = [(decompose, _oracle_decompose), (classify_selfadjoint_sqrt, _oracle_sqrt)]
+    expected = [_outcome(oracle, m, k) for _, oracle in calls]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zmatrix, "_mul_rows", _no_product)
+        mp.setattr(canonical, "_mul_rows", _no_product)
+        _pow_rows.cache_clear()
+        for (reader, _), want in zip(calls, expected):
+            if want[0] == "ok":
+                assert _outcome(reader, m, k) == want

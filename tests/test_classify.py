@@ -21,8 +21,12 @@ from functorlab import (
     classify_root_of_identity,
     conjugate,
 )
-from functorlab import classify
-from functorlab.classify import CyclicClassification, IdempotentClassification
+from functorlab import canonical, classify, zmatrix
+from functorlab.classify import (
+    CommutingIdempotents,
+    CyclicClassification,
+    IdempotentClassification,
+)
 from functorlab.cli import _code_for
 from functorlab.errors import ShapeViolation
 from functorlab.zmatrix import _check_symmetric, _first_mismatch, _pow_rows
@@ -437,3 +441,90 @@ def test_corrupt_shape_exits_3(rows, reader, monkeypatch):
     assert isinstance(info.value, InternalFault)
     assert not isinstance(info.value, InvalidInput)
     assert _code_for(info.value) == 3
+
+
+# Shape first: a matrix with the forced shape gets its verdict from the
+# rebuild alone, and every other matrix from the dense powers.  Near-shapes
+# (one symmetric pair of entries moved) reach both paths.
+
+
+@st.composite
+def near_shapes(draw, n):
+    """An n x n 0/1 diagonal or 0/1 partial involution under a random
+    relabeling, with at most one pair of entries changed: moved by one, set
+    to 2, or changed on one side only."""
+    rows = [[0] * n for _ in range(n)]
+    if draw(st.booleans()):
+        for i in range(n):
+            rows[i][i] = draw(st.integers(0, 1))
+    else:
+        rest = [i for i in draw(st.permutations(range(n))) if draw(st.booleans())]
+        while rest:
+            i = rest.pop()
+            j = rest.pop() if rest and draw(st.booleans()) else i
+            rows[i][j] = rows[j][i] = 1
+    change = draw(st.sampled_from(["none", "up", "down", "two", "one_side"]))
+    if change != "none":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        v = {"up": rows[i][j] + 1, "down": max(rows[i][j] - 1, 0)}.get(change, 2)
+        rows[i][j] = v
+        if change != "one_side":
+            rows[j][i] = v
+    relabel = Permutation(tuple(draw(st.permutations(range(n)))))
+    return conjugate(NatMatrix.from_rows(rows), relabel)
+
+
+def _oracle_commuting(a, b):
+    # the products computed densely, as before the supports alone decided them
+    ca, cb = _oracle_idempotent(a), _oracle_idempotent(b)
+    if a.n != b.n:
+        raise InvalidInput(f"idempotents act on different index sets ({a.n} vs {b.n})")
+    ab = a * b
+    assert ab == b * a  # diagonal matrices commute
+    sa, sb = set(ca.support), set(cb.support)
+    return CommutingIdempotents(
+        n=a.n,
+        both=tuple(sorted(sa & sb)),
+        a_only=tuple(sorted(sa - sb)),
+        b_only=tuple(sorted(sb - sa)),
+        neither=tuple(sorted(set(range(1, a.n + 1)) - sa - sb)),
+        product=ab,
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(near_shapes(n), near_shapes(n))),
+       st.integers(2, 7).flatmap(lambda k: st.tuples(st.just(k), st.integers(1, k - 1))))
+def test_near_shapes_match_oracle(pair, exponents):
+    # both exponent-gap parities, on exact shapes and on shapes one entry off
+    (a, b), (k, mm) = pair, exponents
+    assert _outcome(classify_idempotent, a) == _outcome(_oracle_idempotent, a)
+    assert _outcome(classify_cyclic, a, k, mm) == _outcome(_oracle_cyclic, a, k, mm)
+    assert (_outcome(check_commuting_idempotents, a, b)
+            == _outcome(_oracle_commuting, a, b))
+
+
+def _no_product(a, b):
+    raise AssertionError("a positive verdict computed a matrix product")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(near_shapes(n), near_shapes(n))),
+       st.integers(2, 7).flatmap(lambda k: st.tuples(st.just(k), st.integers(1, k - 1))))
+def test_positive_verdicts_make_no_matrix_product(pair, exponents):
+    # a verdict the dense oracle gives must come without a product; only the
+    # negative verdicts and errors may compute powers
+    (a, b), (k, mm) = pair, exponents
+    calls = [
+        (classify_idempotent, (a,), _oracle_idempotent),
+        (check_commuting_idempotents, (a, b), _oracle_commuting),
+        (classify_cyclic, (a, k, mm), _oracle_cyclic),
+    ]
+    expected = [_outcome(oracle, *args) for _, args, oracle in calls]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zmatrix, "_mul_rows", _no_product)
+        mp.setattr(canonical, "_mul_rows", _no_product)
+        _pow_rows.cache_clear()
+        for (reader, args, _), want in zip(calls, expected):
+            if want[0] == "ok":
+                assert _outcome(reader, *args) == want

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from functorlab import restrict
@@ -913,3 +913,68 @@ def test_char_poly_integer_identities(rows):
     assert _poly_rows(tuple(reversed(coeffs)), frozen) == _scalar_rows(n, 0)
     assert sum(rows[i][i] for i in range(n)) == -coeffs[1]
     assert _fraction_det(rows) == (-1) ** n * coeffs[n]
+
+
+# The descent theorem, in place of a runtime re-check of each corner: for an
+# S-invariant M, each corner of g(M) is g of that corner of M.
+
+
+@st.composite
+def invariant_cases(draw):
+    """(M, S, coefficients): M random with S's leaking entries cleared."""
+    n = draw(st.integers(1, 5))
+    members = tuple(i + 1 for i in range(n) if draw(st.booleans()))
+    rows = [[draw(st.integers(0, 2)) for _ in range(n)] for _ in range(n)]
+    for j in members:
+        for i in range(n):
+            if i + 1 not in members:
+                rows[i][j - 1] = 0
+    coeffs = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    return NatMatrix.from_rows(rows), IndexSubset(n, members), tuple(coeffs)
+
+
+def _corner_rows(rows, members):
+    return tuple(tuple(rows[i - 1][j - 1] for j in members) for i in members)
+
+
+@settings(max_examples=300, deadline=None)
+@given(invariant_cases())
+def test_corners_of_a_polynomial_are_polynomials_of_the_corners(case):
+    m, s, coeffs = case
+    full = _poly_rows(coeffs, m.entries)
+    if s.size:
+        serre = restrict_serre(m, s)
+        assert _corner_rows(full, s.members) == _poly_rows(coeffs, serre.entries)
+    if s.size < s.n:
+        quotient = restrict_quotient(m, s)
+        transposed = tuple(zip(*full))
+        assert (_corner_rows(transposed, s.complement().members)
+                == _poly_rows(coeffs, quotient.entries))
+
+
+@settings(max_examples=200, deadline=None)
+@given(invariant_cases(), st.lists(st.integers(0, 3), min_size=1, max_size=4))
+def test_relation_descends_evaluates_only_the_ambient_sides(case, h):
+    # g(M) and h(M), and nothing on the corners; the corners it returns are
+    # the restrictions, whatever the verdict
+    m, s, g = case
+    try:
+        rel = RelationPoly(g, tuple(h))
+    except InvalidInput:  # g and h the same polynomial
+        assume(False)
+    calls = []
+
+    def counted(coeffs, rows):
+        calls.append(rows)
+        return _poly_rows(coeffs, rows)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(restrict, "_poly_rows", counted)
+        try:
+            rep = relation_descends(m, s, rel)
+        except RelationNotSatisfied:
+            rep = None
+    assert calls == [m.entries, m.entries]
+    if rep is not None:
+        assert rep.serre == (restrict_serre(m, s) if s.size else None)
+        assert rep.quotient == (restrict_quotient(m, s) if s.size < s.n else None)
