@@ -213,15 +213,17 @@ class RootOfIdentity(_Record):
 def classify_root_of_identity(m, n_exp):
     """Verify M^e = I and read off the underlying permutation and its order.
 
-    Selfadjointness (symmetry) holds exactly for orders 1 and 2; both the
-    order test and the symmetry test are run and cross-checked.
+    A permutation matrix of order o has M^e = I exactly when o divides e,
+    and it is symmetric exactly when o <= 2, its inverse being its
+    transpose; so selfadjointness is read off the order.
     """
     _require_int(n_exp, "exponent", 1)
     # one permutation check, then i goes to the row holding column i's 1
     sigma = (Permutation(_row_images(tuple(zip(*m.entries))))
              if m.is_permutation_matrix() else None)
+    order = None if sigma is None else sigma.order()
     # a permutation matrix of order o has M^e = M^(e mod o), so any e is cheap
-    power = _pow_rows(m.entries, n_exp if sigma is None else n_exp % sigma.order())
+    power = _pow_rows(m.entries, n_exp if sigma is None else n_exp % order)
     _raise_mismatch(_first_mismatch(power, _scalar_rows(m.n, 1)), NotARoot,
                     lambda i, j, x, y: f"(M^{n_exp})[{i}][{j}] = {x}, expected {y}",
                     power=n_exp)
@@ -230,10 +232,4 @@ def classify_root_of_identity(m, n_exp):
             "root of the identity over nonnegative integers must be a "
             "permutation matrix; the verified equation rules this out"
         )
-    order = sigma.order()
-    if n_exp % order:
-        raise InternalFault(f"permutation order {order} does not divide {n_exp}")
-    selfadjoint = order <= 2
-    if selfadjoint != m.is_symmetric():
-        raise InternalFault("symmetry and order <= 2 disagree on a permutation matrix")
-    return RootOfIdentity(sigma, order, selfadjoint)
+    return RootOfIdentity(sigma, order, order <= 2)

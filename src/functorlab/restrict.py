@@ -47,13 +47,17 @@ from .zmatrix import (
     NatMatrix,
     _Record,
     _check_cap,
+    _derivatives,
     _first_mismatch,
+    _horner,
     _is_int,
     _mul_rows,
     _poly_rows,
     _raise_mismatch,
+    _reach_masks,
     _require_int,
     _scalar_rows,
+    _sign_changes,
 )
 
 _SUBSET_ENUM_CAP = 20
@@ -117,22 +121,6 @@ def _invariance_witness(m, subset):
     return None
 
 
-def _reach_masks(m):
-    """(reach, anc) as bitmasks: reach[v] holds v and every index v reaches in
-    the support digraph, anc[v] holds v and every index that reaches v."""
-    n = m.n
-    reach = [
-        1 << v | sum(1 << i for i in range(n) if m.entries[i][v]) for v in range(n)
-    ]
-    for k in range(n):  # Warshall's transitive closure, one bit row at a time
-        bit = 1 << k
-        for v in range(n):
-            if reach[v] & bit:
-                reach[v] |= reach[k]
-    anc = [sum(1 << u for u in range(n) if reach[u] >> v & 1) for v in range(n)]
-    return reach, anc
-
-
 def invariant_subsets(m):
     """All invariant subsets, ordered by size then lexicographically.
 
@@ -144,7 +132,9 @@ def invariant_subsets(m):
     """
     n = m.n
     _check_cap(n, _SUBSET_ENUM_CAP, "invariant subsets can number 2^n")
-    reach, anc = _reach_masks(m)
+    reach = _reach_masks(m.entries)
+    # anc[v]: v and every index that reaches v
+    anc = [sum(1 << u for u in range(n) if reach[u] >> v & 1) for v in range(n)]
     full = (1 << n) - 1
     found = []
     stack = [(0, 0)]  # (taken, decided) index bitmasks
@@ -174,7 +164,7 @@ def _require_invariant(m, subset):
 
 
 def _corner(m, idx):
-    return NatMatrix(
+    return NatMatrix._trusted(
         tuple(tuple(m.entries[i][j] for j in idx) for i in idx)
     )
 
@@ -401,35 +391,22 @@ def _char_poly(rows):
     return coeffs
 
 
-def _horner(coeffs, num, den_bits=0):
-    """2^(den_bits * degree) times the polynomial (descending coefficients) at
-    num / 2^den_bits: an integer of the value's sign."""
-    acc = 0
-    for i, c in enumerate(coeffs):
-        acc = acc * num + (c << i * den_bits)
-    return acc
-
-
 def _integer_roots(coeffs):
     """Every integer root, ascending, of a monic integer polynomial
     (descending coefficients) whose roots are all real, as a characteristic
     polynomial of a symmetric matrix is.
 
     With only real roots, Budan-Fourier counts exactly: the roots in (a, b]
-    number V(a) - V(b), V(x) the sign changes along p(x), p'(x), p''(x), ...
-    with zeros dropped.  A root of a monic integer polynomial is an integer
-    or irrational, and lies within sqrt(c1^2 - 2 c2) of 0 (the sum of the
-    squared roots), so bisecting [t, u] on the counts at t - 1/2 and u + 1/2
-    isolates every integer root, which Horner's rule then confirms.
+    number V(a) - V(b) (zmatrix._sign_changes).  A root of a monic integer
+    polynomial is an integer or irrational, and lies within
+    sqrt(c1^2 - 2 c2) of 0 (the sum of the squared roots), so bisecting
+    [t, u] on the counts at t - 1/2 and u + 1/2 isolates every integer
+    root, which Horner's rule then confirms.
     """
-    derivs = [list(coeffs)]
-    while len(derivs[-1]) > 1:
-        q = derivs[-1]
-        derivs.append([c * (len(q) - 1 - i) for i, c in enumerate(q[:-1])])
+    derivs = _derivatives(coeffs)
 
     def changes(num):  # V(num / 2)
-        signs = [v > 0 for v in (_horner(d, num, 1) for d in derivs) if v]
-        return sum(a != b for a, b in zip(signs, signs[1:]))
+        return _sign_changes(derivs, num, 2)
 
     c1, c2 = (derivs[0] + [0, 0])[1:3]
     r = isqrt(c1 * c1 - 2 * c2)

@@ -55,8 +55,24 @@ parallel path gives each worker task one first-entry value and joins the
 buffers in value order, the order one search visits them, so worker count
 never changes the output.
 
-Searches are per-dimension; deciding solvability across all dimensions at
-once is out of scope.
+A symmetric up-to-iso search is assembled from connected classes when they
+are small.  Read X as the adjacency of its support graph: a disconnected X
+is, after relabeling, a direct sum, and g of a direct sum is the direct sum
+of g on each block, so the solutions up to isomorphism on n indices are exactly the
+direct sums of connected classes whose sizes add up to n, one per multiset
+of classes.  Let X be a connected symmetric solution on k indices.  X is at
+least the 0/1 adjacency of a spanning tree of its support, and among trees
+on k vertices the path has the least spectral radius, 2cos(pi/(k+1))
+(Lovasz and Pelikan, Period. Math. Hungar. 3, 1973).  So the Perron root of
+X, an eigenvalue and hence a root of p = g - h (reduced), is at least
+2cos(pi/(k+1)) > 2 - 10/(k+1)^2.  `_class_size_bound` finds the largest
+K <= n for which p may have a root above that bound, by Budan-Fourier sign
+changes in integers.  When K < n, the search above, with one more leaf
+filter (the support graph is connected), finds the connected classes of
+each size up to K, and every multiset of them summing to n is built,
+canonicalised by zmatrix._orbit_min_rows and sorted; `limit` then takes a
+prefix as before.  This path starts no worker.  When K >= n, or the search
+is not both symmetric and up to iso, the search runs as it is.
 """
 
 import itertools
@@ -67,10 +83,14 @@ from .zmatrix import (
     NatMatrix,
     RelationPoly,
     _Record,
+    _block_rows,
     _check_cap,
+    _derivatives,
     _orbit_min_rows,
     _poly_rows,
+    _reach_masks,
     _require_int,
+    _sign_changes,
     canonical_cap,
 )
 
@@ -84,7 +104,9 @@ class SearchConfig(_Record):
     below it is canonical, and a solution that reaches a leaf is still kept
     only if it equals its canonical form, which zmatrix._orbit_min_rows finds
     by a refinement search that branches on one index per twin class, not by
-    scanning n! relabelings);
+    scanning n! relabelings); with both symmetric_only and up_to_iso, and
+    connected classes provably smaller than n, the solutions are assembled
+    as direct sums of connected classes instead (see the module docstring);
     limit caps how many solutions are emitted (the `complete` flag on the
     result records whether the cap truncated anything).
     """
@@ -165,7 +187,7 @@ def _packed_kernel(gr, hr, n, bound):
 
 
 def _search_partition(args):
-    (gr, hr, n, bound, symmetric, up_to_iso, cap, share) = args
+    (gr, hr, n, bound, symmetric, up_to_iso, cap, share, connected) = args
     # the entries each fill step sets: (i, j), and (j, i) when symmetric
     positions = _fill_positions(n, symmetric)
     cells = [((i, j), (j, i)) if symmetric and i != j else ((i, j),) for i, j in positions]
@@ -202,6 +224,8 @@ def _search_partition(args):
         if idx == total:
             # L = U = X, so the cut just passed says g(X) = h(X)
             rows = tuple(map(tuple, top))
+            if connected and _reach_masks(rows)[0] != (1 << n) - 1:
+                return
             if up_to_iso and _orbit_min_rows(rows, n) != rows:
                 return
             found.append(rows)
@@ -235,6 +259,44 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
+def _class_size_bound(gr, hr, n):
+    """K <= n such that no connected symmetric solution has more than K
+    indices.
+
+    A connected one on k indices has a Perron root rho >= 2cos(pi/(k+1)) >
+    l_k = 2 - 10/(k+1)^2 (cos x > 1 - x^2/2 and pi^2 < 10), and rho is a
+    root of p = gr - hr.  p has at most V(l_k) roots above l_k
+    (Budan-Fourier, in integers), so V(l_k) = 0 rules out size k, and every
+    larger size too: l_k grows with k and V never grows.
+    """
+    p = [a - b for a, b in itertools.zip_longest(gr, hr, fillvalue=0)]
+    derivs = _derivatives(p[::-1])
+    k = 0
+    while k < n and _sign_changes(derivs, 2 * (k + 2) ** 2 - 10, (k + 2) ** 2) > 0:
+        k += 1
+    return k
+
+
+def _direct_sums(gr, hr, n, bound, size):
+    """The canonical forms, sorted, of every direct sum of n indices of
+    connected classes with at most size indices each."""
+    classes = [rows for k in range(1, size + 1) for rows in _search_partition(
+        (gr, hr, k, bound, True, True, None, range(bound + 1), True))]
+    sums = []
+
+    def pick(start, left, blocks):
+        # blocks: a multiset of classes, as indices into classes ascending
+        if not left:
+            sums.append(_orbit_min_rows(_block_rows([classes[t] for t in blocks])))
+            return
+        for t in range(start, len(classes)):
+            if len(classes[t]) <= left:
+                pick(t, left - len(classes[t]), blocks + [t])
+
+    pick(0, n, [])
+    return sorted(sums)
+
+
 def solve(rel, config, jobs=1):
     """All solutions of rel in the space described by config.
 
@@ -242,6 +304,8 @@ def solve(rel, config, jobs=1):
     runs one search per first-entry value across processes, at most one per
     usable CPU.  The result is byte-for-byte identical for every worker
     count.  n is capped at 30 (41 symmetric), before any worker starts.
+    A symmetric up-to-iso search whose connected classes are smaller than n
+    assembles its direct sums in this process instead.
     """
     _require_int(jobs, "jobs", 1)
     if config.up_to_iso:
@@ -253,15 +317,18 @@ def solve(rel, config, jobs=1):
     task = (gr, hr, config.n, config.bound, config.symmetric_only, config.up_to_iso, cap)
     values = range(config.bound + 1)
     workers = min(jobs, len(values), _usable_cpus())
-    if workers == 1:
-        buffers = [_search_partition(task + (values,))]
+    if config.symmetric_only and config.up_to_iso and (
+            size := _class_size_bound(gr, hr, config.n)) < config.n:
+        buffers = [_direct_sums(gr, hr, config.n, config.bound, size)]
+    elif workers == 1:
+        buffers = [_search_partition(task + (values, False))]
     else:
         # imported here so that a single-worker call never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         # one task per first value; the buffers come back in value order
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            buffers = list(pool.map(_search_partition, [task + ((v,),) for v in values]))
+            buffers = list(pool.map(_search_partition, [task + ((v,), False) for v in values]))
     stream = [rows for buf in buffers for rows in buf]
     complete = True
     if config.limit is not None and len(stream) > config.limit:

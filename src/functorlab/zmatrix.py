@@ -139,6 +139,35 @@ def _poly_rows(coeffs, rows):
     return tuple(tuple(r) for r in acc)
 
 
+def _horner(coeffs, num, den=1):
+    """den^degree times the polynomial (descending coefficients) at num / den,
+    den >= 1: an integer of the value's sign."""
+    acc, scale = 0, 1
+    for c in coeffs:
+        acc = acc * num + c * scale
+        scale *= den
+    return acc
+
+
+def _derivatives(coeffs):
+    """p, p', p'', ... down to a constant, descending coefficients."""
+    derivs = [list(coeffs)]
+    while len(derivs[-1]) > 1:
+        q = derivs[-1]
+        derivs.append([c * (len(q) - 1 - i) for i, c in enumerate(q[:-1])])
+    return derivs
+
+
+def _sign_changes(derivs, num, den=1):
+    """Budan-Fourier V(x) at x = num / den: the sign changes along p(x),
+    p'(x), p''(x), ... with zeros dropped.  For a < b the roots of p in
+    (a, b] number V(a) - V(b) less an even count, which is 0 when every root
+    is real.  V is 0 past every root of p and of its derivatives, so p has
+    at most V(a) roots above a."""
+    signs = [v > 0 for v in (_horner(d, num, den) for d in derivs) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
 def _first_mismatch(a, b):
     """First differing entry of two row sequences: ((i, j) 1-based, a's, b's)."""
     for i, (ra, rb) in enumerate(zip(a, b)):
@@ -177,6 +206,30 @@ def _conjugate_rows(rows, images):
         for j in range(n):
             out[oi][images[j]] = ri[j]
     return tuple(tuple(r) for r in out)
+
+
+def _block_rows(blocks):
+    # the direct sum: each block on the diagonal, in order, zeros elsewhere
+    n = sum(map(len, blocks))
+    out, at = [], 0
+    for block in blocks:
+        pad = (0,) * (n - at - len(block))
+        out += [(0,) * at + row + pad for row in block]
+        at += len(block)
+    return tuple(out)
+
+
+def _reach_masks(rows):
+    """reach[v] as a bitmask: v and every index v reaches in the support
+    digraph, where column v feeds row i when rows[i][v] != 0."""
+    n = len(rows)
+    reach = [1 << v | sum(1 << i for i in range(n) if rows[i][v]) for v in range(n)]
+    for k in range(n):  # Warshall's transitive closure, one bit row at a time
+        bit = 1 << k
+        for v in range(n):
+            if reach[v] & bit:
+                reach[v] |= reach[k]
+    return reach
 
 
 def _twin_classes(rows):
@@ -469,7 +522,7 @@ class Permutation(_Record):
 
     def matrix(self):
         # row images[i] holds its 1 in column i
-        return NatMatrix(_monomial_rows(self.inverse().images, (1,) * self.n))
+        return NatMatrix._trusted(_monomial_rows(self.inverse().images, (1,) * self.n))
 
 
 def _normalize_coeffs(coeffs, side):
@@ -534,15 +587,7 @@ def poly_eval(coeffs, m):
 
 
 def direct_sum(a, b):
-    n = a.n + b.n
-    rows = [[0] * n for _ in range(n)]
-    for i in range(a.n):
-        for j in range(a.n):
-            rows[i][j] = a.entries[i][j]
-    for i in range(b.n):
-        for j in range(b.n):
-            rows[a.n + i][a.n + j] = b.entries[i][j]
-    return NatMatrix(tuple(tuple(r) for r in rows))
+    return NatMatrix._trusted(_block_rows((a.entries, b.entries)))
 
 
 _TENSOR_CAP = 1024  # the product is built as an n*b by n*b list of lists
@@ -564,7 +609,7 @@ def external_tensor(m, b_simples):
             if x:
                 for s in range(b_simples):
                     rows[i * b_simples + s][j * b_simples + s] = x
-    return NatMatrix(tuple(tuple(r) for r in rows))
+    return NatMatrix._trusted(tuple(tuple(r) for r in rows))
 
 
 def conjugate(m, s):
@@ -573,7 +618,7 @@ def conjugate(m, s):
         raise DimensionMismatch(
             f"matrix is {m.n}x{m.n} but permutation acts on {s.n} letters"
         )
-    return NatMatrix(_conjugate_rows(m.entries, s.images))
+    return NatMatrix._trusted(_conjugate_rows(m.entries, s.images))
 
 
 def canonical_rep(m):

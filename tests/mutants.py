@@ -45,6 +45,12 @@ _ORACLE = [
 # value below 2^(s-1); with no such power every relation side is constant and
 # only g0, h0 are compared.
 #
+# Not a row: a class size bound K that comes out too large in solve's
+# assembly path (say `return k + 1` in _class_size_bound) is equivalent.  K
+# only bounds which connected classes are searched for; a larger K searches
+# sizes that hold no connected class and assembles the same direct sums, and
+# at K >= n the plain search runs, which is only slower.
+#
 # Not a row: a `k >= 1` guard on decompose's shape path (`_block_form`).  At
 # k = 0 the pair test already admits only the zero matrix, which is the one
 # square root of 0*I: a pair i != j needs both entries nonzero to be each
@@ -74,6 +80,18 @@ MUTANTS = {
         "zmatrix", "(stop is not None and out[a] != rows[a])",
         "(stop is not None and out[a] == rows[a])",
         ["tests/test_zmatrix.py::test_stopped_orbit_min_decides_what_the_full_one_does",
+         "tests/test_solver.py::test_up_to_iso_equals_orbit_minima_of_full_search"]),
+    "class-size-one-too-small": (
+        "solver", "k += 1\n    return k", "k += 1\n    return k - 1",
+        ["tests/test_solver.py::test_class_size_bound",
+         "tests/test_solver.py::test_assembled_up_to_iso_equals_canonical_full_search"]),
+    "class-size-root-test-not-strict": (
+        "solver", "(k + 2) ** 2) > 0", "(k + 2) ** 2) >= 0",
+        ["tests/test_solver.py::test_class_size_bound"]),
+    "assembly-drops-connectivity-filter": (
+        "solver", "if connected and _reach_masks(rows)[0] != (1 << n) - 1:",
+        "if False and _reach_masks(rows)[0] != (1 << n) - 1:",
+        ["tests/test_solver.py::test_assembled_up_to_iso_equals_canonical_full_search",
          "tests/test_solver.py::test_up_to_iso_equals_orbit_minima_of_full_search"]),
     "diagonal-shape-lets-2-through": (
         "classify", "ones = [min(row[i], 1) for i, row in enumerate(m.entries)]",

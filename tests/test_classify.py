@@ -528,3 +528,31 @@ def test_positive_verdicts_make_no_matrix_product(pair, exponents):
         for (reader, args, _), want in zip(calls, expected):
             if want[0] == "ok":
                 assert _outcome(reader, *args) == want
+
+
+# M^e = I over Z+: the two facts the classifier reads off the order instead
+# of checking at run time, against powers computed one product at a time.
+
+
+def _naive_order(m):
+    eye, p, k = NatMatrix.identity(m.n), m, 1
+    while p != eye:
+        p, k = p * m, k + 1
+    return k
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.permutations(range(n))), st.integers(1, 4),
+       st.integers(0, 3))
+def test_root_of_identity_order_divides_exponent_and_reads_symmetry(images, t, off):
+    m = Permutation(tuple(images)).matrix()
+    o = _naive_order(m)
+    e = o * t + off  # a multiple of the order, or a few past one
+    if off % o:
+        with pytest.raises(NotARoot):
+            classify_root_of_identity(m, e)
+        return
+    cls = classify_root_of_identity(m, e)
+    assert cls.order == o and e % cls.order == 0
+    assert cls.matrix() == m
+    assert cls.selfadjoint == m.is_symmetric() == (m * m == NatMatrix.identity(m.n))

@@ -219,6 +219,20 @@ def test_restrict_quotient():
     assert restrict_quotient(m, subset(3, 1)).entries == ((3, 6), (0, 5))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(0, 5), min_size=n, max_size=n), min_size=n, max_size=n),
+    st.lists(st.integers(0, n - 1), unique=True, min_size=1))))
+def test_corner_equals_its_validated_construction(case):
+    # built without NatMatrix's checks, a corner is what the checks would
+    # have made of the same entries
+    rows, idx = case
+    m = NatMatrix(tuple(map(tuple, rows)))
+    corner = restrict._corner(m, idx)
+    assert corner == NatMatrix(tuple(tuple(rows[i][j] for j in idx) for i in idx))
+    assert all(type(row) is tuple for row in corner.entries)
+
+
 def test_restriction_of_symmetric_is_symmetric():
     rng = random.Random(13)
     found = 0

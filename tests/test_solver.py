@@ -475,10 +475,12 @@ def test_packed_exceeds_matches_dense_compare(case, data):
 
 
 def _search_counts(monkeypatch, rel, config):
-    # packed sides calls (one per evaluated L or U, leaves included) and
-    # orbit calls (row-end cuts and leaf filters)
-    calls = {"sides": 0, "orbit": 0}
-    kernel, orbit = solver._packed_kernel, solver._orbit_min_rows
+    # packed sides calls (one per evaluated L or U, leaves included), orbit
+    # calls inside the search (row-end cuts and leaf filters), and full
+    # canonical forms outside it (one per assembled direct sum)
+    calls = {"sides": 0, "orbit": 0, "canon": 0}
+    inside = []
+    kernel, orbit, search = solver._packed_kernel, solver._orbit_min_rows, solver._search_partition
 
     def counted_kernel(*args):
         s, sides, exceeds = kernel(*args)
@@ -490,26 +492,48 @@ def _search_counts(monkeypatch, rel, config):
         return s, counted_sides, exceeds
 
     def counted_orbit(*args):
-        calls["orbit"] += 1
         out = orbit(*args)
-        assert len(out) <= args[1]  # every call states how many rows it needs
+        if inside:
+            calls["orbit"] += 1
+            assert len(out) <= args[1]  # every call states how many rows it needs
+        else:
+            calls["canon"] += 1
+            assert len(args) == 1 and len(out) == config.n
         return out
+
+    def counted_search(*args):
+        inside.append(True)
+        try:
+            return search(*args)
+        finally:
+            inside.pop()
 
     monkeypatch.setattr(solver, "_packed_kernel", counted_kernel)
     monkeypatch.setattr(solver, "_orbit_min_rows", counted_orbit)
+    monkeypatch.setattr(solver, "_search_partition", counted_search)
     res = solve(rel, config)
-    return calls["sides"], calls["orbit"], res.count
+    return calls["sides"], calls["orbit"], calls["canon"], res.count
 
 
 @pytest.mark.parametrize("rel, n, want", [
-    (X_SQ_EQ_1, 6, (230, 40, 4)),
-    (X_SQ_EQ_X, 6, (184, 42, 7)),
-    (X_CUBE_EQ_X, 7, (830, 200, 20)),
+    # connected classes have at most 2 indices: each solution is assembled
+    (X_SQ_EQ_1, 6, (16, 4, 4, 4)),
+    (X_SQ_EQ_X, 6, (16, 4, 7, 7)),
+    (X_CUBE_EQ_X, 7, (18, 6, 20, 20)),
 ])
 def test_search_tree_counts(monkeypatch, rel, n, want):
-    # the interval cut and the orderly cut decide these counts, not timing
+    # the interval cut, the orderly cut and the class size bound decide
+    # these counts, not timing
     config = SearchConfig(n=n, bound=1, symmetric_only=True, up_to_iso=True)
     assert _search_counts(monkeypatch, rel, config) == want
+
+
+def test_plain_search_tree_counts(monkeypatch):
+    # the root 2 of X^2 - X - 2 bounds no class size, so the symmetric
+    # up-to-iso search runs as it is, with no assembled direct sum
+    config = SearchConfig(n=5, bound=2, symmetric_only=True, up_to_iso=True)
+    assert _search_counts(monkeypatch, RelationPoly((0, 0, 1), (2, 1)), config) == (454, 31, 0, 2)
+
 
 def _square_roots_of_4i(n):
     # the block theorem: a relabeled direct sum of blocks [2] and
@@ -563,8 +587,11 @@ _ISO_SHAPES = (
     h=st.lists(st.integers(0, 2), max_size=4),
     shape=_ISO_SHAPES,
 )
+# X^2 = I and X^3 = X assemble their classes of at most 2 indices, and
+# X^2 = X + 2I (root 2, no class size bound) runs the plain symmetric search
 @example(g=[0, 0, 1], h=[1], shape=(True, 6, 1))
 @example(g=[0, 0, 0, 1], h=[0, 1], shape=(True, 6, 1))
+@example(g=[0, 0, 1], h=[2, 1], shape=(True, 6, 1))
 @example(g=[0, 0, 1], h=[0, 1], shape=(False, 4, 1))
 @example(g=[0, 0, 1], h=[2], shape=(False, 3, 2))
 def test_up_to_iso_equals_orbit_minima_of_full_search(g, h, shape):
@@ -602,3 +629,109 @@ def test_up_to_iso_limit_is_a_prefix():
                                               up_to_iso=True, limit=k))
         assert res.solutions == full.solutions[:k]
         assert res.complete == (k >= full.count)
+
+
+# Symmetric up-to-iso solve assembles direct sums of connected classes when
+# the path bound limits their size.  Relations p(X) = 0 with p a product of
+# x, x - 1, x + 1, x^2 - x - 1 and x^2 - 2 (largest roots 0, 1, -1, 1.618
+# and 1.414) mostly take that path.
+_FACTORS = ((0, 1), (-1, 1), (1, 1), (-1, -1, 1), (-2, 0, 1))
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@st.composite
+def _factored_relations(draw):
+    p = [1]
+    for factor in draw(st.lists(st.sampled_from(_FACTORS), min_size=1, max_size=3)):
+        p = _poly_mul(p, factor)
+    if draw(st.booleans()):
+        p = [-c for c in p]
+    # the same summand on both sides changes no solution
+    pad = draw(st.lists(st.integers(0, 1), min_size=len(p), max_size=len(p)))
+    g = tuple(max(c, 0) + e for c, e in zip(p, pad))
+    h = tuple(max(-c, 0) + e for c, e in zip(p, pad))
+    return RelationPoly(g, h)
+
+
+def _canonical_solutions(rel, n, bound):
+    # the full labelled search, canonicalised and deduplicated
+    full = solve(rel, SearchConfig(n=n, bound=bound, symmetric_only=True))
+    return sorted({canonical_rep(m).entries for m in full.solutions})
+
+
+# n = 7 only by the examples: there the full labelled search takes seconds
+# for some of these relations, (x^2 - x - 1)^2 = 0 among them
+@settings(max_examples=100, deadline=None)
+@given(rel=_factored_relations(),
+       shape=st.tuples(st.integers(3, 6), st.integers(0, 1))
+       | st.tuples(st.integers(1, 3), st.integers(0, 2)),
+       limit=st.none() | st.integers(1, 3))
+@example(rel=X_SQ_EQ_1, shape=(7, 1), limit=None)
+@example(rel=RelationPoly((0, 0, 0, 1), (0, 1, 1)), shape=(7, 1), limit=2)
+def test_assembled_up_to_iso_equals_canonical_full_search(rel, shape, limit):
+    n, bound = shape
+    want = _canonical_solutions(rel, n, bound)
+    config = SearchConfig(n=n, bound=bound, symmetric_only=True, up_to_iso=True, limit=limit)
+    got = solve(rel, config)
+    cut = len(want) if limit is None else limit
+    assert entries(got) == want[:cut]
+    assert got.complete == (len(want) <= cut)
+    if n <= 4:
+        assert got == brute_force_oracle(rel, config)
+
+
+# K for each relation: no connected symmetric solution has more indices
+_CLASS_SIZES = [
+    (X_SQ_EQ_X, 2), (X_SQ_EQ_1, 2), (X_CUBE_EQ_X, 2),
+    (X_SQ_EQ_2, 3),
+    (RelationPoly((0, 0, 1), (1, 1)), 4), (RelationPoly((0, 0, 0, 1), (0, 1, 1)), 4),
+    (RelationPoly((0, 0, 1), (3,)), 5),
+]
+
+
+@pytest.mark.parametrize("rel, size", _CLASS_SIZES)
+def test_class_size_bound(rel, size):
+    gr, hr = rel.reduced()
+    assert solver._class_size_bound(gr, hr, 8) == size
+    assert solver._class_size_bound(gr, hr, size - 1) == size - 1
+
+
+@pytest.mark.parametrize("rel", [RelationPoly((0, 0, 1), (4,)), RelationPoly((0, 0, 1), (2, 1))])
+def test_class_size_unbounded_from_root_2(rel):
+    # 2 = 2cos(pi/(k+1)) in the limit: no size is ruled out
+    gr, hr = rel.reduced()
+    for n in range(1, 9):
+        assert solver._class_size_bound(gr, hr, n) == n
+
+
+def _is_connected(rows):
+    seen, todo = {0}, [0]
+    while todo:
+        i = todo.pop()
+        for j, x in enumerate(rows[i]):
+            if x and j not in seen:
+                seen.add(j)
+                todo.append(j)
+    return len(seen) == len(rows)
+
+
+def _no_size_bound(*args):
+    raise AssertionError("the class size bound was computed")
+
+
+@pytest.mark.parametrize("rel, size", _CLASS_SIZES)
+def test_no_connected_solution_above_the_class_size(rel, size):
+    # the size claim itself, by the plain labelled search: no connected
+    # symmetric solution on size + 1 or size + 2 indices
+    with mock.patch.object(solver, "_class_size_bound", _no_size_bound):
+        for k in (size + 1, size + 2):
+            for bound in (1, 2):
+                full = solve(rel, SearchConfig(n=k, bound=bound, symmetric_only=True))
+                assert not [m for m in full.solutions if _is_connected(m.entries)]

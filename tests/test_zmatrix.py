@@ -591,3 +591,20 @@ def test_integer_argument_messages():
     assert swap.__rmul__(True) is NotImplemented
     with pytest.raises(TypeError):
         True * swap
+
+
+_small_matrices = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(0, 5), min_size=n, max_size=n),
+                       min_size=n, max_size=n)
+).map(lambda rows: NatMatrix(tuple(map(tuple, rows))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_matrices, _small_matrices, st.integers(1, 3), st.data())
+def test_trusted_constructions_equal_validated_ones(a, b, k, data):
+    # built without NatMatrix's checks, each result is what the checks would
+    # have made of the same entries
+    sigma = Permutation(tuple(data.draw(st.permutations(range(a.n)))))
+    for m in (conjugate(a, sigma), direct_sum(a, b), external_tensor(a, k), sigma.matrix()):
+        assert m == NatMatrix(m.entries)
+        assert all(type(row) is tuple for row in m.entries)
