@@ -6,9 +6,10 @@ in each row and column), and the columns of those entries form an involution
 because M^2 is diagonal.  After a relabeling, M is a direct sum of 2x2 blocks
 [[0, a], [b, 0]] with a*b = k and 1x1 blocks [a] with a^2 = k; for k = 0 only
 the zero matrix has this shape, and every such shape squares to k*I.  The
-readers take each row's nonzero column, rebuild the claimed form from those
-columns and compare it with the input once, so a match proves M^2 = k*I with
-no matrix product; only a failed rebuild squares M, for the witness.
+readers read the input once with zmatrix._monomial_form, each row's one
+nonzero column and value, and test the block shape on those, so a match
+proves M^2 = k*I with no matrix product; only an input without the shape
+squares M, for the witness.
 Symmetry collapses every 2x2 block to a = b, so symmetric square roots exist
 iff k is a perfect square and are exactly sqrt(k) times a symmetric
 permutation matrix.
@@ -26,14 +27,15 @@ from .zmatrix import (
     NatMatrix,
     Permutation,
     _Record,
+    _block_rows,
     _check_cap,
     _check_symmetric,
+    _conjugate_rows,
     _first_mismatch,
-    _monomial_rows,
+    _monomial_form,
     _mul_rows,
     _raise_mismatch,
     _require_int,
-    _row_images,
     _scalar_rows,
     canonical_cap,
     scalar_mul,
@@ -53,28 +55,6 @@ class Block2(_Record):
     b: int
 
 
-def _block_rows(order, blocks):
-    """Rows of the matrix whose blocks, relabeled, are `blocks`: block
-    position p of the block diagonal is original index order[p]."""
-    n = len(order)
-    images = [0] * n
-    values = [0] * n
-    pos = 0
-    for block in blocks:
-        if isinstance(block, Block1):
-            i = order[pos]
-            images[i], values[i] = i, block.a
-            pos += 1
-        else:
-            i, j = order[pos], order[pos + 1]
-            images[i], values[i] = j, block.a
-            images[j], values[j] = i, block.b
-            pos += 2
-    if pos != n:
-        raise InternalFault("block sizes do not add up to the dimension")
-    return _monomial_rows(images, values)
-
-
 class BlockForm(_Record):
     """A relabeling perm and block list with conj(m, perm) block diagonal."""
 
@@ -84,7 +64,11 @@ class BlockForm(_Record):
 
     def recompose(self):
         """The original matrix: undo the relabeling of the block diagonal."""
-        return NatMatrix(_block_rows(self.perm.inverse().images, self.blocks))
+        blocks = [((b.a,),) if isinstance(b, Block1) else ((0, b.a), (b.b, 0))
+                  for b in self.blocks]
+        if sum(map(len, blocks)) != self.perm.n:
+            raise InternalFault("block sizes do not add up to the dimension")
+        return NatMatrix(_conjugate_rows(_block_rows(blocks), self.perm.inverse().images))
 
 
 class SqrtClassification(_Record):
@@ -107,22 +91,23 @@ def _verify_square(m, k):
 
 
 def _block_form(e, k):
-    # (order, blocks) when e is monomial with an involutive pattern whose
-    # paired entries multiply to k, else None; for k >= 1 that is exactly
-    # e^2 = k*I, and for k = 0 only the zero matrix passes
-    images = _row_images(e)
+    # (order, blocks) when e is monomial with involutive images whose paired
+    # values multiply to k, else None; for k >= 1 that is exactly e^2 = k*I,
+    # and for k = 0 only the zero matrix passes
+    form = _monomial_form(e)
+    if form is None:
+        return None
+    images, values = form
     order, blocks = [], []
     for i, j in enumerate(images):
-        if images[j] != i or e[i][j] * e[j][i] != k:
+        if images[j] != i or values[i] * values[j] != k:
             return None
         if i == j:
-            blocks.append(Block1(e[i][i]))
+            blocks.append(Block1(values[i]))
             order.append(i)
         elif i < j:
-            blocks.append(Block2(e[i][j], e[j][i]))
+            blocks.append(Block2(values[i], values[j]))
             order += (i, j)
-    if _block_rows(order, blocks) != e:  # recompose(), without re-checking e's entries
-        return None
     return order, blocks
 
 
@@ -172,13 +157,13 @@ def classify_selfadjoint_sqrt(m, k):
         )
     # a symmetric monomial matrix permutes by an involution, so root times it
     # squares to k*I; the zero matrix (k = 0) reads as the identity
-    images = _row_images(m.entries)
-    if m.entries != _monomial_rows(images, (root,) * m.n):
+    form = _monomial_form(m.entries)
+    if form is None or form[1] != (root,) * m.n:
         _verify_square(m, k)
         raise InternalFault(
             f"a symmetric square root of {k}*I is not {root} times a permutation matrix"
         )
-    return SqrtClassification(root, Permutation(images))
+    return SqrtClassification(root, Permutation(form[0]))
 
 
 def enumerate_involutions(n):

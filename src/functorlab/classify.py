@@ -14,11 +14,12 @@ restrictive over the nonnegative integers:
 
 Each forced shape also solves its equation: D^j = D for a 0/1 diagonal D and
 j >= 1, and a 0/1 partial involution P has P^3 = P, so P^k = P^m when k - m
-is even.  Every forced shape is monomial, so the classifiers read it off each
-row's nonzero column and compare one rebuild with the input: a match proves
-the equation with no power computed.  Only a failed rebuild computes the
-powers, for the witness position a negative verdict carries; a failed
-rebuild where the equation holds is an internal fault, never a user error.
+is even.  Every forced shape is monomial, so the classifiers read the input
+once with zmatrix._monomial_form, each row's one nonzero column and value,
+and test the shape on those: a match proves the equation with no power
+computed.  Only an input without the shape has its powers computed, for the
+witness position a negative verdict carries; a shape that fails where the
+equation holds is an internal fault, never a user error.
 
 Note the partial-involution case reports the permutation on the support only;
 distinct functors can share that shadow, so nothing finer is recovered here.
@@ -39,33 +40,32 @@ from .zmatrix import (
     _Record,
     _check_symmetric,
     _first_mismatch,
+    _monomial_form,
     _monomial_rows,
     _pow_rows,
     _raise_mismatch,
     _require_int,
-    _row_images,
     _scalar_rows,
 )
 
 
 def _diagonal_support(m):
-    # 1-based indices carrying a diagonal 1 when m is a 0/1 diagonal, else
-    # None (an entry above 1 is rebuilt as 1, so the compare rejects it)
-    ones = [min(row[i], 1) for i, row in enumerate(m.entries)]
-    if m.entries != _monomial_rows(range(m.n), ones):
+    # 1-based indices carrying a diagonal 1 when m is a 0/1 diagonal, else None
+    form = _monomial_form(m.entries)
+    if form is None or form[0] != tuple(range(m.n)) or not set(form[1]) <= {0, 1}:
         return None
-    return tuple(i + 1 for i, one in enumerate(ones) if one)
+    return tuple(i + 1 for i, v in enumerate(form[1]) if v)
 
 
 def _partial_involution(m):
     # (support, pairing), 1-based, when m is a 0/1 partial involution, else None
-    images = _row_images(m.entries)
-    ones = [min(row[j], 1) for row, j in zip(m.entries, images)]
-    if m.entries != _monomial_rows(images, ones) or any(
-        images[j] != i for i, j in enumerate(images)
-    ):
+    form = _monomial_form(m.entries)
+    if form is None or max(form[1]) > 1:
         return None
-    support = [i for i, one in enumerate(ones) if one]
+    images, values = form
+    if any(images[j] != i for i, j in enumerate(images)):
+        return None
+    support = [i for i, v in enumerate(values) if v]
     return tuple(i + 1 for i in support), tuple(images[i] + 1 for i in support)
 
 
@@ -218,9 +218,12 @@ def classify_root_of_identity(m, n_exp):
     transpose; so selfadjointness is read off the order.
     """
     _require_int(n_exp, "exponent", 1)
-    # one permutation check, then i goes to the row holding column i's 1
-    sigma = (Permutation(_row_images(tuple(zip(*m.entries))))
-             if m.is_permutation_matrix() else None)
+    # one shape read: a permutation matrix has every value 1 and distinct
+    # images, and i goes to the row holding column i's 1, the inverse images
+    form = _monomial_form(m.entries)
+    sigma = None
+    if form is not None and form[1] == (1,) * m.n and len(set(form[0])) == m.n:
+        sigma = Permutation(form[0]).inverse()
     order = None if sigma is None else sigma.order()
     # a permutation matrix of order o has M^e = M^(e mod o), so any e is cheap
     power = _pow_rows(m.entries, n_exp if sigma is None else n_exp % order)

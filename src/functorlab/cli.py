@@ -88,14 +88,13 @@ def _solutions_table(result):
     return "\n\n".join(chunks) + "\n"
 
 
-def _emit(ns, obj, csv_text=None, table_text=None):
+def _emit(ns, result, to_obj, to_csv=None, to_table=None):
+    """Write result in the format asked for; only that format's renderer runs."""
     fmt = getattr(ns, "format", "json")
-    if fmt == "json":
-        text = jsonio.dumps(obj)
-    else:
-        text = csv_text if fmt == "csv" else table_text
-        if text is None:
-            raise InvalidInput(f"{fmt} output is only available for matrix-shaped results")
+    render = {"json": lambda r: jsonio.dumps(to_obj(r)), "csv": to_csv, "table": to_table}[fmt]
+    if render is None:
+        raise InvalidInput(f"{fmt} output is only available for matrix-shaped results")
+    text = render(result)
     out = getattr(ns, "out", None)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -105,7 +104,7 @@ def _emit(ns, obj, csv_text=None, table_text=None):
 
 
 def _emit_matrix(ns, m):
-    _emit(ns, jsonio.matrix_to_obj(m), _matrix_csv(m), _matrix_table(m))
+    _emit(ns, m, jsonio.matrix_to_obj, _matrix_csv, _matrix_table)
 
 
 # -- the two handlers that do more than load, call, write --------------------
@@ -132,12 +131,7 @@ def _cmd_solve(ns):
         result = solver.solve(rel, config, jobs=ns.jobs)
     else:
         result = solver.brute_force_oracle(rel, config)
-    _emit(
-        ns,
-        jsonio.solution_set_to_obj(result),
-        _solutions_csv(result),
-        _solutions_table(result),
-    )
+    _emit(ns, result, jsonio.solution_set_to_obj, _solutions_csv, _solutions_table)
     return 0 if result.count else 1
 
 
@@ -167,8 +161,8 @@ def _cmd_construct(ns):
         return 0
     inputs_ok = [rel.satisfied_by(m) for m in matrices]
     output_ok = rel.satisfied_by(out)
-    report = jsonio.verify_report_to_obj(out, rel, inputs_ok, output_ok)
-    _emit(ns, report, _matrix_csv(out), _matrix_table(out))
+    _emit(ns, out, lambda m: jsonio.verify_report_to_obj(m, rel, inputs_ok, output_ok),
+          _matrix_csv, _matrix_table)
     if ns.subop in ("dsum", "tensor"):
         if not all(inputs_ok):
             return 1
@@ -185,12 +179,12 @@ def _cmd_construct(ns):
 
 def _document(to_obj):
     """Writer of a JSON-only report built by a jsonio function."""
-    return lambda ns, result: _emit(ns, to_obj(result))
+    return lambda ns, result: _emit(ns, result, to_obj)
 
 
 def _flag_document(key):
     """Writer of a one-key bool document."""
-    return lambda ns, ok: _emit(ns, {key: ok})
+    return lambda ns, ok: _emit(ns, ok, lambda value: {key: value})
 
 
 def _truth_exit(ok):

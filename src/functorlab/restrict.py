@@ -254,10 +254,6 @@ class _IntegerSpan:
     def __init__(self):
         self.rows = []  # (pivot index, vector) sorted by pivot
 
-    @property
-    def dim(self):
-        return len(self.rows)
-
     def residue(self, vec):
         """A nonzero multiple of vec reduced to 0 at every pivot: at each
         pivot, vec becomes p*vec - c*row with c = vec[pivot] and
@@ -330,28 +326,25 @@ def _gf2_span(n):
     return add
 
 
-def _word_span_dim(one, gens, mul, add, full):
-    """Dimension, up to full, of the span of every word in gens (the empty
-    word is one) under the product mul and the span insert add.
+def _closure_dim(seeds, gens, act, add, full):
+    """Dimension, up to full, of the least span that holds seeds and is
+    closed under x -> act(x, g) for every g in gens, with the span insert add.
 
-    Breadth first: each word that grows the span is extended on the right by
-    every generator.  A word in the span extends to words in the span, so
-    the closure found is the span of the whole algebra the words generate.
+    Breadth first: each element that grows the span is acted on by every
+    generator.  An element that does not grow it is a combination of ones
+    that did, and act is linear in x, so its images are combinations of
+    theirs: the closure found is the least closed span.  The queue holds
+    exactly the elements that grew the span, so its length is the dimension.
     """
-    dim = 0
-    queue = []
-    for rows in [one] + gens:
-        if add(rows):
-            dim += 1
-            queue.append(rows)
-    while queue and dim < full:
-        current = queue.pop(0)
+    queue = [x for x in seeds if add(x)]
+    at = 0
+    while at < len(queue) < full:
         for g in gens:
-            prod = mul(current, g)
-            if add(prod):
-                dim += 1
-                queue.append(prod)
-    return dim
+            y = act(queue[at], g)
+            if add(y):
+                queue.append(y)
+        at += 1
+    return len(queue)
 
 
 def _words_span_all(gens, n):
@@ -359,12 +352,12 @@ def _words_span_all(gens, n):
     matrices: mod 2 first, exactly only when mod 2 falls short (the
     soundness argument is in cartan_check)."""
     full = n * n
-    one = _scalar_rows(n, 1)
-    bits = [_gf2_rows(g) for g in gens]
-    if _word_span_dim(_gf2_rows(one), bits, _gf2_mul, _gf2_span(n), full) == full:
+    words = [_scalar_rows(n, 1)] + gens  # the empty word, then each generator
+    bits = [_gf2_rows(g) for g in words]
+    if _closure_dim(bits, bits[1:], _gf2_mul, _gf2_span(n), full) == full:
         return True
     span = _IntegerSpan()
-    exact = _word_span_dim(one, gens, _mul_rows, lambda rows: span.add(_flatten(rows)), full)
+    exact = _closure_dim(words, gens, _mul_rows, lambda rows: span.add(_flatten(rows)), full)
     return exact == full
 
 
@@ -555,17 +548,7 @@ def cartan_check(instance):
             if not kernel:
                 continue
             sub = _IntegerSpan()
-            vec_queue = []
-            for v in kernel:
-                if sub.add(v):
-                    vec_queue.append(v)
-            while vec_queue and sub.dim < n:
-                v = vec_queue.pop(0)
-                for g in gens:
-                    w = _apply(g, v)
-                    if sub.add(w):
-                        vec_queue.append(w)
-            if sub.dim < n:
+            if _closure_dim(kernel, gens, lambda v, g: _apply(g, v), sub.add, n) < n:
                 basis = tuple(row for _, row in sub.rows)
                 return CartanVerdict(
                     "reducible", functor=idx + 1, eigenvalue=ev, basis=basis

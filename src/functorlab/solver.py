@@ -329,14 +329,16 @@ def solve(rel, config, jobs=1):
         # one task per first value; the buffers come back in value order
         with ProcessPoolExecutor(max_workers=workers) as pool:
             buffers = list(pool.map(_search_partition, [task + ((v,), False) for v in values]))
-    stream = [rows for buf in buffers for rows in buf]
-    complete = True
-    if config.limit is not None and len(stream) > config.limit:
-        stream = stream[: config.limit]
-        complete = False
-    stream.sort()
     # every entry is an int in 0..bound by construction
-    return SolutionSet(config, rel, tuple(NatMatrix._trusted(r) for r in stream), complete)
+    return _solution_set(rel, config, [rows for buf in buffers for rows in buf],
+                         NatMatrix._trusted)
+
+
+def _solution_set(rel, config, found, build):
+    """The first config.limit of found, sorted, each made a matrix by build;
+    complete when the limit cut nothing."""
+    complete = config.limit is None or len(found) <= config.limit
+    return SolutionSet(config, rel, tuple(map(build, sorted(found[:config.limit]))), complete)
 
 
 _ORACLE_SPACE_CAP = 10 ** 8
@@ -389,12 +391,7 @@ def brute_force_oracle(rel, config):
         found.append(rows)
         if cap is not None and len(found) >= cap:
             break
-    complete = True
-    if config.limit is not None and len(found) > config.limit:
-        found = found[: config.limit]
-        complete = False
-    found.sort()
-    return SolutionSet(config, rel, tuple(NatMatrix(r) for r in found), complete)
+    return _solution_set(rel, config, found, NatMatrix)
 
 
 def derive_entry_bound(rel, symmetric_only=False):

@@ -81,12 +81,12 @@ def _monomial_rows(images, values):
     return tuple(rows)
 
 
-def _row_images(rows):
-    # each row's column of its largest entry (its one nonzero entry when the
-    # matrix is monomial), or the row's own index for a zero row
-    return tuple(
-        [row.index(top) if (top := max(row)) else i for i, row in enumerate(rows)]
-    )
+def _monomial_form(rows):
+    # (images, values) with rows == _monomial_rows(images, values) when every
+    # row has at most one nonzero entry, else None; a zero row is its own image
+    values = tuple(map(max, rows))
+    images = tuple([row.index(v) if v else i for i, (row, v) in enumerate(zip(rows, values))])
+    return (images, values) if _monomial_rows(images, values) == rows else None
 
 
 def _scalar_rows(n, c):
@@ -363,8 +363,8 @@ class _Record:
 
     @classmethod
     def _trusted(cls, *values):
-        """A record of fields valid by construction, set without __post_init__,
-        for the builders whose checks showed in a benchmark workload."""
+        """A record of fields set without __post_init__, for the builders
+        whose results are valid by construction."""
         self = object.__new__(cls)
         self.__dict__.update(zip(cls._fields, values))
         return self
@@ -466,14 +466,6 @@ class NatMatrix(_Record):
     def is_zero(self):
         return all(x == 0 for row in self.entries for x in row)
 
-    def is_permutation_matrix(self):
-        e = self.entries
-        n = self.n
-        for row in e:
-            if sum(row) != 1 or any(x not in (0, 1) for x in row):
-                return False
-        return all(sum(e[i][j] for i in range(n)) == 1 for j in range(n))
-
 
 class Permutation(_Record):
     """Permutation of {0, ..., n-1}, stored as the tuple of images."""
@@ -521,8 +513,8 @@ class Permutation(_Record):
         return result
 
     def matrix(self):
-        # row images[i] holds its 1 in column i
-        return NatMatrix._trusted(_monomial_rows(self.inverse().images, (1,) * self.n))
+        # row images[i] holds its 1 in column i: the transpose of row i's 1 at images[i]
+        return NatMatrix._trusted(tuple(zip(*_monomial_rows(self.images, (1,) * self.n))))
 
 
 def _normalize_coeffs(coeffs, side):

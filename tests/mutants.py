@@ -51,7 +51,7 @@ _ORACLE = [
 # sizes that hold no connected class and assembles the same direct sums, and
 # at K >= n the plain search runs, which is only slower.
 #
-# Not a row: a `k >= 1` guard on decompose's shape path (`_block_form`).  At
+# Not a row: a `k >= 1` guard on decompose's shape test (`_block_form`).  At
 # k = 0 the pair test already admits only the zero matrix, which is the one
 # square root of 0*I: a pair i != j needs both entries nonzero to be each
 # other's image, so their product is at least 1, and a fixed point needs
@@ -93,14 +93,18 @@ MUTANTS = {
         "if False and _reach_masks(rows)[0] != (1 << n) - 1:",
         ["tests/test_solver.py::test_assembled_up_to_iso_equals_canonical_full_search",
          "tests/test_solver.py::test_up_to_iso_equals_orbit_minima_of_full_search"]),
+    "monomial-form-skips-rebuild": (
+        "zmatrix", "if _monomial_rows(images, values) == rows else None",
+        "if True else None",
+        ["tests/test_zmatrix.py::test_monomial_form_matches_oracle",
+         "tests/test_classify.py::test_near_shapes_match_oracle",
+         "tests/test_canonical.py::test_near_roots_match_oracle"]),
     "diagonal-shape-lets-2-through": (
-        "classify", "ones = [min(row[i], 1) for i, row in enumerate(m.entries)]",
-        "ones = [min(row[i], 2) for i, row in enumerate(m.entries)]",
+        "classify", "not set(form[1]) <= {0, 1}", "not set(form[1]) <= {0, 1, 2}",
         ["tests/test_classify.py::test_near_shapes_match_oracle",
          "tests/test_classify.py::test_shape_readers_match_oracle"]),
     "partial-involution-lets-2-through": (
-        "classify", "ones = [min(row[j], 1) for row, j in zip(m.entries, images)]",
-        "ones = [min(row[j], 2) for row, j in zip(m.entries, images)]",
+        "classify", "max(form[1]) > 1", "max(form[1]) > 2",
         ["tests/test_classify.py::test_near_shapes_match_oracle",
          "tests/test_classify.py::test_shape_readers_match_oracle"]),
     "partial-involution-skips-pairing": (
@@ -108,9 +112,18 @@ MUTANTS = {
         "images[i] != j for i, j in enumerate(images)",
         ["tests/test_classify.py::test_corrupt_shape_exits_3"]),
     "block-pair-product-at-least-k": (
-        "canonical", "e[i][j] * e[j][i] != k", "e[i][j] * e[j][i] < k",
+        "canonical", "values[i] * values[j] != k", "values[i] * values[j] < k",
         ["tests/test_canonical.py::test_near_roots_match_oracle",
          "tests/test_canonical.py::test_readers_match_oracle"]),
+    "gf2-rows-keeps-high-bits": (
+        "restrict", "(x & 1) << j", "x << j",
+        ["tests/test_restrict.py::test_cartan_pass_decided_by_exact_span_when_mod_2_stalls",
+         "tests/test_restrict.py::test_full_span_mod_2_is_full_over_q"]),
+    "words-span-trusts-short-mod-2": (
+        "restrict", "        return True\n    span = _IntegerSpan()",
+        "        return True\n    return False",
+        ["tests/test_restrict.py::test_cartan_pass_decided_by_exact_span_when_mod_2_stalls",
+         "tests/test_restrict.py::test_cartan_check_matches_rational_oracle"]),
 }
 
 

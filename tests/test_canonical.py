@@ -119,6 +119,15 @@ def test_decompose_round_trip_randomized():
                 assert block.a >= 1 and block.b >= 1
 
 
+def test_recompose_refuses_blocks_that_do_not_cover_perm():
+    perm = Permutation((2, 0, 1))
+    assert BlockForm(perm, (Block2(1, 4), Block1(2)), 4).recompose() == NatMatrix(
+        ((2, 0, 0), (0, 0, 1), (0, 4, 0)))
+    for blocks in ((), (Block2(1, 4),), (Block2(1, 4), Block1(2), Block1(2))):
+        with pytest.raises(InternalFault):
+            BlockForm(perm, blocks, 4).recompose()
+
+
 def test_decompose_builds_one_permutation(monkeypatch):
     # the recompose check reads the block order itself, so the stored
     # relabeling is the one permutation a decompose builds

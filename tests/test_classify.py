@@ -204,14 +204,15 @@ def test_classify_root_examples():
 
 
 def test_classify_root_checks_the_permutation_once(monkeypatch):
+    # one monomial read per call decides the permutation shape
     calls = []
-    check = NatMatrix.is_permutation_matrix
+    read = zmatrix._monomial_form
 
-    def counted(m):
-        calls.append(m)
-        return check(m)
+    def counted(rows):
+        calls.append(rows)
+        return read(rows)
 
-    monkeypatch.setattr(NatMatrix, "is_permutation_matrix", counted)
+    monkeypatch.setattr(classify, "_monomial_form", counted)
     cycle = NatMatrix(((0, 0, 1), (1, 0, 0), (0, 1, 0)))
     cls = classify_root_of_identity(cycle, 6)
     assert len(calls) == 1
@@ -223,6 +224,12 @@ def test_classify_root_checks_the_permutation_once(monkeypatch):
     assert len(calls) == 1
 
 
+def _is_permutation_matrix(m):
+    # every row and every column holds one 1 and zeros elsewhere
+    rows = m.entries
+    return all(sorted(line) == [0] * (m.n - 1) + [1] for line in rows + tuple(zip(*rows)))
+
+
 def test_roots_of_identity_exhaustive():
     for n in (1, 2, 3):
         eye = NatMatrix.identity(n)
@@ -231,7 +238,7 @@ def test_roots_of_identity_exhaustive():
                 if m.power(e) != eye:
                     continue
                 cls = classify_root_of_identity(m, e)
-                assert m.is_permutation_matrix()
+                assert _is_permutation_matrix(m)
                 assert e % cls.order == 0
                 assert cls.selfadjoint == m.is_symmetric()
 

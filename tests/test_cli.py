@@ -758,6 +758,27 @@ def test_each_document_is_wired_once(write, capsys, monkeypatch):
         assert len(calls) == 1, argv
 
 
+def test_each_format_renders_only_itself(write, capsys, monkeypatch):
+    # a solve writes one format and builds no other: not the csv or table
+    # text for json, and not the JSON document for csv or table
+    rel = write("rel.json", XSQ_EQ_4)
+    argv = ["solve", "--relation", rel, "--n", "2", "--bound", "4", "--symmetric"]
+    expected = {fmt: run(capsys, *argv, "--format", fmt) for fmt in ("json", "csv", "table")}
+
+    def boom(*args):
+        raise AssertionError("rendered a format that was not asked for")
+
+    for fmt, others in (("json", ("_solutions_csv", "_solutions_table")),
+                        ("csv", ("_solutions_table",)), ("table", ("_solutions_csv",))):
+        with monkeypatch.context() as mp:
+            for name in others:
+                mp.setattr(cli, name, boom)
+            if fmt != "json":
+                mp.setattr(jsonio, "solution_set_to_obj", boom)
+            assert run(capsys, *argv, "--format", fmt) == expected[fmt]
+        assert expected[fmt][0] == 0
+
+
 # -- cold start: each subcommand loads only its own layer ---------------------
 
 _CLI_CORE = {"functorlab.cli", "functorlab.errors", "functorlab.jsonio", "functorlab.zmatrix"}

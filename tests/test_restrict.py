@@ -808,7 +808,8 @@ def gf2_word_span_dim(gens):
     n = len(gens[0])
     bits = [restrict._gf2_rows(g) for g in gens]
     one = restrict._gf2_rows(_scalar_rows(n, 1))
-    return restrict._word_span_dim(one, bits, restrict._gf2_mul, restrict._gf2_span(n), n * n)
+    return restrict._closure_dim([one] + bits, bits, restrict._gf2_mul, restrict._gf2_span(n),
+                                 n * n)
 
 
 def _count_exact_inserts(monkeypatch):

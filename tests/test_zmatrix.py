@@ -23,7 +23,7 @@ from functorlab import (
     poly_eval,
     scalar_mul,
 )
-from functorlab.zmatrix import CANON_CAP_ENV, _check_symmetric, _orbit_min_rows
+from functorlab.zmatrix import CANON_CAP_ENV, _check_symmetric, _monomial_form, _orbit_min_rows
 
 SWAP = NatMatrix(((0, 1), (1, 0)))
 
@@ -425,6 +425,36 @@ def test_permutation_basics():
         Permutation((0, 0))
     # column i of the matrix holds its 1 in row images[i]
     assert tuple(col.index(1) for col in zip(*s.matrix().entries)) == s.images
+
+
+@st.composite
+def sparse_rows(draw):
+    """Rows of an n x n matrix, n <= 6, each with zero, one or two nonzero
+    entries in 1..3."""
+    n = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(n):
+        row = [0] * n
+        for j in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+            row[j] = draw(st.integers(1, 3))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@settings(max_examples=400, deadline=None)
+@given(sparse_rows())
+def test_monomial_form_matches_oracle(rows):
+    # naive oracle: list each row's nonzero columns, and rebuild entry by entry
+    n = len(rows)
+    nonzero = [[j for j, x in enumerate(row) if x] for row in rows]
+    form = _monomial_form(rows)
+    if any(len(cols) >= 2 for cols in nonzero):
+        assert form is None
+        return
+    images, values = form
+    assert images == tuple(cols[0] if cols else i for i, cols in enumerate(nonzero))
+    assert tuple(tuple(values[i] if j == images[i] else 0 for j in range(n))
+                 for i in range(n)) == rows
 
 
 def test_relation_poly_normalization():
