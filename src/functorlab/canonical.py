@@ -33,7 +33,7 @@ from .zmatrix import (
     _conjugate_rows,
     _first_mismatch,
     _monomial_form,
-    _mul_rows,
+    _pow_rows,
     _raise_mismatch,
     _require_int,
     _scalar_rows,
@@ -86,7 +86,7 @@ class SqrtClassification(_Record):
 
 
 def _verify_square(m, k):
-    _raise_mismatch(_first_mismatch(_mul_rows(m.entries, m.entries), _scalar_rows(m.n, k)),
+    _raise_mismatch(_first_mismatch(_pow_rows(m.entries, 2), _scalar_rows(m.n, k)),
                     NotASquareRoot, lambda i, j, x, y: f"(M^2)[{i}][{j}] = {x}, expected {y}")
 
 
@@ -133,10 +133,9 @@ def decompose(m, k):
                                   "column", index=i + 1, k=k)
         raise InternalFault(f"a square root of {k}*I is not a monomial involution")
     order, blocks = form
-    perm = [0] * m.n  # the relabeling: original index order[p] goes to p
-    for p, i in enumerate(order):
-        perm[i] = p
-    return BlockForm(Permutation(tuple(perm)), tuple(blocks), k)
+    # the relabeling sends original index order[p] to p; order is a
+    # permutation by construction, and inverse() validates the result
+    return BlockForm(Permutation._trusted(tuple(order)).inverse(), tuple(blocks), k)
 
 
 def classify_selfadjoint_sqrt(m, k):

@@ -49,14 +49,6 @@ from .zmatrix import (
 )
 
 
-def _diagonal_support(m):
-    # 1-based indices carrying a diagonal 1 when m is a 0/1 diagonal, else None
-    form = _monomial_form(m.entries)
-    if form is None or form[0] != tuple(range(m.n)) or not set(form[1]) <= {0, 1}:
-        return None
-    return tuple(i + 1 for i, v in enumerate(form[1]) if v)
-
-
 def _partial_involution(m):
     # (support, pairing), 1-based, when m is a 0/1 partial involution, else None
     form = _monomial_form(m.entries)
@@ -67,6 +59,13 @@ def _partial_involution(m):
         return None
     support = [i for i, v in enumerate(values) if v]
     return tuple(i + 1 for i in support), tuple(images[i] + 1 for i in support)
+
+
+def _diagonal_support(m):
+    # 1-based indices carrying a diagonal 1 when m is a 0/1 diagonal, else
+    # None: the partial involution that pairs each index with itself
+    shape = _partial_involution(m)
+    return shape[0] if shape is not None and shape[0] == shape[1] else None
 
 
 _NOT_DIAGONAL = "a symmetric idempotent is not a diagonal 0/1 matrix"
@@ -151,16 +150,12 @@ def check_nilpotent(m, k):
     _check_symmetric(m)
     if m.is_zero():
         return NilpotencyVerdict("zero")
-    power = _pow_rows(m.entries, k)
-    for i in range(m.n):
-        for j in range(m.n):
-            if power[i][j]:
-                return NilpotencyVerdict(
-                    "not_nilpotent", power=k, position=(i + 1, j + 1),
-                    value=power[i][j],
-                )
-    # symmetric and nonzero: the diagonal of M^2 sums squares, so no power dies
-    raise InternalFault("nonzero symmetric matrix with a vanishing power")
+    bad = _first_mismatch(_pow_rows(m.entries, k), _scalar_rows(m.n, 0))
+    if bad is None:
+        # symmetric and nonzero: the diagonal of M^2 sums squares, so no power dies
+        raise InternalFault("nonzero symmetric matrix with a vanishing power")
+    position, value, _ = bad
+    return NilpotencyVerdict("not_nilpotent", power=k, position=position, value=value)
 
 
 class CyclicClassification(_Record):

@@ -5,7 +5,8 @@ deterministic report (JSON by default; --format csv/table for matrix-shaped
 outputs).  Exit codes: 0 affirmative result, 1 negative verdict (no
 solutions, not invariant, commutation failure, reducible, inconclusive),
 2 malformed input (usage errors included) or over-cap request, 3 internal
-fault (a state the theory excludes, or a bug).  Diagnostics go to standard
+fault (a state the theory excludes, or a bug); an error raised on purpose
+exits with its class's `exit_code` (errors.py).  Diagnostics go to standard
 error as JSON error objects.
 
 Each subcommand is declared once, as a `_Command` in `_COMMANDS`: its path
@@ -28,14 +29,7 @@ import importlib
 import sys
 
 from . import jsonio, zmatrix
-from .errors import (
-    DimensionMismatch,
-    DimensionTooLarge,
-    FunctorLabError,
-    InternalFault,
-    InvalidInput,
-    SearchSpaceTooLarge,
-)
+from .errors import FunctorLabError, InternalFault, InvalidInput
 
 
 def _load(path, kind):
@@ -380,16 +374,6 @@ def _build_parser(argv=()):
     return parser
 
 
-def _code_for(err):
-    if isinstance(err, InternalFault):
-        return 3
-    if isinstance(
-        err, (InvalidInput, DimensionMismatch, DimensionTooLarge, SearchSpaceTooLarge)
-    ):
-        return 2
-    return 1
-
-
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     try:
@@ -401,7 +385,7 @@ def main(argv=None):
         return ns.func(ns)
     except FunctorLabError as err:
         sys.stderr.write(jsonio.dumps(jsonio.error_to_obj(err)))
-        return _code_for(err)
+        return err.exit_code
     except OSError as err:
         sys.stderr.write(
             jsonio.dumps({"error": "io_error", "message": str(err)})
@@ -411,7 +395,7 @@ def main(argv=None):
         # a bug, not a verdict: report it under the same JSON contract
         fault = InternalFault(f"{type(err).__name__}: {err}")
         sys.stderr.write(jsonio.dumps(jsonio.error_to_obj(fault)))
-        return 3
+        return fault.exit_code
 
 
 if __name__ == "__main__":

@@ -1,12 +1,13 @@
 """Exception types shared across the package.
 
-Three families matter to callers:
+Three families matter to callers, and each class carries its family's CLI
+exit code as ``exit_code`` (subclasses inherit it; ``cli.main`` returns it):
 
-* ``InvalidInput`` and friends: the request itself is malformed
+* ``InvalidInput`` and friends, exit 2: the request itself is malformed
   (bad JSON, negative entries, mismatched dimensions, over-cap sizes).
-* negative verdicts: the input is well formed but the mathematical
+* negative verdicts, exit 1: the input is well formed but the mathematical
   question has answer "no" (``NotSymmetric``, ``NotASquareRoot``, ...).
-* ``InternalFault``: a state the theory rules out was reached, which
+* ``InternalFault``, exit 3: a state the theory rules out was reached, which
   means corrupted input masquerading as valid data, or a bug here.
 """
 
@@ -15,6 +16,7 @@ class FunctorLabError(Exception):
     """Base class for every error this package raises on purpose."""
 
     code = "error"
+    exit_code = 1
 
     def __init__(self, message, **details):
         super().__init__(message)
@@ -24,18 +26,22 @@ class FunctorLabError(Exception):
 
 class InvalidInput(FunctorLabError):
     code = "invalid_input"
+    exit_code = 2
 
 
 class DimensionMismatch(FunctorLabError):
     code = "dimension_mismatch"
+    exit_code = 2
 
 
 class DimensionTooLarge(FunctorLabError):
     code = "dimension_too_large"
+    exit_code = 2
 
 
 class SearchSpaceTooLarge(FunctorLabError):
     code = "search_space_too_large"
+    exit_code = 2
 
 
 class NotSymmetric(FunctorLabError):
@@ -87,6 +93,7 @@ class InternalFault(FunctorLabError):
     well-formed input; seeing it means a bug or deliberately corrupt data."""
 
     code = "internal_fault"
+    exit_code = 3
 
 
 class ShapeViolation(InternalFault):

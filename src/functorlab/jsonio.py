@@ -1,15 +1,13 @@
 """JSON schemas for what the CLI reads (matrix, relation and subset files)
 and writes (its reports and errors).
 
-All indices are 1-based on the wire.  Every writer applies one rule,
-`wire`: integers beyond 2^53 - 1 in absolute value become decimal
-strings (JSON numbers lose exactness past that in common consumers), and
-a document holding one ends with a single top-level "bigints": true marker.
-Each writer is `wire` over a plain document; composite writers nest the
-plain builders (`_matrix`, `_relation`, `_config`, `_subset`), never a
-wired document, so no marker is ever nested, `wire` walks a writer's
-document once, and `dumps` serializes a writer's document without walking
-it again.
+All indices are 1-based on the wire.  Every writer returns a plain
+document, and composite writers nest the plain documents of others.
+`dumps` is the one place that applies the wire rule, `wire`: integers
+beyond 2^53 - 1 in absolute value become decimal strings (JSON numbers
+lose exactness past that in common consumers), and a document holding one
+ends with a single top-level "bigints": true marker.  So `wire` walks each
+document once, and no marker is ever nested.
 The three readers accept both encodings.  Serialization is deterministic:
 fixed key order, two-space indent, trailing newline.
 Loading this module loads no solver, canonical, classify or restrict code:
@@ -76,19 +74,14 @@ def _int_list(v, what):
 
 
 def dumps(doc):
-    """Serialize a writer's document; `doc` must already be wired (a document
-    holding no integer needs no wiring)."""
-    return json.dumps(doc, indent=2) + "\n"
+    """Serialize a plain document under the wire rule."""
+    return json.dumps(wire(doc), indent=2) + "\n"
 
 
 # -- matrices ----------------------------------------------------------------
 
-def _matrix(m):
-    return {"n": m.n, "rows": m.entries}
-
-
 def matrix_to_obj(m):
-    return wire(_matrix(m))
+    return {"n": m.n, "rows": m.entries}
 
 
 def matrix_from_obj(obj):
@@ -124,7 +117,7 @@ def _subset(s):
 
 def subsets_to_obj(subsets):
     """The `restrict subsets` report: a count and every subset."""
-    return wire({"count": len(subsets), "subsets": [_subset(s) for s in subsets]})
+    return {"count": len(subsets), "subsets": [_subset(s) for s in subsets]}
 
 
 def subset_from_obj(obj):
@@ -146,64 +139,64 @@ def block_form_to_obj(form):
         else {"type": "b2", "a": block.a, "b": block.b}
         for block in form.blocks
     ]
-    return wire({"perm": form.perm.one_based(), "k": form.k, "blocks": blocks})
+    return {"perm": form.perm.one_based(), "k": form.k, "blocks": blocks}
 
 
 def sqrt_to_obj(cls):
-    return wire({
+    return {
         "kind": "sqrt",
         "root": cls.root,
         "involution": cls.involution.one_based(),
-    })
+    }
 
 
 # -- classification verdicts -------------------------------------------------
 
 def idempotent_to_obj(cls):
-    return wire({"kind": "idempotent", "n": cls.n, "support": cls.support})
+    return {"kind": "idempotent", "n": cls.n, "support": cls.support}
 
 
 def commuting_to_obj(report):
-    return wire({
+    return {
         "kind": "commuting_idempotents",
         "n": report.n,
         "both": report.both,
         "a_only": report.a_only,
         "b_only": report.b_only,
         "neither": report.neither,
-        "product": _matrix(report.product),
-    })
+        "product": matrix_to_obj(report.product),
+    }
 
 
 def nilpotency_to_obj(verdict):
     if verdict.kind == "zero":
         return {"kind": "zero"}
-    return wire({
+    return {
         "kind": "not_nilpotent",
         "power": verdict.power,
         "position": verdict.position,
         "value": verdict.value,
-    })
+    }
 
 
 def cyclic_to_obj(cls):
     if cls.kind == "idempotent":
         return idempotent_to_obj(cls)
-    return wire({
+    return {
         "kind": "partial_involution",
         "n": cls.n,
         "support": cls.support,
         "pairing": cls.pairing,
-    })
+    }
 
 
 def root_to_obj(cls):
-    return wire({
+    return {
         "kind": "root_of_identity",
         "permutation": cls.permutation.one_based(),
         "order": cls.order,
         "selfadjoint": cls.selfadjoint,
-    })
+    }
 
 
 # -- search configuration and results ----------------------------------------
@@ -219,36 +212,36 @@ def _config(config):
 
 
 def solution_set_to_obj(result):
-    return wire({
+    return {
         "relation": _relation(result.relation),
         "config": _config(result.config),
         "count": result.count,
         "complete": result.complete,
-        "solutions": [_matrix(m) for m in result.solutions],
-    })
+        "solutions": [matrix_to_obj(m) for m in result.solutions],
+    }
 
 
 # -- restriction reports and Cartan verdicts ---------------------------------
 
 def descent_to_obj(report):
-    return wire({
+    return {
         "kind": "descent",
         "ambient_satisfied": report.ambient_satisfied,
-        "serre": None if report.serre is None else _matrix(report.serre),
-        "quotient": None if report.quotient is None else _matrix(report.quotient),
-    })
+        "serre": None if report.serre is None else matrix_to_obj(report.serre),
+        "quotient": None if report.quotient is None else matrix_to_obj(report.quotient),
+    }
 
 
 def verify_report_to_obj(m, rel, inputs_satisfy, output_satisfies):
     """The `construct --verify-relation` report on a built matrix m."""
-    return wire({
-        "matrix": _matrix(m),
+    return {
+        "matrix": matrix_to_obj(m),
         "verify": {
             "relation": _relation(rel),
             "inputs_satisfy": inputs_satisfy,
             "output_satisfies": output_satisfies,
         },
-    })
+    }
 
 
 def cartan_verdict_to_obj(verdict):
@@ -266,9 +259,7 @@ def cartan_verdict_to_obj(verdict):
         obj["basis"] = verdict.basis
     elif verdict.kind == "inconsistent_input":
         obj["position"] = verdict.position
-    elif verdict.kind != "inconclusive":
-        raise InvalidInput(f"unknown cartan verdict kind {verdict.kind!r}")
-    return wire(obj)
+    return obj
 
 
 # -- errors ------------------------------------------------------------------
@@ -277,7 +268,7 @@ def error_to_obj(err):
     obj = {"error": err.code, "message": err.message}
     if err.details:
         obj["details"] = err.details
-    return wire(obj)
+    return obj
 
 
 def load_text(text, what="input"):

@@ -100,7 +100,8 @@ def _mul_rows(a, b):
     return tuple(tuple([sum(map(mul, row, col)) for col in cols]) for row in a)
 
 
-# pays for itself on repeated classify calls with the same matrix and exponent
+# pays for itself on repeated classify calls with the same matrix and exponent,
+# and lets the two sides of a relation in _poly_rows share their powers
 @lru_cache(maxsize=1 << 16)
 def _pow_rows(rows, d):
     # square-and-multiply, no recursion, so any exponent is safe
@@ -119,23 +120,14 @@ def _pow_rows(rows, d):
 # again under every bound, symmetric and up_to_iso setting of a sweep
 @lru_cache(maxsize=1 << 16)
 def _poly_rows(coeffs, rows):
+    # the sum of c_d * rows^d, each power from _pow_rows (X^0 is I)
     n = len(rows)
     acc = [[0] * n for _ in range(n)]
-    if coeffs and coeffs[0]:
-        for i in range(n):
-            acc[i][i] = coeffs[0]
-    p = rows
-    for d in range(1, len(coeffs)):
-        if d > 1:
-            p = _mul_rows(p, rows)
-        c = coeffs[d]
-        if c == 0:
-            continue
-        for i in range(n):
-            pi = p[i]
-            ai = acc[i]
-            for j in range(n):
-                ai[j] += c * pi[j]
+    for d, c in enumerate(coeffs):
+        if c:
+            for ai, pi in zip(acc, _pow_rows(rows, d)):
+                for j in range(n):
+                    ai[j] += c * pi[j]
     return tuple(tuple(r) for r in acc)
 
 
@@ -582,26 +574,21 @@ def direct_sum(a, b):
     return NatMatrix._trusted(_block_rows((a.entries, b.entries)))
 
 
-_TENSOR_CAP = 1024  # the product is built as an n*b by n*b list of lists
+_TENSOR_CAP = 1024  # the product is built as n*b rows of n*b entries
 
 
 def external_tensor(m, b_simples):
     """Kronecker product of m with the identity on b_simples letters.
 
     Index (i, s) of the product maps to row (i-1)*b_simples + s in 1-based
-    terms: the left factor is the major index.
+    terms: the left factor is the major index.  Built as b_simples copies
+    of m on the diagonal, copy s of index i relabeled to i*b_simples + s.
     """
     _require_int(b_simples, "b_simples", 1)
     n = m.n * b_simples
     _check_cap(n, _TENSOR_CAP, "tensor product dimension n*b is capped")
-    rows = [[0] * n for _ in range(n)]
-    for i in range(m.n):
-        for j in range(m.n):
-            x = m.entries[i][j]
-            if x:
-                for s in range(b_simples):
-                    rows[i * b_simples + s][j * b_simples + s] = x
-    return NatMatrix._trusted(tuple(tuple(r) for r in rows))
+    images = [i * b_simples + s for s in range(b_simples) for i in range(m.n)]
+    return NatMatrix._trusted(_conjugate_rows(_block_rows((m.entries,) * b_simples), images))
 
 
 def conjugate(m, s):

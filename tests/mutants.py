@@ -1,5 +1,7 @@
 """Mutation table for the code that alone decides which matrices `solve` emits,
-and for the shape predicates that alone decide a classifier's positive verdict.
+for the shape predicates that alone decide a classifier's positive verdict,
+and for the one home of each rule the CLI's output rests on (the wire rule,
+exit codes, size caps, the power sum).
 
 Each row names a module under src/functorlab, one exact source snippet in
 it, a replacement, and the test ids that must fail once the snippet is
@@ -99,8 +101,8 @@ MUTANTS = {
         ["tests/test_zmatrix.py::test_monomial_form_matches_oracle",
          "tests/test_classify.py::test_near_shapes_match_oracle",
          "tests/test_canonical.py::test_near_roots_match_oracle"]),
-    "diagonal-shape-lets-2-through": (
-        "classify", "not set(form[1]) <= {0, 1}", "not set(form[1]) <= {0, 1, 2}",
+    "diagonal-skips-self-pairing": (
+        "classify", "shape[0] == shape[1]", "shape[0] == shape[0]",
         ["tests/test_classify.py::test_near_shapes_match_oracle",
          "tests/test_classify.py::test_shape_readers_match_oracle"]),
     "partial-involution-lets-2-through": (
@@ -124,6 +126,39 @@ MUTANTS = {
         "        return True\n    return False",
         ["tests/test_restrict.py::test_cartan_pass_decided_by_exact_span_when_mod_2_stalls",
          "tests/test_restrict.py::test_cartan_check_matches_rational_oracle"]),
+    "poly-drops-constant-term": (
+        "zmatrix", "if c:", "if c and d:",
+        ["tests/test_zmatrix.py::test_poly_eval_matches_naive_product"]),
+    "dumps-skips-wire": (
+        "jsonio", "json.dumps(wire(doc), indent=2)", "json.dumps(doc, indent=2)",
+        ["tests/test_wire.py::test_wire_matrix"]),
+    "too-large-exits-1": (
+        "errors", 'code = "dimension_too_large"\n    exit_code = 2',
+        'code = "dimension_too_large"\n    exit_code = 1',
+        ["tests/test_cli.py::test_oracle_refuses_dimensions_past_the_solve_cap"]),
+    "tensor-skips-relabeling": (
+        "zmatrix", "images = [i * b_simples + s for s in range(b_simples) for i in range(m.n)]",
+        "images = range(n)",
+        ["tests/test_zmatrix.py::test_external_tensor_examples",
+         "tests/test_zmatrix.py::test_external_tensor_matches_naive_kronecker"]),
+    "nilpotent-witness-against-identity": (
+        "classify", "_scalar_rows(m.n, 0)", "_scalar_rows(m.n, 1)",
+        ["tests/test_classify.py::test_check_nilpotent_examples"]),
+    "check-cap-off-by-one": (
+        "zmatrix", "if n > cap:", "if n > cap + 1:",
+        ["tests/test_cli.py::test_oracle_refuses_dimensions_past_the_solve_cap"]),
+    "twins-ignore-columns": (
+        "zmatrix", "if tuple(ry) == rows[x] and tuple(cy) == cols[x]:",
+        "if tuple(ry) == rows[x]:",
+        ["tests/test_zmatrix.py::test_canonical_rep_matches_naive_orbit_min"]),
+    "integer-roots-drops-left-half": (
+        "restrict", "stack += [(mid + 1, u, vm, vu), (t, mid, vt, vm)]",
+        "stack += [(mid + 1, u, vm, vu)]",
+        ["tests/test_restrict.py::test_integer_roots_match_a_scan_of_the_spectral_range"]),
+    "entry-bound-symmetric-power-is-2": (
+        "solver", "if symmetric_only and is_power(other):\n                return 1",
+        "if symmetric_only and is_power(other):\n                return 2",
+        ["tests/test_solver.py::test_derive_entry_bound"]),
 }
 
 

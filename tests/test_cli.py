@@ -7,9 +7,9 @@ import sys
 import pytest
 from test_golden_cli import HELP_QUERIES, QUERIES
 
-from functorlab import InternalFault, InvalidInput, NotInvariant, NotSymmetric, zmatrix
-from functorlab import cli, jsonio
-from functorlab.cli import _code_for, main
+from functorlab import InvalidInput, zmatrix
+from functorlab import cli, errors, jsonio
+from functorlab.cli import main
 
 SWAP = {"n": 2, "rows": [[0, 1], [1, 0]]}
 SWAP2 = {"n": 2, "rows": [[0, 2], [2, 0]]}
@@ -481,11 +481,26 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
+# each error class's exit code by the families of FORMATS.md "Exit codes":
+# malformed input and over-cap requests 2, negative verdicts 1, internal
+# faults 3
+EXIT_FAMILIES = {
+    2: {"InvalidInput", "DimensionMismatch", "DimensionTooLarge", "SearchSpaceTooLarge"},
+    1: {"NotSymmetric", "NotASquareRoot", "KNotPerfectSquare", "NotDecomposable",
+        "NotIdempotent", "NotASolution", "NotARoot", "NotInvariant",
+        "RelationNotSatisfied", "EmptySubset", "EmptyComplement"},
+    3: {"InternalFault", "ShapeViolation", "NotAPermutationMatrix"},
+}
+
+
 def test_code_mapping():
-    assert _code_for(InternalFault("x")) == 3
-    assert _code_for(InvalidInput("x")) == 2
-    assert _code_for(NotSymmetric("x")) == 1
-    assert _code_for(NotInvariant("x")) == 1
+    classes = {name: cls for name, cls in vars(errors).items()
+               if isinstance(cls, type) and issubclass(cls, errors.FunctorLabError)
+               and cls is not errors.FunctorLabError}
+    assert set(classes) == set().union(*EXIT_FAMILIES.values())
+    for code, names in EXIT_FAMILIES.items():
+        for name in names:
+            assert classes[name]("x").exit_code == code, name
 
 
 def test_module_entrypoint(tmp_path):

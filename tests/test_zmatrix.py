@@ -539,6 +539,27 @@ def test_poly_eval_matches_naive_product(rows, coeffs):
     assert [list(r) for r in got.entries] == want
 
 
+def naive_kronecker(a, b):
+    # entry (i*p + s, j*p + t) of a (x) b is a[i][j] * b[s][t], p = len(b)
+    p = len(b)
+    size = len(a) * p
+    return [[a[r // p][c // p] * b[r % p][c % p] for c in range(size)] for r in range(size)]
+
+
+# small entries keep the zero pattern varied; the big ones pass 2^53
+tensor_entries = st.one_of(st.integers(0, 3), st.integers(1 << 53, 1 << 64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(tensor_entries, min_size=n, max_size=n), min_size=n, max_size=n)),
+    st.integers(1, 4))
+def test_external_tensor_matches_naive_kronecker(rows, b):
+    identity = [[int(s == t) for t in range(b)] for s in range(b)]
+    got = external_tensor(NatMatrix.from_rows(rows), b)
+    assert [list(r) for r in got.entries] == naive_kronecker(rows, identity)
+
+
 def naive_symmetry_witness(rows):
     # the first (i, j) with i < j in row-major order where the matrix and its
     # transpose differ: ((i, j) 1-based, rows[i][j], rows[j][i])
