@@ -258,14 +258,18 @@ def _orbit_min_rows(rows, stop=None):
     unplaced ones into cells.  Every placed row is constant on each cell and
     the cells come in ascending order of those values, so rows 0..a-1 of out
     are the same for every completion that keeps the cell order.  s[a] = x
-    comes from the first cell, and its key is the least row a it allows:
-    rows[x][s[0..a-1]], rows[x][x], then row x sorted on the rest of the
-    first cell and on each later cell in turn.  Only the candidates whose key
-    is least over the whole frontier survive, and each splits every cell by
-    the values of row x, ascending.  Every optimal s keeps its prefix in the
-    frontier, up to the twin rule, so the result is the exact minimum.  Keys
-    of one step share their length, so a candidate whose first a+1 entries
-    already exceed the best key's is dropped before its sorted tail is built.
+    comes from the first cell, and its key is the least row a it allows, one
+    flat list: the head rows[x][s[0..a-1]], rows[x][x], then row x sorted on
+    the rest of the first cell and on each later cell in turn (a singleton
+    cell's one value is appended as it is).  Only the candidates whose key
+    is least over the whole frontier survive, and each splits every cell of
+    two or more indices by the values of row x: one pass sorts the indices
+    into buckets by value, and the buckets follow in ascending order of
+    their values.  Every optimal s keeps its prefix in the frontier, up to
+    the twin rule, so the result is the exact minimum.  Keys of one step
+    share their length, so a candidate whose head already exceeds the best
+    key's first a+1 entries is dropped before its sorted tail is built;
+    that slice is cut once each time the best key changes.
 
     Twins are indices whose swap is an automorphism of rows.  Their subtrees
     are images of each other, so a node branches on one index per twin
@@ -286,7 +290,7 @@ def _orbit_min_rows(rows, stop=None):
     out = []
     last = n if stop is None else stop
     for a in range(last):
-        best, keep = None, []  # best: (first a+1 key entries, sorted tail)
+        best, cut, keep = None, None, []  # cut: best[:a + 1], the best head
         for placed, cells in frontier:
             first, seen = cells[0], set()
             for x in first:
@@ -294,19 +298,21 @@ def _orbit_min_rows(rows, stop=None):
                     continue
                 seen.add(twin[x])
                 r = rows[x]
-                head = [r[p] for p in placed]
-                head.append(r[x])
-                if best is not None and head > best[0]:
+                key = [r[p] for p in placed]
+                key.append(r[x])
+                if best is not None and key > cut:
                     continue
-                tail = sorted([r[c] for c in first if c != x])
+                key += sorted([r[c] for c in first if c != x])
                 for cell in cells[1:]:
-                    tail.extend(sorted([r[c] for c in cell]))
-                key = (head, tail)
+                    if len(cell) == 1:
+                        key.append(r[cell[0]])
+                    else:
+                        key += sorted([r[c] for c in cell])
                 if best is None or key < best:
-                    best, keep = key, [(placed, cells, x)]
+                    best, cut, keep = key, key[:a + 1], [(placed, cells, x)]
                 elif key == best:
                     keep.append((placed, cells, x))
-        out.append(tuple(best[0] + best[1]))
+        out.append(tuple(best))
         if a + 1 == last or (stop is not None and out[a] != rows[a]):
             break
         frontier = []
@@ -315,11 +321,13 @@ def _orbit_min_rows(rows, stop=None):
             rest = tuple(c for c in cells[0] if c != x)
             split = []
             for cell in ((rest,) if rest else ()) + cells[1:]:
-                values = sorted({r[c] for c in cell})
-                if len(values) == 1:
+                if len(cell) == 1:
                     split.append(cell)
-                else:
-                    split.extend(tuple(c for c in cell if r[c] == v) for v in values)
+                    continue
+                buckets = {}
+                for c in cell:
+                    buckets.setdefault(r[c], []).append(c)
+                split.extend(tuple(buckets[v]) for v in sorted(buckets))
             frontier.append((placed + (x,), tuple(split)))
     return tuple(out)
 
@@ -421,7 +429,7 @@ class NatMatrix(_Record):
             raise DimensionMismatch(
                 f"cannot add a {self.n}x{self.n} matrix to a {other.n}x{other.n} one"
             )
-        return NatMatrix(
+        return NatMatrix._trusted(
             tuple(
                 tuple(x + y for x, y in zip(ra, rb))
                 for ra, rb in zip(self.entries, other.entries)
@@ -443,11 +451,11 @@ class NatMatrix(_Record):
             return NotImplemented
         if k < 0:
             raise InvalidInput(f"scalar must be nonnegative, got {k}")
-        return NatMatrix(tuple(tuple(k * x for x in row) for row in self.entries))
+        return NatMatrix._trusted(tuple(tuple(k * x for x in row) for row in self.entries))
 
     def power(self, d):
         _require_int(d, "exponent", 0)
-        return NatMatrix(_pow_rows(self.entries, d))
+        return NatMatrix._trusted(_pow_rows(self.entries, d))
 
     def transpose(self):
         return NatMatrix._trusted(tuple(zip(*self.entries)))
@@ -606,8 +614,9 @@ def canonical_rep(m):
     Found by a refinement search over partial relabelings that branches on
     one index per twin class (see _orbit_min_rows), not by scanning all n!
     permutations.  n is still capped (default 8, overridable via the
-    FUNCTORLAB_CANON_CAP environment variable).
+    FUNCTORLAB_CANON_CAP environment variable).  The result is not
+    revalidated: its rows are a relabeling of m's, which are already valid.
     """
     _check_cap(m.n, canonical_cap(),
                "canonical form dimension is capped by FUNCTORLAB_CANON_CAP")
-    return NatMatrix(_orbit_min_rows(m.entries))
+    return NatMatrix._trusted(_orbit_min_rows(m.entries))

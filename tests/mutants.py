@@ -150,7 +150,20 @@ MUTANTS = {
     "twins-ignore-columns": (
         "zmatrix", "if tuple(ry) == rows[x] and tuple(cy) == cols[x]:",
         "if tuple(ry) == rows[x]:",
-        ["tests/test_zmatrix.py::test_canonical_rep_matches_naive_orbit_min"]),
+        ["tests/test_zmatrix.py::test_twins_are_tested_on_columns_too",
+         "tests/test_zmatrix.py::test_canonical_rep_matches_naive_orbit_min"]),
+    "orbit-head-cut-not-strict": (
+        "zmatrix", "if best is not None and key > cut:", "if best is not None and key >= cut:",
+        ["tests/test_zmatrix.py::test_canonical_rep_matches_naive_orbit_min",
+         "tests/test_zmatrix.py::test_stopped_orbit_min_decides_what_the_full_one_does"]),
+    "orbit-key-drops-singleton-cell": (
+        "zmatrix", "key.append(r[cell[0]])", "pass",
+        ["tests/test_zmatrix.py::test_canonical_rep_matches_naive_orbit_min",
+         "tests/test_zmatrix.py::test_stopped_orbit_min_decides_what_the_full_one_does"]),
+    "orbit-split-buckets-descending": (
+        "zmatrix", "for v in sorted(buckets))", "for v in sorted(buckets, reverse=True))",
+        ["tests/test_zmatrix.py::test_canonical_rep_matches_naive_orbit_min",
+         "tests/test_zmatrix.py::test_stopped_orbit_min_decides_what_the_full_one_does"]),
     "integer-roots-drops-left-half": (
         "restrict", "stack += [(mid + 1, u, vm, vu), (t, mid, vt, vm)]",
         "stack += [(mid + 1, u, vm, vu)]",

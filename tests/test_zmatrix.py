@@ -4,7 +4,7 @@ import pathlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import functorlab
@@ -366,14 +366,28 @@ def orbit_inputs(draw):
     return relabeled(rows, draw(st.permutations(range(n))))
 
 
+# Pinned ties for the candidate loop: at step 0 of HEAD_TIE both indices
+# have head (0,) and are not twins, and the later one's tail (0,) beats the
+# earlier one's (1,); THREE_2_CYCLES, a relabeled direct sum of three
+# 2-cycles, keeps a frontier of 6 nodes whose later cells split into
+# buckets and singletons.
+HEAD_TIE = ((0, 1), (0, 0))
+THREE_2_CYCLES = ((0, 0, 0, 0, 0, 1), (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0),
+                  (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (1, 0, 0, 0, 0, 0))
+
+
 @settings(max_examples=400, deadline=None)
 @given(orbit_inputs())
+@example(HEAD_TIE)
+@example(THREE_2_CYCLES)
 def test_canonical_rep_matches_naive_orbit_min(rows):
     assert canonical_rep(NatMatrix(rows)).entries == naive_orbit_min(rows)
 
 
 @settings(max_examples=300, deadline=None)
 @given(orbit_inputs())
+@example(HEAD_TIE)
+@example(THREE_2_CYCLES)
 def test_stopped_orbit_min_decides_what_the_full_one_does(rows):
     # the two questions the up-to-iso search asks, against the n! oracle
     naive, n = naive_orbit_min(rows), len(rows)
@@ -382,6 +396,13 @@ def test_stopped_orbit_min_decides_what_the_full_one_does(rows):
         assert len(got) <= stop and got == naive[:len(got)]
         assert (got < rows[:stop]) == (naive[:stop] < rows[:stop])
     assert (_orbit_min_rows(rows, n) == rows) == (naive == rows)
+
+
+def test_twins_are_tested_on_columns_too():
+    # rows 0 and 1 agree under the swap of 0 and 1, but columns 0 and 1
+    # differ, so 0 and 1 are not twins and the search must try both
+    rows = ((0, 0, 0), (0, 0, 0), (1, 0, 0))
+    assert canonical_rep(NatMatrix(rows)).entries == ((0, 0, 0), (0, 0, 0), (0, 1, 0))
 
 
 def _graph(n, edges):
@@ -656,6 +677,7 @@ def test_trusted_constructions_equal_validated_ones(a, b, k, data):
     # built without NatMatrix's checks, each result is what the checks would
     # have made of the same entries
     sigma = Permutation(tuple(data.draw(st.permutations(range(a.n)))))
-    for m in (conjugate(a, sigma), direct_sum(a, b), external_tensor(a, k), sigma.matrix()):
+    for m in (conjugate(a, sigma), direct_sum(a, b), external_tensor(a, k), sigma.matrix(),
+              canonical_rep(a), a.power(k - 1), a + a, scalar_mul(k - 1, a)):
         assert m == NatMatrix(m.entries)
         assert all(type(row) is tuple for row in m.entries)
