@@ -34,21 +34,20 @@ alike, so they agree with U.  Every completion X has X <= U entrywise, hence
 X^s <= U^s for every simultaneous relabeling s.  If some s makes
 U^s[:a+1] lex-smaller than U[:a+1] = X[:a+1], then X^s[:a+1] is lex-smaller
 too: before the first entry where U^s and U differ, X^s <= U^s = X, and at
-that entry X^s <= U^s < X.  So X^s <lex X, X is not its orbit minimum, and
-the leaf filter would drop it anyway.  The branch is therefore cut when the
-first a+1 rows of U's orbit minimum (zmatrix._orbit_min_rows) are
-lex-smaller than U's own.  Neither this cut nor the leaf filter needs the
-whole minimum: the orbit search is told to stop after a+1 rows (n at a
-leaf), and it ends at the first row that differs from its input's, which is
-then the smaller one and decides both tests.  The cut removes only subtrees
-without an emitted leaf, so the leaves, their order and every limit and
-worker count give the same output as filtering at the leaves.
+that entry X^s <= U^s < X.  So X^s <lex X and X is not its orbit minimum.
+The branch is therefore cut when the first a+1 rows of U's orbit minimum are
+lex-smaller than U's own.  zmatrix._orbit_min_rows is told to stop after
+a+1 rows, and it ends at the first row that differs from its input's, which
+is then the smaller one and decides the test.
 
-A leaf is a node without children, decided by the same interval cut: there
-L = U = X, so the cut is exactly g(X) != h(X).  `brute_force_oracle` is the
-deliberately naive cross-check: plain enumeration in the same entry order,
-dense evaluation of the unreduced relation, no pruning, and no evaluation
-code shared with `solve`.
+The fill is one loop over a stack of pending nodes, not a recursion.  A
+leaf is a node without children, decided by the same two cuts: there
+L = U = X, so the interval cut is exactly g(X) != h(X), and the orderly cut
+at the last row end is exactly "X is not its orbit minimum".  So every
+limit and worker count gives the same output as filtering the full search.
+`brute_force_oracle` is the deliberately naive cross-check: plain
+enumeration in the same entry order, dense evaluation of the unreduced
+relation, no pruning, and no evaluation code shared with `solve`.
 
 Results are deterministic: solutions sort by row-major entry order, and the
 parallel path gives each worker task one first-entry value and joins the
@@ -68,10 +67,10 @@ X, an eigenvalue and hence a root of p = g - h (reduced), is at least
 2cos(pi/(k+1)) > 2 - 10/(k+1)^2.  `_class_size_bound` finds the largest
 K <= n for which p may have a root above that bound, by Budan-Fourier sign
 changes in integers.  When K < n, the search above, with one more leaf
-filter (the support graph is connected), finds the connected classes of
-each size up to K, and every multiset of them summing to n is built,
-canonicalised by zmatrix._orbit_min_rows and sorted; `limit` then takes a
-prefix as before.  This path starts no worker.  When K >= n, or the search
+filter ahead of the orderly cut (the support graph is connected), finds the
+connected classes of each size up to K, and every multiset of them summing
+to n is built, canonicalised by zmatrix._orbit_min_rows and sorted; `limit`
+then takes a prefix as before.  This path starts no worker.  When K >= n, or the search
 is not both symmetric and up to iso, the search runs as it is.
 """
 
@@ -101,14 +100,14 @@ class SearchConfig(_Record):
     symmetric_only restricts to symmetric matrices; up_to_iso keeps only the
     lexicographically least member of each simultaneous-relabeling orbit (the
     search cuts every subtree whose completed rows already show that no leaf
-    below it is canonical, and a solution that reaches a leaf is still kept
-    only if it equals its canonical form, which zmatrix._orbit_min_rows finds
-    by a refinement search that branches on one index per twin class, not by
-    scanning n! relabelings); with both symmetric_only and up_to_iso, and
-    connected classes provably smaller than n, the solutions are assembled
-    as direct sums of connected classes instead (see the module docstring);
-    limit caps how many solutions are emitted (the `complete` flag on the
-    result records whether the cap truncated anything).
+    below it is canonical, a leaf included, by the canonical form that
+    zmatrix._orbit_min_rows finds by a refinement search that branches on
+    one index per twin class, not by scanning n! relabelings); with both
+    symmetric_only and up_to_iso, and connected classes provably smaller
+    than n, the solutions are assembled as direct sums of connected classes
+    instead (see the module docstring); limit caps how many solutions are
+    emitted (the `complete` flag on the result records whether the cap
+    truncated anything).
     """
 
     n: int
@@ -191,11 +190,13 @@ def _search_partition(args):
     # the entries each fill step sets: (i, j), and (j, i) when symmetric
     positions = _fill_positions(n, symmetric)
     cells = [((i, j), (j, i)) if symmetric and i != j else ((i, j),) for i, j in positions]
-    total = len(cells)
-    # the first entry takes only this task's share of values
-    choices = [share] + [range(bound + 1)] * (total - 1)
-    # up_to_iso: step k + 1 follows the last entry of row i, so rows 0..i are set
-    row_end = ({k + 1: i + 1 for k, (i, j) in enumerate(positions) if j == n - 1}
+    last = len(cells) - 1  # the step that makes a leaf
+    # each step's values, last first, since the stack pops the last pushed;
+    # the first step takes only this task's share
+    choices = [share[::-1]] + [range(bound, -1, -1)] * last
+    # up_to_iso: step k sets the last entry of row i, so rows 0..i are set;
+    # row_end[last] is n, where the orderly cut is the up-to-iso filter
+    row_end = ({k: i + 1 for k, (i, j) in enumerate(positions) if j == n - 1}
                if up_to_iso else {})
     s, sides, exceeds = _packed_kernel(gr, hr, n, bound)
     width = s * n
@@ -204,52 +205,50 @@ def _search_partition(args):
     # the packed columns of L (unset entries at 0) and U (unset at bound)
     lo_cols, hi_cols = [0] * n, [bound * _spread(n, width)] * n
     top = [[bound] * n for _ in range(n)]  # U as rows, for the orbit cut and leaves
-    found = []
 
-    def put(cell, w, sign):
-        # sign 1 sets the cell's entries to w, sign -1 unsets them again
-        for a, b in cell:
-            top[a][b] = w if sign == 1 else bound
-            lo_cols[b] += sign * w << width * a
-            hi_cols[b] -= sign * (bound - w) << width * a
-
-    def rec(idx, v, lo, hi, low, high):
-        # lo, hi: packed L and U; the entry before idx was just set to v;
-        # low, high: (g, h) on L and U before that (v = None: not evaluated yet)
+    found, path = [], []  # path: the value set at each step so far
+    # pending nodes, the next on top: (the step each sets, its value, and
+    # packed L, U and (g, h) on them before that step, one tuple shared by
+    # siblings); the root sets no step (-1), so L = 0 and U = bound there
+    stack = [(-1, None, (0, bound * _spread(n * n, s), None, None))]
+    while stack:
+        k, v, (lo, hi, low, high) = stack.pop()
+        if k >= 0:
+            while len(path) > k:  # unset the steps from k on
+                u = path.pop()
+                for a, b in cells[len(path)]:
+                    top[a][b] = bound
+                    lo_cols[b] -= u << width * a
+                    hi_cols[b] += bound - u << width * a
+            for a, b in cells[k]:  # then set step k to v
+                top[a][b] = v
+                lo_cols[b] += v << width * a
+                hi_cols[b] -= bound - v << width * a
+            path.append(v)
+            lo, hi = lo + v * units[k], hi - (bound - v) * units[k]
         # v = 0 leaves L as it was and v = bound leaves U
         low = low if v == 0 else sides(lo, lo_cols)
         high = high if v == bound else sides(hi, hi_cols)
         if exceeds(low[0], high[1]) or exceeds(low[1], high[0]):
-            return
-        if idx == total:
-            # L = U = X, so the cut just passed says g(X) = h(X)
-            rows = tuple(map(tuple, top))
-            if connected and _reach_masks(rows)[0] != (1 << n) - 1:
-                return
-            if up_to_iso and _orbit_min_rows(rows, n) != rows:
-                return
-            found.append(rows)
-            return
-        known = row_end.get(idx)
-        if known:
-            upper = tuple(map(tuple, top))
-            if _orbit_min_rows(upper, known) < upper[:known]:
-                return
-        cell, unit = cells[idx], units[idx]
-        for w in choices[idx]:
-            put(cell, w, 1)
-            rec(idx + 1, w, lo + w * unit, hi - (bound - w) * unit, low, high)
-            put(cell, w, -1)
-            if cap is not None and len(found) >= cap:
+            continue
+        if k in row_end:  # a row end; at a leaf, connectivity first
+            upper, known = tuple(map(tuple, top)), row_end[k]
+            if (connected and k == last and _reach_masks(upper)[0] != (1 << n) - 1
+                    or _orbit_min_rows(upper, known) < upper[:known]):
+                continue
+        if k < last:
+            state = (lo, hi, low, high)
+            for w in choices[k + 1]:
+                stack.append((k + 1, w, state))
+        else:  # L = U = X, and the interval cut says g(X) = h(X)
+            found.append(tuple(map(tuple, top)))
+            if len(found) == cap:
                 break
-
-    rec(0, None, 0, bound * _spread(n * n, s), None, None)
     return found
 
 
-# The search recurses once per filled cell after one root call, so a fill of
-# at most 900 cells (n <= 30, or n <= 41 symmetric) is at most 901 frames deep,
-# inside the default recursion limit.
+# A fill has at most 900 entries (n <= 30, or n <= 41 symmetric), and the
+# search holds one packed n x n state per entry on its path.
 _MAX_N = {False: 30, True: 41}
 
 
@@ -283,17 +282,16 @@ def _direct_sums(gr, hr, n, bound, size):
     classes = [rows for k in range(1, size + 1) for rows in _search_partition(
         (gr, hr, k, bound, True, True, None, range(bound + 1), True))]
     sums = []
-
-    def pick(start, left, blocks):
-        # blocks: a multiset of classes, as indices into classes ascending
+    # multisets of classes, as indices into classes ascending: (least index
+    # still allowed, indices left to fill, the blocks so far)
+    stack = [(0, n, ())]
+    while stack:
+        start, left, blocks = stack.pop()
         if not left:
             sums.append(_orbit_min_rows(_block_rows([classes[t] for t in blocks])))
-            return
         for t in range(start, len(classes)):
             if len(classes[t]) <= left:
-                pick(t, left - len(classes[t]), blocks + [t])
-
-    pick(0, n, [])
+                stack.append((t, left - len(classes[t]), blocks + (t,)))
     return sorted(sums)
 
 
@@ -303,7 +301,8 @@ def solve(rel, config, jobs=1):
     jobs = 1 runs one search over every value of the first entry; jobs > 1
     runs one search per first-entry value across processes, at most one per
     usable CPU.  The result is byte-for-byte identical for every worker
-    count.  n is capped at 30 (41 symmetric), before any worker starts.
+    count.  n is capped at 30 (41 symmetric), so that a fill has at most 900
+    entries, before any worker starts.
     A symmetric up-to-iso search whose connected classes are smaller than n
     assembles its direct sums in this process instead.
     """
@@ -311,7 +310,7 @@ def solve(rel, config, jobs=1):
     if config.up_to_iso:
         _check_cap(config.n, canonical_cap(),
                    "up_to_iso dimension is capped by FUNCTORLAB_CANON_CAP")
-    _check_cap(config.n, _MAX_N[config.symmetric_only], "solve recurses once per filled entry")
+    _check_cap(config.n, _MAX_N[config.symmetric_only], "solve fills at most 900 entries")
     gr, hr = rel.reduced()
     cap = None if config.limit is None else config.limit + 1
     task = (gr, hr, config.n, config.bound, config.symmetric_only, config.up_to_iso, cap)

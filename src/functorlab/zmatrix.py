@@ -104,16 +104,19 @@ def _mul_rows(a, b):
 # and lets the two sides of a relation in _poly_rows share their powers
 @lru_cache(maxsize=1 << 16)
 def _pow_rows(rows, d):
-    # square-and-multiply, no recursion, so any exponent is safe
-    result, base = None, rows
-    while True:
-        if d & 1:
-            result = base if result is None else _mul_rows(result, base)
-        d >>= 1
-        if not d:
-            break
-        base = _mul_rows(base, base)
-    return _scalar_rows(len(rows), 1) if result is None else result
+    # one product on a cached lower power: X^(d-1) X for odd d, the square of
+    # X^(d/2) for even d.  The chain of lower powers is asked for from its
+    # short end, so each finds the one below it cached and no call goes more
+    # than one level deep, whatever the exponent.
+    if d < 2:
+        return rows if d else _scalar_rows(len(rows), 1)
+    chain, e = [], d
+    while e > 1:
+        e = e - 1 if e & 1 else e >> 1
+        chain.append(e)
+    for e in reversed(chain):
+        lower = _pow_rows(rows, e)
+    return _mul_rows(lower, rows) if d & 1 else _mul_rows(lower, lower)
 
 
 # pays for itself in brute_force_oracle, which meets the same small candidates
@@ -350,14 +353,13 @@ class _Record:
     def __init__(self, *args, **kwargs):
         fields = self._fields
         if kwargs or len(args) != len(fields):  # fill in defaults, refuse bad arguments
-            tail = fields[len(args):]
-            given = self._defaults | kwargs
-            too_many = len(args) > len(fields)
-            unexpected = any(f not in tail for f in kwargs)  # unknown, or also positional
-            missing = any(f not in given for f in tail)
-            if too_many or unexpected or missing:
+            # one pass over the fields after args: each takes its keyword, else
+            # its default, else the class _Record, which marks it missing
+            tail = [kwargs.pop(f, self._defaults.get(f, _Record)) for f in fields[len(args):]]
+            # kwargs left over are unknown, or also given positionally
+            if kwargs or len(args) > len(fields) or _Record in tail:
                 raise TypeError(f"{type(self).__name__}() takes the arguments {', '.join(fields)}")
-            args += tuple([given[f] for f in tail])
+            args += tuple(tail)
         self.__dict__.update(zip(fields, args))
         self.__post_init__()
 

@@ -9,8 +9,11 @@ replaced.  For each row the script copies src/ and tests/ to a temporary
 directory, applies the mutant there, runs the named tests against the copy
 under a per-mutant timeout, and prints one JSON object that sorts the rows
 into killed, survived, timed_out and error (pytest could not run the named
-tests).  A timeout means a test hangs where it should fail.  The exit status
-is 1 when any row survives, times out or errors, else 0.
+tests).  `hypothesis` runs only the explicit `@example`s there
+(`Phase.explicit`), so no verdict depends on a random draw: each row is
+killed by a plain test or a pinned example.  A timeout means a test hangs
+where it should fail.  The exit status is 1 when any row survives, times
+out or errors, else 0.
 
 Run from the repository root, with the standard library and pytest:
 
@@ -83,6 +86,17 @@ MUTANTS = {
         "(stop is not None and out[a] == rows[a])",
         ["tests/test_zmatrix.py::test_stopped_orbit_min_decides_what_the_full_one_does",
          "tests/test_solver.py::test_up_to_iso_equals_orbit_minima_of_full_search"]),
+    "leaf-skips-row-end-cut": (
+        "solver", "if j == n - 1}", "if j == n - 1 and k < last}",
+        ["tests/test_solver.py::test_plain_search_tree_counts",
+         "tests/test_solver.py::test_solve_past_the_oracle_cap"]),
+    "undo-one-step-too-few": (
+        "solver", "while len(path) > k:", "while len(path) > k + 1:",
+        ["tests/test_solver.py::test_solve_examples",
+         "tests/test_solver.py::test_search_tree_counts"]),
+    "search-stops-two-past-the-limit": (
+        "solver", "if len(found) == cap:", "if len(found) - 1 == cap:",
+        ["tests/test_solver.py::test_search_stops_one_past_the_limit"]),
     "class-size-one-too-small": (
         "solver", "k += 1\n    return k", "k += 1\n    return k - 1",
         ["tests/test_solver.py::test_class_size_bound",
@@ -91,8 +105,8 @@ MUTANTS = {
         "solver", "(k + 2) ** 2) > 0", "(k + 2) ** 2) >= 0",
         ["tests/test_solver.py::test_class_size_bound"]),
     "assembly-drops-connectivity-filter": (
-        "solver", "if connected and _reach_masks(rows)[0] != (1 << n) - 1:",
-        "if False and _reach_masks(rows)[0] != (1 << n) - 1:",
+        "solver", "connected and k == last and _reach_masks(upper)[0]",
+        "False and k == last and _reach_masks(upper)[0]",
         ["tests/test_solver.py::test_assembled_up_to_iso_equals_canonical_full_search",
          "tests/test_solver.py::test_up_to_iso_equals_orbit_minima_of_full_search"]),
     "monomial-form-skips-rebuild": (
@@ -179,7 +193,7 @@ _CONFTEST = """\
 from hypothesis import Phase, settings
 
 settings.register_profile("mutants", report_multiple_bugs=False,
-                          phases=[Phase.explicit, Phase.reuse, Phase.generate])
+                          phases=[Phase.explicit])
 settings.load_profile("mutants")
 """
 

@@ -3,7 +3,7 @@ import random
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from functorlab import (
@@ -396,6 +396,7 @@ def reader_cases(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(reader_cases())
+@example((NatMatrix(((0, 1), (2, 0))), 1))  # a pair whose product overshoots k
 def test_readers_match_oracle(case):
     m, k = case
     assert _outcome(decompose, m, k) == _outcome(_oracle_decompose, m, k)

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from functorlab import (
@@ -411,6 +411,8 @@ def shape_cases(draw):
 @given(shape_cases(), st.integers(2, 6).flatmap(
     lambda k: st.tuples(st.just(k), st.integers(1, k - 1))
 ))
+@example(NatMatrix(((0, 1), (1, 0))), (2, 1))  # an involution, not a diagonal
+@example(NatMatrix(((2,),)), (2, 1))  # a monomial shape, but not 0/1
 def test_shape_readers_match_oracle(m, exponents):
     k, mm = exponents
     assert _outcome(classify_idempotent, m) == _outcome(_oracle_idempotent, m)

@@ -533,6 +533,19 @@ def test_classify_root_high_exponent(write, capsys):
     assert json.loads(out)["order"] == 10
 
 
+def test_classify_root_huge_exponent_on_a_non_permutation(write, capsys):
+    # [[0]] is no permutation, so the exponent is not reduced: M^e is built
+    # from a chain of about 1000 lower powers, none of them by recursion
+    m = write("m.json", {"n": 1, "rows": [[0]]})
+    exp = 2 ** 1000 + 1
+    rc, out, err = run(capsys, "classify", "root", "--matrix", m, "--exp", str(exp))
+    assert rc == 1
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "not_a_root"
+    assert doc["details"]["power"] == str(exp)
+
+
 def test_deeply_nested_input_is_invalid(tmp_path):
     m = tmp_path / "deep.json"
     m.write_text("[" * 200_000 + "]" * 200_000)

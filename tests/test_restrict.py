@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from functorlab import restrict
@@ -499,6 +499,7 @@ def test_cartan_finds_eigenvalues_with_large_prime_factors():
 @given(st.integers(1, 7).flatmap(lambda n: st.lists(
     st.lists(st.sampled_from([0, 1, 2, 3, 5, 9]), min_size=n, max_size=n),
     min_size=n, max_size=n)))
+@example([[0, 1], [1, 0]])  # eigenvalues -1 and 1, one in each half of [-1, 1]
 def test_integer_roots_match_a_scan_of_the_spectral_range(rows):
     n = len(rows)
     sym = tuple(tuple(rows[min(i, j)][max(i, j)] for j in range(n)) for i in range(n))

@@ -1,6 +1,7 @@
 import concurrent.futures
 import itertools
 import random
+import sys
 from unittest import mock
 
 import pytest
@@ -533,6 +534,42 @@ def test_plain_search_tree_counts(monkeypatch):
     # up-to-iso search runs as it is, with no assembled direct sum
     config = SearchConfig(n=5, bound=2, symmetric_only=True, up_to_iso=True)
     assert _search_counts(monkeypatch, RelationPoly((0, 0, 1), (2, 1)), config) == (454, 31, 0, 2)
+
+
+def test_search_stops_one_past_the_limit(monkeypatch):
+    # limit + 1 solutions tell that the limit cut something; the search
+    # looks for no more
+    bufs = []
+    search = solver._search_partition
+    monkeypatch.setattr(solver, "_search_partition",
+                        lambda args: bufs.append(search(args)) or bufs[-1])
+    res = solve(X_SQ_EQ_1, SearchConfig(n=3, bound=1, limit=2))  # 4 involutions
+    assert [len(buf) for buf in bufs] == [3]
+    assert res.count == 2 and not res.complete
+
+
+def _depth():
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@pytest.mark.parametrize("rel, config, count", [
+    (RelationPoly((0, 1), ()), SearchConfig(n=30, bound=1), 1),  # X = 0: 900 entries
+    (RelationPoly((0, 1), ()), SearchConfig(n=41, bound=1, symmetric_only=True), 1),
+    (X_CUBE_EQ_X, SearchConfig(n=8, bound=1, symmetric_only=True, up_to_iso=True), 25),
+])
+def test_solve_does_not_recurse(rel, config, count):
+    # the search and the assembly each walk an explicit stack, so even the
+    # largest fill runs with little room above the caller's depth
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_depth() + 60)
+    try:
+        res = solve(rel, config)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert res.count == count and res.complete
 
 
 def _square_roots_of_4i(n):

@@ -10,7 +10,7 @@ configurations are checked inside the documents that carry them.
 
 import json
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from functorlab import (
@@ -235,6 +235,7 @@ WIRE = settings(max_examples=60, deadline=None)
 
 @WIRE
 @given(any_matrix)
+@example(NatMatrix(((SAFE + 1,),)))  # the least integer the wire rule writes as a string
 def test_wire_matrix(m):
     roundtrip(m, jsonio.matrix_to_obj, jsonio.matrix_from_obj)
 

@@ -22,6 +22,7 @@ from functorlab import (
     external_tensor,
     poly_eval,
     scalar_mul,
+    zmatrix,
 )
 from functorlab.zmatrix import CANON_CAP_ENV, _check_symmetric, _monomial_form, _orbit_min_rows
 
@@ -464,6 +465,7 @@ def sparse_rows(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(sparse_rows())
+@example(((1, 1), (0, 0)))  # two entries in a row: no monomial form
 def test_monomial_form_matches_oracle(rows):
     # naive oracle: list each row's nonzero columns, and rebuild entry by entry
     n = len(rows)
@@ -548,16 +550,47 @@ def test_power_matches_naive_product(rows, d):
 
 @settings(max_examples=60, deadline=None)
 @given(small_matrices, st.lists(st.integers(0, 3), max_size=13))
+@example([[0]], [1])  # the constant term alone
 def test_poly_eval_matches_naive_product(rows, coeffs):
+    got = poly_eval(coeffs, NatMatrix.from_rows(rows))
+    assert [list(r) for r in got.entries] == naive_poly(coeffs, rows)
+
+
+def naive_poly(coeffs, rows):
     n = len(rows)
-    want = [[0] * n for _ in range(n)]
+    out = [[0] * n for _ in range(n)]
     for d, c in enumerate(coeffs):
         p = naive_power(rows, d)
         for i in range(n):
             for j in range(n):
-                want[i][j] += c * p[i][j]
-    got = poly_eval(coeffs, NatMatrix.from_rows(rows))
-    assert [list(r) for r in got.entries] == want
+                out[i][j] += c * p[i][j]
+    return out
+
+
+@pytest.mark.parametrize("sides, products", [
+    ([(0, 0, 1, 1)], 2),                     # X^3 + X^2: X^3 = X^2 X
+    ([(0, 0, 0, 0, 1), (0, 0, 1)], 2),       # X^4 = X^2: X^4 = (X^2)^2
+    ([(1, 0, 1, 0, 0, 0, 1), (0, 0, 0, 0, 0, 1)], 5),  # X^6 + X^2 + I = X^5
+])
+def test_each_power_is_one_product_on_a_cached_one(monkeypatch, sides, products):
+    # X^d is X^(d-1) X for odd d and (X^(d/2))^2 for even d, the lower power
+    # read from the cache, so each power on the chains costs one product
+    calls = []
+    mul = zmatrix._mul_rows
+    monkeypatch.setattr(zmatrix, "_mul_rows", lambda a, b: calls.append(1) or mul(a, b))
+    zmatrix._pow_rows.cache_clear()
+    zmatrix._poly_rows.cache_clear()
+    rows = ((1, 1, 0), (0, 1, 1), (1, 0, 1))
+    for coeffs in sides:
+        assert zmatrix._poly_rows(coeffs, rows) == tuple(map(tuple, naive_poly(coeffs, rows)))
+    assert len(calls) == products
+
+
+def test_huge_power_does_not_recurse():
+    # a chain of about 1000 powers, each found from the one below it
+    zmatrix._pow_rows.cache_clear()
+    assert zmatrix._pow_rows(((0,),), 2 ** 1000 + 1) == ((0,),)
+    assert zmatrix._pow_rows(((1, 1), (0, 1)), 2 ** 1000 + 1) == ((1, 2 ** 1000 + 1), (0, 1))
 
 
 def naive_kronecker(a, b):
