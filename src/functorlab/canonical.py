@@ -33,7 +33,7 @@ from .zmatrix import (
     _conjugate_rows,
     _first_mismatch,
     _monomial_form,
-    _pow_rows,
+    _power,
     _raise_mismatch,
     _require_int,
     _scalar_rows,
@@ -86,7 +86,7 @@ class SqrtClassification(_Record):
 
 
 def _verify_square(m, k):
-    _raise_mismatch(_first_mismatch(_pow_rows(m.entries, 2), _scalar_rows(m.n, k)),
+    _raise_mismatch(_first_mismatch(_power(m.entries, 2), _scalar_rows(m.n, k)),
                     NotASquareRoot, lambda i, j, x, y: f"(M^2)[{i}][{j}] = {x}, expected {y}")
 
 

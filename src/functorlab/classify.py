@@ -42,7 +42,7 @@ from .zmatrix import (
     _first_mismatch,
     _monomial_form,
     _monomial_rows,
-    _pow_rows,
+    _power,
     _raise_mismatch,
     _require_int,
     _scalar_rows,
@@ -93,7 +93,7 @@ def classify_idempotent(m):
     _check_symmetric(m)
     support = _diagonal_support(m)
     if support is None:
-        _raise_mismatch(_first_mismatch(_pow_rows(m.entries, 2), m.entries), NotIdempotent,
+        _raise_mismatch(_first_mismatch(_power(m.entries, 2), m.entries), NotIdempotent,
                         lambda i, j, x, y: f"(M^2)[{i}][{j}] = {x} but M there is {y}")
         raise ShapeViolation(_NOT_DIAGONAL)
     return IdempotentClassification(m.n, support)
@@ -150,7 +150,7 @@ def check_nilpotent(m, k):
     _check_symmetric(m)
     if m.is_zero():
         return NilpotencyVerdict("zero")
-    bad = _first_mismatch(_pow_rows(m.entries, k), _scalar_rows(m.n, 0))
+    bad = _first_mismatch(_power(m.entries, k), _scalar_rows(m.n, 0))
     if bad is None:
         # symmetric and nonzero: the diagonal of M^2 sums squares, so no power dies
         raise InternalFault("nonzero symmetric matrix with a vanishing power")
@@ -183,7 +183,7 @@ def classify_cyclic(m, k, mm):
     odd = (k - mm) % 2 == 1
     shape = _diagonal_support(m) if odd else _partial_involution(m)
     if shape is None:
-        _raise_mismatch(_first_mismatch(_pow_rows(m.entries, k), _pow_rows(m.entries, mm)),
+        _raise_mismatch(_first_mismatch(_power(m.entries, k), _power(m.entries, mm)),
                         NotASolution,
                         lambda i, j, x, y: f"(M^{k})[{i}][{j}] = {x} but (M^{mm}) there is {y}")
         raise ShapeViolation(_NOT_DIAGONAL if odd else "symmetric solution with "
@@ -221,7 +221,7 @@ def classify_root_of_identity(m, n_exp):
         sigma = Permutation(form[0]).inverse()
     order = None if sigma is None else sigma.order()
     # a permutation matrix of order o has M^e = M^(e mod o), so any e is cheap
-    power = _pow_rows(m.entries, n_exp if sigma is None else n_exp % order)
+    power = _power(m.entries, n_exp if sigma is None else n_exp % order)
     _raise_mismatch(_first_mismatch(power, _scalar_rows(m.n, 1)), NotARoot,
                     lambda i, j, x, y: f"(M^{n_exp})[{i}][{j}] = {x}, expected {y}",
                     power=n_exp)

@@ -70,8 +70,8 @@ changes in integers.  When K < n, the search above, with one more leaf
 filter ahead of the orderly cut (the support graph is connected), finds the
 connected classes of each size up to K, and every multiset of them summing
 to n is built, canonicalised by zmatrix._orbit_min_rows and sorted; `limit`
-then takes a prefix as before.  This path starts no worker.  When K >= n, or the search
-is not both symmetric and up to iso, the search runs as it is.
+then takes a prefix as before.  This path starts no worker.  When K >= n,
+or the search is not both symmetric and up to iso, it runs as it is.
 """
 
 import itertools
@@ -231,17 +231,17 @@ def _search_partition(args):
         high = high if v == bound else sides(hi, hi_cols)
         if exceeds(low[0], high[1]) or exceeds(low[1], high[0]):
             continue
-        if k in row_end:  # a row end; at a leaf, connectivity first
-            upper, known = tuple(map(tuple, top)), row_end[k]
+        if k in row_end or k == last:  # at a leaf, connectivity first
+            upper, known = tuple(map(tuple, top)), row_end.get(k)
             if (connected and k == last and _reach_masks(upper)[0] != (1 << n) - 1
-                    or _orbit_min_rows(upper, known) < upper[:known]):
+                    or known and _orbit_min_rows(upper, known) < upper[:known]):
                 continue
         if k < last:
             state = (lo, hi, low, high)
             for w in choices[k + 1]:
                 stack.append((k + 1, w, state))
         else:  # L = U = X, and the interval cut says g(X) = h(X)
-            found.append(tuple(map(tuple, top)))
+            found.append(upper)
             if len(found) == cap:
                 break
     return found

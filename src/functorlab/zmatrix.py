@@ -100,35 +100,41 @@ def _mul_rows(a, b):
     return tuple(tuple([sum(map(mul, row, col)) for col in cols]) for row in a)
 
 
+def _power(rows, d):
+    # X^d: the chain of exponents from d down to 1 (or 0) is asked of the
+    # cached _pow_rows from its short end, so each step finds the one below
+    # it cached.  Nothing recurses, and the lookups grow with log d.
+    chain = [d]
+    while d > 1:
+        d = d - 1 if d & 1 else d >> 1
+        chain.append(d)
+    for e in reversed(chain):
+        power = _pow_rows(rows, e)
+    return power
+
+
 # pays for itself on repeated classify calls with the same matrix and exponent,
 # and lets the two sides of a relation in _poly_rows share their powers
 @lru_cache(maxsize=1 << 16)
 def _pow_rows(rows, d):
-    # one product on a cached lower power: X^(d-1) X for odd d, the square of
-    # X^(d/2) for even d.  The chain of lower powers is asked for from its
-    # short end, so each finds the one below it cached and no call goes more
-    # than one level deep, whatever the exponent.
+    # one step of _power: one product on X^(d-1) for odd d, the square of
+    # X^(d/2) for even d, which _power has already cached
     if d < 2:
         return rows if d else _scalar_rows(len(rows), 1)
-    chain, e = [], d
-    while e > 1:
-        e = e - 1 if e & 1 else e >> 1
-        chain.append(e)
-    for e in reversed(chain):
-        lower = _pow_rows(rows, e)
-    return _mul_rows(lower, rows) if d & 1 else _mul_rows(lower, lower)
+    lower = _pow_rows(rows, d - 1 if d & 1 else d >> 1)
+    return _mul_rows(lower, rows if d & 1 else lower)
 
 
 # pays for itself in brute_force_oracle, which meets the same small candidates
 # again under every bound, symmetric and up_to_iso setting of a sweep
 @lru_cache(maxsize=1 << 16)
 def _poly_rows(coeffs, rows):
-    # the sum of c_d * rows^d, each power from _pow_rows (X^0 is I)
+    # the sum of c_d * rows^d, each power from _power (X^0 is I)
     n = len(rows)
     acc = [[0] * n for _ in range(n)]
     for d, c in enumerate(coeffs):
         if c:
-            for ai, pi in zip(acc, _pow_rows(rows, d)):
+            for ai, pi in zip(acc, _power(rows, d)):
                 for j in range(n):
                     ai[j] += c * pi[j]
     return tuple(tuple(r) for r in acc)
@@ -457,7 +463,7 @@ class NatMatrix(_Record):
 
     def power(self, d):
         _require_int(d, "exponent", 0)
-        return NatMatrix._trusted(_pow_rows(self.entries, d))
+        return NatMatrix._trusted(_power(self.entries, d))
 
     def transpose(self):
         return NatMatrix._trusted(tuple(zip(*self.entries)))

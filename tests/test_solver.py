@@ -759,6 +759,18 @@ def _is_connected(rows):
     return len(seen) == len(rows)
 
 
+@pytest.mark.parametrize("rel", [X_SQ_EQ_1, X_SQ_EQ_X, X_CUBE_EQ_X])
+@pytest.mark.parametrize("up_to_iso", [False, True])
+def test_connected_search_keeps_only_connected_leaves(rel, up_to_iso):
+    # the connectivity filter holds with or without the up-to-iso cut
+    gr, hr = rel.reduced()
+    for n in (2, 3, 4):
+        args = (gr, hr, n, 1, True, up_to_iso, None, range(2))
+        every = solver._search_partition(args + (False,))
+        assert solver._search_partition(args + (True,)) == [
+            rows for rows in every if _is_connected(rows)]
+
+
 def _no_size_bound(*args):
     raise AssertionError("the class size bound was computed")
 

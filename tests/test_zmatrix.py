@@ -589,8 +589,22 @@ def test_each_power_is_one_product_on_a_cached_one(monkeypatch, sides, products)
 def test_huge_power_does_not_recurse():
     # a chain of about 1000 powers, each found from the one below it
     zmatrix._pow_rows.cache_clear()
-    assert zmatrix._pow_rows(((0,),), 2 ** 1000 + 1) == ((0,),)
-    assert zmatrix._pow_rows(((1, 1), (0, 1)), 2 ** 1000 + 1) == ((1, 2 ** 1000 + 1), (0, 1))
+    assert zmatrix._power(((0,),), 2 ** 1000 + 1) == ((0,),)
+    assert zmatrix._power(((1, 1), (0, 1)), 2 ** 1000 + 1) == ((1, 2 ** 1000 + 1), (0, 1))
+
+
+def test_fresh_huge_power_walks_its_chain_once(monkeypatch):
+    # the chain 2^1000 + 1, 2^1000, ..., 2, 1 has 1002 exponents: one lookup
+    # each from _power and one from each of its 1001 products, and no more
+    calls = []
+    mul = zmatrix._mul_rows
+    monkeypatch.setattr(zmatrix, "_mul_rows", lambda a, b: calls.append(1) or mul(a, b))
+    zmatrix._pow_rows.cache_clear()
+    assert zmatrix._power(((0,),), 2 ** 1000 + 1) == ((0,),)
+    info = zmatrix._pow_rows.cache_info()
+    assert (len(calls), info.misses, info.hits) == (1001, 1002, 1001)
+    assert zmatrix._power(((0,),), 2 ** 1000 + 1) == ((0,),)  # all cached now
+    assert len(calls) == 1001
 
 
 def naive_kronecker(a, b):
