@@ -101,15 +101,23 @@ def _mul_rows(a, b):
 
 
 def _power(rows, d):
-    # X^d: the chain of exponents from d down to 1 (or 0) is asked of the
-    # cached _pow_rows from its short end, so each step finds the one below
-    # it cached.  Nothing recurses, and the lookups grow with log d.
-    chain = [d]
-    while d > 1:
-        d = d - 1 if d & 1 else d >> 1
-        chain.append(d)
+    # X^d.  X^p, for p the top 64 bits of d, comes from the cached _pow_rows,
+    # asked for along the chain of exponents from p down to 1 (or 0) from its
+    # short end, so each step finds the one below it cached and nothing
+    # recurses.  Each lower bit of d then squares the power here, and a 1 bit
+    # multiplies it by X, so a huge exponent puts no big integer in the cache.
+    bits = bin(d)[2:]
+    p = int(bits[:64], 2)
+    chain = [p]
+    while p > 1:
+        p = p - 1 if p & 1 else p >> 1
+        chain.append(p)
     for e in reversed(chain):
         power = _pow_rows(rows, e)
+    for bit in bits[64:]:
+        power = _mul_rows(power, power)
+        if bit == "1":
+            power = _mul_rows(power, rows)
     return power
 
 

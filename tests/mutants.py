@@ -1,7 +1,7 @@
 """Mutation table for the code that alone decides which matrices `solve` emits,
 for the shape predicates that alone decide a classifier's positive verdict,
 and for the one home of each rule the CLI's output rests on (the wire rule,
-exit codes, size caps, the power sum).
+exit codes, size caps, the power sum and its chain of powers).
 
 Each row names a module under src/functorlab, one exact source snippet in
 it, a replacement, and the test ids that must fail once the snippet is
@@ -107,7 +107,8 @@ MUTANTS = {
     "assembly-drops-connectivity-filter": (
         "solver", "connected and k == last and _reach_masks(upper)[0]",
         "False and k == last and _reach_masks(upper)[0]",
-        ["tests/test_solver.py::test_assembled_up_to_iso_equals_canonical_full_search",
+        ["tests/test_solver.py::test_connected_search_keeps_only_connected_leaves",
+         "tests/test_solver.py::test_assembled_up_to_iso_equals_canonical_full_search",
          "tests/test_solver.py::test_up_to_iso_equals_orbit_minima_of_full_search"]),
     "monomial-form-skips-rebuild": (
         "zmatrix", "if _monomial_rows(images, values) == rows else None",
@@ -182,6 +183,9 @@ MUTANTS = {
         "restrict", "stack += [(mid + 1, u, vm, vu), (t, mid, vt, vm)]",
         "stack += [(mid + 1, u, vm, vu)]",
         ["tests/test_restrict.py::test_integer_roots_match_a_scan_of_the_spectral_range"]),
+    "power-walks-from-the-long-end": (
+        "zmatrix", "for e in reversed(chain):", "for e in chain:",
+        ["tests/test_zmatrix.py::test_power_below_2_64_does_not_recurse"]),
     "entry-bound-symmetric-power-is-2": (
         "solver", "if symmetric_only and is_power(other):\n                return 1",
         "if symmetric_only and is_power(other):\n                return 2",

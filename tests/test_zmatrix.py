@@ -2,6 +2,7 @@ import ast
 import itertools
 import pathlib
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -593,18 +594,35 @@ def test_huge_power_does_not_recurse():
     assert zmatrix._power(((1, 1), (0, 1)), 2 ** 1000 + 1) == ((1, 2 ** 1000 + 1), (0, 1))
 
 
-def test_fresh_huge_power_walks_its_chain_once(monkeypatch):
-    # the chain 2^1000 + 1, 2^1000, ..., 2, 1 has 1002 exponents: one lookup
-    # each from _power and one from each of its 1001 products, and no more
+def test_fresh_huge_power_caches_only_its_top_bits(monkeypatch):
+    # 2^1000 + 1 has 1001 bits.  Its top 64, 2^63, are the chain 2^63, 2^62,
+    # ..., 1 of 64 cached powers: one lookup each from _power and one from
+    # each of their 63 products.  The other 937 bits cost 937 squares and one
+    # product by X, and leave no exponent of 2^64 or more in the cache.
     calls = []
     mul = zmatrix._mul_rows
     monkeypatch.setattr(zmatrix, "_mul_rows", lambda a, b: calls.append(1) or mul(a, b))
     zmatrix._pow_rows.cache_clear()
     assert zmatrix._power(((0,),), 2 ** 1000 + 1) == ((0,),)
     info = zmatrix._pow_rows.cache_info()
-    assert (len(calls), info.misses, info.hits) == (1001, 1002, 1001)
-    assert zmatrix._power(((0,),), 2 ** 1000 + 1) == ((0,),)  # all cached now
-    assert len(calls) == 1001
+    assert (len(calls), info.misses, info.hits, info.currsize) == (1001, 64, 63, 64)
+    assert zmatrix._power(((0,),), 2 ** 1000 + 1) == ((0,),)  # 2^63 is cached now
+    assert len(calls) == 1001 + 938
+
+
+def test_power_below_2_64_does_not_recurse():
+    # the chain of 2^64 - 1 has 127 exponents, each found from the one below it
+    zmatrix._pow_rows.cache_clear()
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        power = zmatrix._power(((1, 1), (0, 1)), 2 ** 64 - 1)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert power == ((1, 2 ** 64 - 1), (0, 1))
 
 
 def naive_kronecker(a, b):
