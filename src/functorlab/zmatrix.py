@@ -121,8 +121,8 @@ def _power(rows, d):
     return power
 
 
-# pays for itself on repeated classify calls with the same matrix and exponent,
-# and lets the two sides of a relation in _poly_rows share their powers
+# pays for itself on repeated classify calls with the same matrix and an
+# exponent below 2^64, and lets the two sides of a relation in _poly_rows share their powers
 @lru_cache(maxsize=1 << 16)
 def _pow_rows(rows, d):
     # one step of _power: one product on X^(d-1) for odd d, the square of

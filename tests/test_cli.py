@@ -535,7 +535,7 @@ def test_classify_root_high_exponent(write, capsys):
 
 def test_classify_root_huge_exponent_on_a_non_permutation(write, capsys):
     # [[0]] is no permutation, so the exponent is not reduced: M^e is built
-    # from a chain of about 1000 lower powers, none of them by recursion
+    # by about 1000 products, none of them by recursion
     m = write("m.json", {"n": 1, "rows": [[0]]})
     exp = 2 ** 1000 + 1
     rc, out, err = run(capsys, "classify", "root", "--matrix", m, "--exp", str(exp))
