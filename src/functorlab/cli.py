@@ -233,19 +233,27 @@ class _Command(collections.namedtuple(
         return 0 if self.code is None else self.code(result)
 
 
+def _int(text):
+    """An integer option's value, held to the input digit limit."""
+    try:
+        return jsonio._parse_int(text, "value")
+    except InvalidInput as err:
+        raise argparse.ArgumentTypeError(err.message) from None
+
+
 _FILE = {"required": True}
 _FILES = {"action": "append", "required": True}
-_INT = {"type": int, "required": True}
+_INT = {"type": _int, "required": True}
 _SEARCH = (
     ("--relation", {"required": True, "help": "relation JSON file"}),
-    ("--n", {"type": int, "required": True, "help": "matrix dimension"}),
-    ("--bound", {"type": int, "help": "entry bound; derived from the relation when provable"}),
+    ("--n", {"type": _int, "required": True, "help": "matrix dimension"}),
+    ("--bound", {"type": _int, "help": "entry bound; derived from the relation when provable"}),
     ("--symmetric", {"action": "store_true", "help": "search symmetric matrices only"}),
     ("--up-to-iso", {
         "action": "store_true",
         "help": "keep one representative per simultaneous relabeling orbit",
     }),
-    ("--limit", {"type": int, "help": "emit at most this many"}),
+    ("--limit", {"type": _int, "help": "emit at most this many"}),
 )
 _VERIFY = ("--verify-relation", {"help": "also check the relation on inputs and output"})
 _MATRIX = ("--matrix", _FILE)
@@ -253,7 +261,7 @@ _MATRIX_SUBSET = (_MATRIX, ("--subset", _FILE))
 
 _COMMANDS = (
     _Command(("solve",), "search matrices satisfying g(X) = h(X)", _SEARCH + (
-        ("--jobs", {"type": int, "default": 1, "help": "worker processes (default 1)"}),
+        ("--jobs", {"type": _int, "default": 1, "help": "worker processes (default 1)"}),
     ), handler=_cmd_solve),
     _Command(("oracle",), "same search by plain enumeration (cross-check)", _SEARCH,
              handler=_cmd_solve),
@@ -301,10 +309,10 @@ _COMMANDS = (
     _Command(("construct", "dsum"), "direct sum of two or more matrices",
              (("--matrix", _FILES), _VERIFY), handler=_cmd_construct),
     _Command(("construct", "tensor"), "Kronecker product with an identity of size b",
-             (("--matrix", _FILES), ("--b", {"type": int}), _VERIFY),
+             (("--matrix", _FILES), ("--b", {"type": _int}), _VERIFY),
              handler=_cmd_construct),
     _Command(("construct", "scale"), "scalar multiple",
-             (("--matrix", _FILES), ("--k", {"type": int}), _VERIFY),
+             (("--matrix", _FILES), ("--k", {"type": _int}), _VERIFY),
              handler=_cmd_construct),
 )
 
@@ -340,7 +348,7 @@ def _build_parser(argv=()):
     )
     common.add_argument(
         "--seed",
-        type=int,
+        type=_int,
         default=None,
         help="accepted for interface stability; no shipped subcommand is randomized",
     )
@@ -376,6 +384,20 @@ def _build_parser(argv=()):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
+    # results and error details may hold integers of any size, so the
+    # interpreter's limit on int/str conversion is lifted while main runs;
+    # input integers are held to jsonio's digit limit instead
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def _run(argv):
     try:
         try:
             ns = _build_parser(argv).parse_args(argv)

@@ -21,6 +21,10 @@ from .errors import InvalidInput
 from .zmatrix import NatMatrix, RelationPoly, _is_int
 
 _SAFE_INT = (1 << 53) - 1
+# the most digits an input integer may have: Python's default limit on
+# int/str conversion, checked here so that a refusal reads the same whether
+# or not the interpreter's own limit is lifted, as cli.main lifts it
+_MAX_DIGITS = 4300
 
 
 def wire(doc):
@@ -46,16 +50,27 @@ def wire(doc):
     return out
 
 
+def _parse_int(text, what):
+    """int(text, 10), or InvalidInput for a string that is no decimal integer
+    or has more than _MAX_DIGITS digits."""
+    if len(text) > _MAX_DIGITS:
+        digits = sum(map(str.isdigit, text))
+        if digits > _MAX_DIGITS:
+            raise InvalidInput(f"{what} has {digits} digits, over the limit of "
+                               f"{_MAX_DIGITS} on input integers", limit=_MAX_DIGITS)
+    try:
+        return int(text, 10)
+    except ValueError:
+        raise InvalidInput(f"{what} is not a decimal integer string: {text!r}") from None
+
+
 def _decode_int(v, what):
     if _is_int(v):
         return v
     if isinstance(v, bool):
         raise InvalidInput(f"{what} must be an integer, got a boolean")
     if isinstance(v, str):
-        try:
-            return int(v, 10)
-        except ValueError:
-            raise InvalidInput(f"{what} is not a decimal integer string: {v!r}") from None
+        return _parse_int(v, what)
     raise InvalidInput(f"{what} must be an integer or decimal string, got {v!r}")
 
 
@@ -273,7 +288,7 @@ def error_to_obj(err):
 
 def load_text(text, what="input"):
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=lambda s: _parse_int(s, f"{what} integer"))
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"{what} is not valid JSON: {exc}") from None
     except RecursionError:

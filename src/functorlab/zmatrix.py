@@ -100,33 +100,30 @@ def _mul_rows(a, b):
     return tuple(tuple([sum(map(mul, row, col)) for col in cols]) for row in a)
 
 
+# the exponents whose powers are cached: _pow_rows recurses at most about
+# 2 log2 of this deep, and no big exponent enters the cache
+_CACHED_BELOW = 256
+
+
 def _power(rows, d):
-    # X^d.  X^p, for p the top 64 bits of d, comes from the cached _pow_rows,
-    # asked for along the chain of exponents from p down to 1 (or 0) from its
-    # short end, so each step finds the one below it cached and nothing
-    # recurses.  Each lower bit of d then squares the power here, and a 1 bit
-    # multiplies it by X, so a huge exponent puts no big integer in the cache.
-    bits = bin(d)[2:]
-    p = int(bits[:64], 2)
-    chain = [p]
-    while p > 1:
-        p = p - 1 if p & 1 else p >> 1
-        chain.append(p)
-    for e in reversed(chain):
-        power = _pow_rows(rows, e)
-    for bit in bits[64:]:
+    # X^d: one lookup in the cache below _CACHED_BELOW, else square-and-multiply
+    # from X along the bits of d, outside the cache
+    if d < _CACHED_BELOW:
+        return _pow_rows(rows, d)
+    power = rows
+    for bit in bin(d)[3:]:
         power = _mul_rows(power, power)
         if bit == "1":
             power = _mul_rows(power, rows)
     return power
 
 
-# pays for itself on repeated classify calls with the same matrix and an
-# exponent below 2^64, and lets the two sides of a relation in _poly_rows share their powers
+# pays for itself on repeated classify calls with the same matrix, and lets
+# the two sides of a relation in _poly_rows share their powers
 @lru_cache(maxsize=1 << 16)
 def _pow_rows(rows, d):
-    # one step of _power: one product on X^(d-1) for odd d, the square of
-    # X^(d/2) for even d, which _power has already cached
+    # X^d for d < _CACHED_BELOW: one product on X^(d-1) for odd d, the square
+    # of X^(d/2) for even d, the lower power read from the cache
     if d < 2:
         return rows if d else _scalar_rows(len(rows), 1)
     lower = _pow_rows(rows, d - 1 if d & 1 else d >> 1)

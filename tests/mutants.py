@@ -1,7 +1,7 @@
 """Mutation table for the code that alone decides which matrices `solve` emits,
 for the shape predicates that alone decide a classifier's positive verdict,
 and for the one home of each rule the CLI's output rests on (the wire rule,
-exit codes, size caps, the power sum and its chain of powers).
+exit codes, size caps, the power sum and the bound on the power cache).
 
 Each row names a module under src/functorlab, one exact source snippet in
 it, a replacement, and the test ids that must fail once the snippet is
@@ -183,9 +183,12 @@ MUTANTS = {
         "restrict", "stack += [(mid + 1, u, vm, vu), (t, mid, vt, vm)]",
         "stack += [(mid + 1, u, vm, vu)]",
         ["tests/test_restrict.py::test_integer_roots_match_a_scan_of_the_spectral_range"]),
-    "power-walks-from-the-long-end": (
-        "zmatrix", "for e in reversed(chain):", "for e in chain:",
+    "power-cache-bound-past-2-64": (
+        "zmatrix", "if d < _CACHED_BELOW:", "if d < 1 << 70:",
         ["tests/test_zmatrix.py::test_power_below_2_64_does_not_recurse"]),
+    "gf2-span-skips-reduction": (
+        "restrict", "            vec ^= pivot\n", "            return False\n",
+        ["tests/test_restrict.py::test_gf2_span_dimension_matches_rank"]),
     "entry-bound-symmetric-power-is-2": (
         "solver", "if symmetric_only and is_power(other):\n                return 1",
         "if symmetric_only and is_power(other):\n                return 2",

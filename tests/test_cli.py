@@ -534,8 +534,9 @@ def test_classify_root_high_exponent(write, capsys):
 
 
 def test_classify_root_huge_exponent_on_a_non_permutation(write, capsys):
-    # [[0]] is no permutation, so the exponent is not reduced: M^e is built
-    # by about 1000 products, none of them by recursion
+    # [[0]] is no permutation, so the exponent is not reduced: M^e is past
+    # the power cache, and square-and-multiply builds it by 1001 products in
+    # a loop, none of them by recursion
     m = write("m.json", {"n": 1, "rows": [[0]]})
     exp = 2 ** 1000 + 1
     rc, out, err = run(capsys, "classify", "root", "--matrix", m, "--exp", str(exp))
@@ -544,6 +545,81 @@ def test_classify_root_huge_exponent_on_a_non_permutation(write, capsys):
     doc = json.loads(err)
     assert doc["error"] == "not_a_root"
     assert doc["details"]["power"] == str(exp)
+
+
+# Python refuses by default to convert an int of more than 4300 digits to or
+# from a string.  Results and error details of any size are still written,
+# and an input integer past that limit is refused as invalid input.
+POWER_OF_TWO_PAST_LIMIT = 20000  # 2^20000 has 6021 digits
+
+
+def _decimal(v):
+    """str(v) past Python's digit limit, which stays in force around it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is None:
+        return str(v)
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(v)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_nilpotent_witness_past_the_digit_limit_is_written(write, capsys):
+    m = write("m.json", {"n": 1, "rows": [[2]]})
+    rc, out, err = run(capsys, "classify", "nilpotent", "--matrix", m,
+                       "--k", str(POWER_OF_TWO_PAST_LIMIT))
+    assert (rc, err) == (1, "")
+    doc = json.loads(out)
+    assert doc["kind"] == "not_nilpotent" and doc["bigints"] is True
+    assert doc["value"] == _decimal(2 ** POWER_OF_TWO_PAST_LIMIT)
+
+
+def test_root_mismatch_past_the_digit_limit_is_written(write, capsys):
+    m = write("m.json", {"n": 1, "rows": [[2]]})
+    rc, out, err = run(capsys, "classify", "root", "--matrix", m,
+                       "--exp", str(POWER_OF_TWO_PAST_LIMIT))
+    assert (rc, out) == (1, "")
+    doc = json.loads(err)
+    assert doc["error"] == "not_a_root"
+    assert doc["details"]["got"] == _decimal(2 ** POWER_OF_TWO_PAST_LIMIT)
+    assert _decimal(2 ** POWER_OF_TWO_PAST_LIMIT) in doc["message"]
+
+
+def test_descent_mismatch_past_the_digit_limit_is_written(write, capsys):
+    m = write("m.json", {"n": 1, "rows": [[2]]})
+    s = write("s.json", {"n": 1, "members": [1]})
+    rel = write("rel.json", {"g": [0] * POWER_OF_TWO_PAST_LIMIT + [1], "h": [1]})
+    rc, out, err = run(capsys, "restrict", "descend", "--matrix", m, "--subset", s,
+                       "--relation", rel)
+    assert (rc, out) == (1, "")
+    doc = json.loads(err)
+    assert doc["error"] == "relation_not_satisfied"
+    assert doc["details"]["lhs"] == _decimal(2 ** POWER_OF_TWO_PAST_LIMIT)
+
+
+@pytest.mark.parametrize("literal", ["7" * 5000, '"' + "7" * 5000 + '"'],
+                         ids=["number", "string"])
+def test_input_integer_past_the_digit_limit_is_invalid(write, capsys, literal):
+    m = write("m.json", '{"n": 1, "rows": [[' + literal + ']]}')
+    rc, out, err = run(capsys, "canon", "--matrix", m)
+    assert (rc, out) == (2, "")
+    doc = json.loads(err)
+    assert doc["error"] == "invalid_input"
+    assert "5000 digits, over the limit of 4300" in doc["message"]
+    assert doc["details"] == {"limit": 4300}
+
+
+def test_integer_option_past_the_digit_limit_is_invalid(write, capsys):
+    m = write("m.json", {"n": 1, "rows": [[0]]})
+    rc, out, err = run(capsys, "classify", "nilpotent", "--matrix", m, "--k", "9" * 4301)
+    assert (rc, out) == (2, "")
+    doc = json.loads(err)
+    assert doc["error"] == "invalid_input"
+    assert doc["message"] == "argument --k: value has 4301 digits, over the limit of 4300 on input integers"
+    # the limit counts digits, as Python's does: 4300 of them pass
+    rc, out, _ = run(capsys, "classify", "nilpotent", "--matrix", m, "--k", "9" * 4300)
+    assert rc == 0 and json.loads(out) == {"kind": "zero"}
 
 
 def test_deeply_nested_input_is_invalid(tmp_path):

@@ -813,6 +813,35 @@ def gf2_word_span_dim(gens):
                                  n * n)
 
 
+def gf2_rank(vectors):
+    """Rank over GF(2) of equal-length 0/1 lists, by plain row reduction."""
+    rows, rank = [list(v) for v in vectors], 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                rows[r] = [a ^ b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gf2_span_dimension_matches_rank(n):
+    # along a fixed sequence of 3 n^2 matrices, so that both growing and
+    # dependent inserts occur, the inserts that grew the span number the
+    # rank mod 2 of the matrices so far
+    rng = random.Random(n)
+    mats = [[[rng.randrange(4) for _ in range(n)] for _ in range(n)] for _ in range(3 * n * n)]
+    add = restrict._gf2_span(n)
+    grown = 0
+    for k, m in enumerate(mats, 1):
+        grown += add(restrict._gf2_rows(m))
+        assert grown == gf2_rank([x & 1 for row in a for x in row] for a in mats[:k])
+
+
 def _count_exact_inserts(monkeypatch):
     calls = []
     add = restrict._IntegerSpan.add

@@ -588,41 +588,56 @@ def test_each_power_is_one_product_on_a_cached_one(monkeypatch, sides, products)
 
 
 def test_huge_power_does_not_recurse():
-    # the top 64 bits come from the cache, the other 937 square the power
+    # past the cache, square-and-multiply walks the 1001 bits in a loop
     zmatrix._pow_rows.cache_clear()
     assert zmatrix._power(((0,),), 2 ** 1000 + 1) == ((0,),)
     assert zmatrix._power(((1, 1), (0, 1)), 2 ** 1000 + 1) == ((1, 2 ** 1000 + 1), (0, 1))
 
 
-def test_fresh_huge_power_caches_only_its_top_bits(monkeypatch):
-    # 2^1000 + 1 has 1001 bits.  Its top 64, 2^63, are the chain 2^63, 2^62,
-    # ..., 1 of 64 cached powers: one lookup each from _power and one from
-    # each of their 63 products.  The other 937 bits cost 937 squares and one
-    # product by X, and leave no exponent of 2^64 or more in the cache.
+def test_fresh_huge_power_costs_its_bits_and_stays_out_of_the_cache(monkeypatch):
+    # 2^1000 + 1 has 1001 bits: 1000 squares and one product by X on every
+    # call, and not one exponent enters the cache, so none of _CACHED_BELOW
+    # or more does
     calls = []
     mul = zmatrix._mul_rows
     monkeypatch.setattr(zmatrix, "_mul_rows", lambda a, b: calls.append(1) or mul(a, b))
     zmatrix._pow_rows.cache_clear()
-    assert zmatrix._power(((0,),), 2 ** 1000 + 1) == ((0,),)
-    info = zmatrix._pow_rows.cache_info()
-    assert (len(calls), info.misses, info.hits, info.currsize) == (1001, 64, 63, 64)
-    assert zmatrix._power(((0,),), 2 ** 1000 + 1) == ((0,),)  # 2^63 is cached now
-    assert len(calls) == 1001 + 938
+    for total in (1001, 2002):
+        assert zmatrix._power(((0,),), 2 ** 1000 + 1) == ((0,),)
+        assert len(calls) == total
+        assert zmatrix._pow_rows.cache_info().currsize == 0
 
 
-def test_power_below_2_64_does_not_recurse():
-    # the chain of 2^64 - 1 has 127 exponents, each found from the one below it
-    zmatrix._pow_rows.cache_clear()
+def with_frames_to_spare(call, frames=60):
+    """call() with the recursion limit set `frames` above the current depth."""
     frame, depth = sys._getframe(), 0
     while frame is not None:
         frame, depth = frame.f_back, depth + 1
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(depth + 60)
+    sys.setrecursionlimit(depth + frames)
     try:
-        power = zmatrix._power(((1, 1), (0, 1)), 2 ** 64 - 1)
+        return call()
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_power_below_2_64_does_not_recurse():
+    # 2^64 - 1 is past the cache, so its 64 bits are walked in a loop
+    zmatrix._pow_rows.cache_clear()
+    power = with_frames_to_spare(lambda: zmatrix._power(((1, 1), (0, 1)), 2 ** 64 - 1))
     assert power == ((1, 2 ** 64 - 1), (0, 1))
+
+
+def test_largest_cached_power_recurses_within_bounds():
+    # from a cold cache, the deepest cached exponent recurses down its chain
+    # of about 2 log2(_CACHED_BELOW) exponents, and is cached after
+    d = zmatrix._CACHED_BELOW - 1
+    zmatrix._pow_rows.cache_clear()
+    power = with_frames_to_spare(lambda: zmatrix._power(((1, 1), (0, 1)), d))
+    assert power == ((1, d), (0, 1))
+    hits = zmatrix._pow_rows.cache_info().hits
+    assert zmatrix._power(((1, 1), (0, 1)), d) is power
+    assert zmatrix._pow_rows.cache_info().hits == hits + 1
 
 
 def naive_kronecker(a, b):
