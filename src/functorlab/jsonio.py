@@ -3,11 +3,11 @@ and writes (its reports and errors).
 
 All indices are 1-based on the wire.  Every writer returns a plain
 document, and composite writers nest the plain documents of others.
-`dumps` is the one place that applies the wire rule, `wire`: integers
+`dumps` alone writes JSON, applying the wire rule as it encodes: integers
 beyond 2^53 - 1 in absolute value become decimal strings (JSON numbers
-lose exactness past that in common consumers), and a document holding one
-ends with a single top-level "bigints": true marker.  So `wire` walks each
-document once, and no marker is ever nested.
+lose exactness past that in common consumers), tuples become lists, and a
+document holding such an integer ends with one top-level "bigints": true,
+a key no writer uses.
 The three readers accept both encodings.  Serialization is deterministic:
 fixed key order, two-space indent, trailing newline.
 Loading this module loads no solver, canonical, classify or restrict code:
@@ -25,29 +25,6 @@ _SAFE_INT = (1 << 53) - 1
 # int/str conversion, checked here so that a refusal reads the same whether
 # or not the interpreter's own limit is lifted, as cli.main lifts it
 _MAX_DIGITS = 4300
-
-
-def wire(doc):
-    """`doc`, a plain document, with every int (not bool) beyond +-(2^53 - 1)
-    as its decimal string, and one "bigints": true appended at the top level
-    if it holds such a string.  Tuples become lists."""
-    found = False
-
-    def encode(v):
-        nonlocal found
-        if isinstance(v, dict):
-            return {key: encode(x) for key, x in v.items()}
-        if isinstance(v, (list, tuple)):  # small ints skip the call
-            return [x if type(x) is int and -_SAFE_INT <= x <= _SAFE_INT else encode(x) for x in v]
-        if _is_int(v) and abs(v) > _SAFE_INT:
-            found = True
-            return str(v)
-        return v
-
-    out = encode(doc)
-    if found and isinstance(out, dict):
-        out["bigints"] = True
-    return out
 
 
 def _parse_int(text, what):
@@ -89,8 +66,29 @@ def _int_list(v, what):
 
 
 def dumps(doc):
-    """Serialize a plain document under the wire rule."""
-    return json.dumps(wire(doc), indent=2) + "\n"
+    """`doc`, a plain document, as JSON text in one walk under the wire rule.
+    Outside cli.main, Python's int/str digit limit applies to its decimals."""
+    found = False
+
+    def encode(v, pad):  # pad: a newline and the indent of v's own line
+        nonlocal found
+        inner = pad + "  "
+        if isinstance(v, dict) and v:
+            return "{" + ",".join(f"{inner}{json.dumps(key)}: {encode(x, inner)}"
+                                  for key, x in v.items()) + pad + "}"
+        if isinstance(v, (list, tuple)) and v:  # small ints skip the call
+            return "[" + inner + ("," + inner).join(
+                str(x) if type(x) is int and -_SAFE_INT <= x <= _SAFE_INT else encode(x, inner)
+                for x in v) + pad + "]"
+        if _is_int(v) and abs(v) > _SAFE_INT:
+            found = True
+            return f'"{v}"'
+        return json.dumps(v)  # a string, bool, None, small int or empty container
+
+    text = encode(doc, "\n")
+    if found and isinstance(doc, dict):
+        text = text[:-2] + ',\n  "bigints": true\n}'
+    return text + "\n"
 
 
 # -- matrices ----------------------------------------------------------------

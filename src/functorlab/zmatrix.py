@@ -187,11 +187,17 @@ def _first_mismatch(a, b):
 def _raise_mismatch(bad, error, describe, names=("got", "expected"), **details):
     """Raise error at a _first_mismatch result, if there is one: the message
     is describe(i, j, x, y), and the details hold the position, then x and y
-    under `names`, then `details`."""
+    under `names`, then `details`.  An x or y past Python's int/str digit
+    limit, which only cli.main lifts, is written through `decimal` instead."""
     if bad is not None:
         (i, j), x, y = bad
-        raise error(describe(i, j, x, y), position=(i, j), **dict(zip(names, (x, y))),
-                    **details)
+        try:
+            message = describe(i, j, x, y)
+        except ValueError:
+            from decimal import Decimal
+
+            message = describe(i, j, Decimal(x), Decimal(y))
+        raise error(message, position=(i, j), **dict(zip(names, (x, y))), **details)
 
 
 def _check_symmetric(m):

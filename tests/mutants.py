@@ -144,9 +144,18 @@ MUTANTS = {
     "poly-drops-constant-term": (
         "zmatrix", "if c:", "if c and d:",
         ["tests/test_zmatrix.py::test_poly_eval_matches_naive_product"]),
-    "dumps-skips-wire": (
-        "jsonio", "json.dumps(wire(doc), indent=2)", "json.dumps(doc, indent=2)",
-        ["tests/test_wire.py::test_wire_matrix"]),
+    "dumps-list-lets-2-53-through": (
+        "jsonio", "str(x) if type(x) is int and -_SAFE_INT <= x <= _SAFE_INT else",
+        "str(x) if type(x) is int and -_SAFE_INT <= x <= _SAFE_INT + 1 else",
+        ["tests/test_wire.py::test_dumps_matches_the_oracle",
+         "tests/test_wire.py::test_wire_matrix"]),
+    "dumps-never-marks-bigints": (
+        "jsonio", "            found = True\n", "            found = False\n",
+        ["tests/test_wire.py::test_dumps_matches_the_oracle",
+         "tests/test_wire.py::test_wire_matrix"]),
+    "dumps-dict-value-skips-wire": (
+        "jsonio", "{encode(x, inner)}\"", "{x if type(x) is int else encode(x, inner)}\"",
+        ["tests/test_wire.py::test_dumps_matches_the_oracle"]),
     "too-large-exits-1": (
         "errors", 'code = "dimension_too_large"\n    exit_code = 2',
         'code = "dimension_too_large"\n    exit_code = 1',

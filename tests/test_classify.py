@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_cli import POWER_OF_TWO_PAST_LIMIT, _decimal
 
 from functorlab import (
     FunctorLabError,
@@ -250,6 +251,27 @@ def test_classify_root_high_exponent():
     assert not cls.selfadjoint
     with pytest.raises(NotARoot):
         classify_root_of_identity(m, 505)
+
+
+# Outside cli.main Python's int/str digit limit stays in force; a mismatch
+# past it still raises its typed error, with the message cli.main writes
+def test_root_mismatch_past_the_digit_limit_raises_not_a_root():
+    big = 2 ** POWER_OF_TWO_PAST_LIMIT
+    with pytest.raises(NotARoot) as info:
+        classify_root_of_identity(NatMatrix(((2,),)), POWER_OF_TWO_PAST_LIMIT)
+    assert info.value.details == {
+        "position": (1, 1), "got": big, "expected": 1, "power": POWER_OF_TWO_PAST_LIMIT}
+    assert info.value.message == (
+        f"(M^{POWER_OF_TWO_PAST_LIMIT})[1][1] = {_decimal(big)}, expected 1")
+
+
+def test_cyclic_mismatch_past_the_digit_limit_raises_not_a_solution():
+    big = 2 ** POWER_OF_TWO_PAST_LIMIT
+    with pytest.raises(NotASolution) as info:
+        classify_cyclic(NatMatrix(((2,),)), POWER_OF_TWO_PAST_LIMIT, 1)
+    assert info.value.details == {"position": (1, 1), "got": big, "expected": 2}
+    assert info.value.message == (
+        f"(M^{POWER_OF_TWO_PAST_LIMIT})[1][1] = {_decimal(big)} but (M^1) there is 2")
 
 
 def _first_mismatch_with_identity(rows):

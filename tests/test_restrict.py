@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from test_cli import POWER_OF_TWO_PAST_LIMIT, _decimal
 
 from functorlab import restrict
 from functorlab import (
@@ -324,6 +325,16 @@ def test_relation_descends_errors():
     assert err.value.details["position"] == (2, 2)
     assert err.value.details["lhs"] == 4
     assert err.value.details["rhs"] == 2
+
+
+def test_descent_mismatch_past_the_digit_limit_raises_relation_not_satisfied():
+    # Python's int/str digit limit stays in force outside cli.main
+    big = 2 ** POWER_OF_TWO_PAST_LIMIT
+    rel = RelationPoly((0,) * POWER_OF_TWO_PAST_LIMIT + (1,), (1,))
+    with pytest.raises(RelationNotSatisfied) as err:
+        relation_descends(NatMatrix(((2,),)), subset(1, 1), rel)
+    assert err.value.details == {"position": (1, 1), "lhs": big, "rhs": 1}
+    assert err.value.message == f"g(M)[1][1] = {_decimal(big)} but h(M) there is 1"
 
 
 def test_relation_descends_sweep():

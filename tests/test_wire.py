@@ -6,6 +6,10 @@ only as a top-level key and exactly when the source held such an integer.
 With its decimal strings decoded, it must equal the FORMATS.md schema for
 its kind, written out from the source record's fields.  Relations and search
 configurations are checked inside the documents that carry them.
+
+`jsonio.dumps` applies the rule as it encodes.  Over random plain documents
+it must write the bytes of `oracle_wire`, a separate copy-then-encode pass,
+followed by the standard library's indented encoder.
 """
 
 import json
@@ -329,3 +333,55 @@ def test_wire_error(err):
     doc = check_wire(err, jsonio.error_to_obj)
     assert doc["error"] == err.code and doc["message"] == err.message
     assert {k: decode(v) for k, v in doc.get("details", {}).items()} == err.details
+
+
+def oracle_wire(doc):
+    """`doc` with every int (not bool) beyond +-(2^53 - 1) as its decimal
+    string, and one "bigints": true appended at the top level if it holds
+    such a string.  Tuples become lists."""
+    found = False
+
+    def encode(v):
+        nonlocal found
+        if isinstance(v, dict):
+            return {key: encode(x) for key, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [encode(x) for x in v]
+        if isinstance(v, int) and not isinstance(v, bool) and abs(v) > SAFE:
+            found = True
+            return str(v)
+        return v
+
+    out = encode(doc)
+    if found and isinstance(out, dict):
+        out["bigints"] = True
+    return out
+
+
+edge_ints = st.one_of(
+    st.integers(-4, 4),
+    st.integers(SAFE - 2, SAFE + 2),
+    st.integers(-SAFE - 2, -SAFE + 2),
+    st.sampled_from([1 << 64, -(10**25)]),
+    st.integers(),
+)
+strings = st.text(st.sampled_from('ab"\\/\n\t\x00\x1f\x7fé☃\U0001f600') | st.characters(),
+                  max_size=6)
+keys = strings.filter(lambda k: k != "bigints")  # the marker is no writer's key
+plain_docs = st.recursive(
+    st.none() | st.booleans() | edge_ints | strings,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(keys, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(keys, plain_docs, max_size=4) | plain_docs)
+@example([SAFE, -SAFE, SAFE + 1, -(SAFE + 1)])
+@example({"value": SAFE + 1, "rows": [(0, -(SAFE + 1))]})
+@example([{"value": SAFE + 1}])
+@example({})
+@example([])
+def test_dumps_matches_the_oracle(doc):
+    assert jsonio.dumps(doc) == json.dumps(oracle_wire(doc), indent=2) + "\n"
