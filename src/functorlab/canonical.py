@@ -134,7 +134,7 @@ def decompose(m, k):
         raise InternalFault(f"a square root of {k}*I is not a monomial involution")
     order, blocks = form
     # the relabeling sends original index order[p] to p; order is a
-    # permutation by construction, and inverse() validates the result
+    # permutation by construction, and so is its inverse
     return BlockForm(Permutation._trusted(tuple(order)).inverse(), tuple(blocks), k)
 
 

@@ -46,6 +46,7 @@ from .zmatrix import (
     _raise_mismatch,
     _require_int,
     _scalar_rows,
+    _show,
 )
 
 
@@ -178,14 +179,15 @@ def classify_cyclic(m, k, mm):
     _require_int(k, "k")
     _require_int(mm, "m")
     if not k > mm >= 1:
-        raise InvalidInput(f"exponents must satisfy k > m >= 1, got k={k}, m={mm}")
+        raise InvalidInput(f"exponents must satisfy k > m >= 1, got k={_show(k)}, m={_show(mm)}")
     _check_symmetric(m)
     odd = (k - mm) % 2 == 1
     shape = _diagonal_support(m) if odd else _partial_involution(m)
     if shape is None:
         _raise_mismatch(_first_mismatch(_power(m.entries, k), _power(m.entries, mm)),
                         NotASolution,
-                        lambda i, j, x, y: f"(M^{k})[{i}][{j}] = {x} but (M^{mm}) there is {y}")
+                        lambda i, j, x, y: f"(M^{_show(k)})[{i}][{j}] = {x} but "
+                                           f"(M^{_show(mm)}) there is {y}")
         raise ShapeViolation(_NOT_DIAGONAL if odd else "symmetric solution with "
                              "even exponent gap is not a 0/1 partial involution")
     if odd:
@@ -223,7 +225,7 @@ def classify_root_of_identity(m, n_exp):
     # a permutation matrix of order o has M^e = M^(e mod o), so any e is cheap
     power = _power(m.entries, n_exp if sigma is None else n_exp % order)
     _raise_mismatch(_first_mismatch(power, _scalar_rows(m.n, 1)), NotARoot,
-                    lambda i, j, x, y: f"(M^{n_exp})[{i}][{j}] = {x}, expected {y}",
+                    lambda i, j, x, y: f"(M^{_show(n_exp)})[{i}][{j}] = {x}, expected {y}",
                     power=n_exp)
     if sigma is None:
         raise NotAPermutationMatrix(

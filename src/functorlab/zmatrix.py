@@ -51,11 +51,22 @@ def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _show(v):
+    """repr(v) for a message, with an int past Python's int/str digit limit,
+    which only cli.main lifts, written through `decimal`."""
+    try:
+        return repr(v)
+    except ValueError:
+        from decimal import Decimal
+
+        return str(Decimal(v))
+
+
 def _require_int(v, what, low=None):
     """Raise InvalidInput unless v is an int (not a bool) of at least low (0 or 1)."""
     if not _is_int(v) or (low is not None and v < low):
         kind = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
-        raise InvalidInput(f"{what} must be {kind[low]}, got {v!r}")
+        raise InvalidInput(f"{what} must be {kind[low]}, got {_show(v)}")
 
 
 def _check_entry(x):
@@ -186,18 +197,12 @@ def _first_mismatch(a, b):
 
 def _raise_mismatch(bad, error, describe, names=("got", "expected"), **details):
     """Raise error at a _first_mismatch result, if there is one: the message
-    is describe(i, j, x, y), and the details hold the position, then x and y
-    under `names`, then `details`.  An x or y past Python's int/str digit
-    limit, which only cli.main lifts, is written through `decimal` instead."""
+    is describe(i, j, x, y) with x and y written by _show, and the details
+    hold the position, then x and y under `names`, then `details`."""
     if bad is not None:
         (i, j), x, y = bad
-        try:
-            message = describe(i, j, x, y)
-        except ValueError:
-            from decimal import Decimal
-
-            message = describe(i, j, Decimal(x), Decimal(y))
-        raise error(message, position=(i, j), **dict(zip(names, (x, y))), **details)
+        raise error(describe(i, j, _show(x), _show(y)), position=(i, j),
+                    **dict(zip(names, (x, y))), **details)
 
 
 def _check_symmetric(m):
@@ -358,7 +363,9 @@ class _Record:
     """Frozen record, as a frozen dataclass makes it: the fields are the class
     annotations in order, with class attributes as defaults, and repr,
     equality and hash follow the field tuple; records are not ordered.
-    The instance dict holds the fields, in order, and nothing else."""
+    The instance dict holds the fields, in order, and nothing else, however
+    the record was built.  A record class with one field, the kind built in
+    bulk, gets its own _trusted."""
 
     _fields = ()
 
@@ -366,6 +373,18 @@ class _Record:
         # a class's own annotations (3.10 on), also where they are evaluated lazily
         cls._fields += tuple(cls.__annotations__)
         cls._defaults = {f: getattr(cls, f) for f in cls._fields if hasattr(cls, f)}
+        if len(cls._fields) == 1:
+            (name,) = cls._fields
+
+            def _trusted(value):
+                # one allocation and one store: a field set by object.__setattr__
+                # on a fresh instance stays in its inline values, and the
+                # instance dict is made only once something reads it
+                self = object.__new__(cls)
+                object.__setattr__(self, name, value)
+                return self
+
+            cls._trusted = staticmethod(_trusted)
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
@@ -383,7 +402,9 @@ class _Record:
     @classmethod
     def _trusted(cls, *values):
         """A record of fields set without __post_init__, for the builders
-        whose results are valid by construction."""
+        whose results are valid by construction.  A one-field class has its
+        own _trusted(value), set up by __init_subclass__, which stores the
+        field without the zip and the dict update here."""
         self = object.__new__(cls)
         self.__dict__.update(zip(cls._fields, values))
         return self
@@ -511,7 +532,7 @@ class Permutation(_Record):
         inv = [0] * self.n
         for i, img in enumerate(self.images):
             inv[img] = i
-        return Permutation(tuple(inv))
+        return Permutation._trusted(tuple(inv))
 
     def is_involution(self):
         return all(self.images[img] == i for i, img in enumerate(self.images))

@@ -1,7 +1,8 @@
 """Mutation table for the code that alone decides which matrices `solve` emits,
 for the shape predicates that alone decide a classifier's positive verdict,
 and for the one home of each rule the CLI's output rests on (the wire rule,
-exit codes, size caps, the power sum and the bound on the power cache).
+exit codes, size caps, the power sum and the bound on the power cache), and
+for the one-field records' trusted constructor, which builds every product.
 
 Each row names a module under src/functorlab, one exact source snippet in
 it, a replacement, and the test ids that must fail once the snippet is
@@ -198,6 +199,15 @@ MUTANTS = {
     "gf2-span-skips-reduction": (
         "restrict", "            vec ^= pivot\n", "            return False\n",
         ["tests/test_restrict.py::test_gf2_span_dimension_matches_rank"]),
+    "one-field-trusted-stores-wrong-name": (
+        "zmatrix", "object.__setattr__(self, name, value)",
+        "object.__setattr__(self, name + \"_\", value)",
+        ["tests/test_records.py::test_trusted_record_cannot_be_told_from_the_checked_one",
+         "tests/test_records.py::test_one_field_trusted_records_are_right_before_vars_is_read"]),
+    "one-field-trusted-skips-store": (
+        "zmatrix", "object.__setattr__(self, name, value)", "pass",
+        ["tests/test_records.py::test_trusted_record_cannot_be_told_from_the_checked_one",
+         "tests/test_records.py::test_one_field_trusted_records_are_right_before_vars_is_read"]),
     "entry-bound-symmetric-power-is-2": (
         "solver", "if symmetric_only and is_power(other):\n                return 1",
         "if symmetric_only and is_power(other):\n                return 2",

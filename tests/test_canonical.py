@@ -127,23 +127,19 @@ def test_recompose_refuses_blocks_that_do_not_cover_perm():
             BlockForm(perm, blocks, 4).recompose()
 
 
-def test_decompose_builds_one_permutation(monkeypatch):
-    # the recompose check reads the block order itself, so the stored
-    # relabeling is the one permutation a decompose builds
+def test_decompose_validates_no_permutation(monkeypatch):
+    # the block order is a permutation by construction, and so is the
+    # relabeling, its inverse: a decompose runs no permutation check, and
+    # the relabeling it stores passes that check unchanged
     rng = random.Random(89)
     cases = [random_square_root(rng) for _ in range(200)]
-    built = []
-    check = Permutation.__post_init__
-
-    def counted(self):
-        built.append(self)
-        check(self)
-
-    monkeypatch.setattr(Permutation, "__post_init__", counted)
-    for m, k in cases:
-        built.clear()
-        form = decompose(m, k)
-        assert built == [form.perm]
+    checked = []
+    monkeypatch.setattr(Permutation, "__post_init__", lambda self: checked.append(self))
+    forms = [decompose(m, k) for m, k in cases]
+    assert checked == []
+    monkeypatch.undo()
+    for form in forms:
+        assert type(form.perm) is Permutation and Permutation(form.perm.images) == form.perm
 
 
 def test_symmetric_blocks_are_balanced():

@@ -274,6 +274,30 @@ def test_cyclic_mismatch_past_the_digit_limit_raises_not_a_solution():
         f"(M^{POWER_OF_TWO_PAST_LIMIT})[1][1] = {_decimal(big)} but (M^1) there is 2")
 
 
+
+# An exponent past the digit limit is named in the message, again written
+# as cli.main would write it: the matrix [[0]] keeps its powers small
+HUGE_EXPONENT = 10 ** 5000
+
+
+def test_root_exponent_past_the_digit_limit_raises_not_a_root():
+    with pytest.raises(NotARoot) as info:
+        classify_root_of_identity(NatMatrix(((0,),)), HUGE_EXPONENT)
+    assert info.value.details == {
+        "position": (1, 1), "got": 0, "expected": 1, "power": HUGE_EXPONENT}
+    assert info.value.message == f"(M^{_decimal(HUGE_EXPONENT)})[1][1] = 0, expected 1"
+
+
+def test_cyclic_exponent_past_the_digit_limit_raises_invalid_input():
+    with pytest.raises(InvalidInput) as info:
+        classify_cyclic(NatMatrix(((0,),)), 1, HUGE_EXPONENT)
+    assert info.value.message == (
+        f"exponents must satisfy k > m >= 1, got k=1, m={_decimal(HUGE_EXPONENT)}")
+    with pytest.raises(InvalidInput) as info:
+        check_nilpotent(NatMatrix(((0,),)), -HUGE_EXPONENT)
+    assert info.value.message == (
+        f"nilpotency degree must be a positive integer, got {_decimal(-HUGE_EXPONENT)}")
+
 def _first_mismatch_with_identity(rows):
     n = len(rows)
     return next(

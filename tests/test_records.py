@@ -6,7 +6,8 @@ and deletion, its pickle round trip and its constructor's argument checks
 are pinned here, one instance of each type.
 The builders that set a record's fields without the public checks are
 tested against those checks: each output passes the public constructor
-unchanged.
+unchanged, and a record built by `_trusted`, the one-field classes' own or
+the shared one, cannot be told apart from the checked one.
 """
 
 import pickle
@@ -191,6 +192,34 @@ def test_constructor_refuses_missing_and_extra_arguments(make, text):
 
 
 # -- builders that set their fields without the public checks ---------------
+
+@CASES
+def test_trusted_record_cannot_be_told_from_the_checked_one(make, text):
+    a = make()
+    cls = type(a)
+    t = cls._trusted(*vars(a).values())
+    assert type(t) is cls
+    assert tuple(vars(t)) == tuple(vars(a)) == FIELDS[cls]
+    assert repr(t) == repr(a) == text
+    assert t == a and a == t and hash(t) == hash(a)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        b = pickle.loads(pickle.dumps(t, protocol))
+        assert type(b) is cls and b == a and hash(b) == hash(a) and repr(b) == text
+
+
+def test_one_field_trusted_records_are_right_before_vars_is_read():
+    # each check starts from a record whose fields nothing has read yet
+    cases = [(NatMatrix, ((0, 1), (1, 0))), (Permutation, (1, 0)), (Block1, 2)]
+    for cls, value in cases:
+        (name,) = FIELDS[cls]
+        checked = cls(value)
+        assert cls._trusted(value) == checked
+        assert checked == cls._trusted(value)
+        assert hash(cls._trusted(value)) == hash(checked) == hash((value,))
+        assert cls._trusted(value) != cls._trusted(value * 2)
+        assert getattr(cls._trusted(value), name) == value
+        assert repr(cls._trusted(value)) == repr(checked)
+
 
 naturals = st.integers(0, 3)
 
