@@ -37,6 +37,7 @@ from .zmatrix import (
     _raise_mismatch,
     _require_int,
     _scalar_rows,
+    _show,
     canonical_cap,
     scalar_mul,
 )
@@ -151,7 +152,7 @@ def classify_selfadjoint_sqrt(m, k):
     root = isqrt(k)
     if root * root != k:
         raise KNotPerfectSquare(
-            f"no symmetric square root of {k}*I exists: {k} is not a perfect square",
+            f"no symmetric square root of {_show(k)}*I exists: {_show(k)} is not a perfect square",
             k=k,
         )
     # a symmetric monomial matrix permutes by an involution, so root times it

@@ -57,6 +57,7 @@ from .zmatrix import (
     _reach_masks,
     _require_int,
     _scalar_rows,
+    _show,
     _sign_changes,
 )
 
@@ -76,9 +77,9 @@ class IndexSubset(_Record):
             if type(i) is not int and not _is_int(i):  # plain ints skip the call
                 raise InvalidInput(f"subset members must be integers, got {i!r}")
             if not 1 <= i <= self.n:
-                raise InvalidInput(f"subset member {i} outside 1..{self.n}")
+                raise InvalidInput(f"subset member {_show(i)} outside 1..{_show(self.n)}")
             if i in seen:
-                raise InvalidInput(f"duplicate subset member {i}")
+                raise InvalidInput(f"duplicate subset member {_show(i)}")
             seen.add(i)
         object.__setattr__(self, "members", tuple(sorted(seen)))
 
@@ -99,7 +100,7 @@ class IndexSubset(_Record):
 def _check_dims(m, subset):
     if m.n != subset.n:
         raise DimensionMismatch(
-            f"matrix is {m.n}x{m.n} but subset lives in 1..{subset.n}"
+            f"matrix is {m.n}x{m.n} but subset lives in 1..{_show(subset.n)}"
         )
 
 
@@ -157,7 +158,7 @@ def _require_invariant(m, subset):
         i, j = witness
         raise NotInvariant(
             f"column {j} leaks outside the subset at row {i} "
-            f"(entry {m.entries[i - 1][j - 1]})",
+            f"(entry {_show(m.entries[i - 1][j - 1])})",
             position=(i, j),
             value=m.entries[i - 1][j - 1],
         )

@@ -43,7 +43,7 @@ def _check_cap(n, cap, what):
     """Refuse a request of size n above cap; `what` says what n counts and why
     it is capped.  The one place that raises DimensionTooLarge."""
     if n > cap:
-        raise DimensionTooLarge(f"{what}; n={n} exceeds cap {cap}", n=n, cap=cap)
+        raise DimensionTooLarge(f"{what}; n={_show(n)} exceeds cap {cap}", n=n, cap=cap)
 
 
 def _is_int(v):
@@ -73,7 +73,7 @@ def _check_entry(x):
     if type(x) is not int and not _is_int(x):  # plain ints skip the call
         raise InvalidInput(f"matrix entries must be integers, got {x!r}")
     if x < 0:
-        raise InvalidInput(f"matrix entries must be nonnegative, got {x}")
+        raise InvalidInput(f"matrix entries must be nonnegative, got {_show(x)}")
     return x
 
 
@@ -490,7 +490,7 @@ class NatMatrix(_Record):
         if not _is_int(k):
             return NotImplemented
         if k < 0:
-            raise InvalidInput(f"scalar must be nonnegative, got {k}")
+            raise InvalidInput(f"scalar must be nonnegative, got {_show(k)}")
         return NatMatrix._trusted(tuple(tuple(k * x for x in row) for row in self.entries))
 
     def power(self, d):
@@ -563,7 +563,7 @@ def _normalize_coeffs(coeffs, side):
         if not _is_int(c):
             raise InvalidInput(f"{side} coefficients must be integers, got {c!r}")
         if c < 0:
-            raise InvalidInput(f"{side} coefficients must be nonnegative, got {c}")
+            raise InvalidInput(f"{side} coefficients must be nonnegative, got {_show(c)}")
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)

@@ -7,6 +7,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_cli import _decimal
 
 import functorlab
 from functorlab import (
@@ -744,6 +745,52 @@ def test_integer_argument_messages():
     with pytest.raises(TypeError):
         True * swap
 
+
+
+# Python's int/str digit limit stays in force outside cli.main; a message
+# that names an input integer past it still raises its typed error
+BIG = 10 ** 5000
+
+
+def test_messages_write_input_integers_past_the_digit_limit():
+    from functorlab import (
+        DimensionMismatch,
+        DimensionTooLarge,
+        IndexSubset,
+        KNotPerfectSquare,
+        NotInvariant,
+        SearchConfig,
+        SearchSpaceTooLarge,
+        brute_force_oracle,
+        classify_selfadjoint_sqrt,
+        enumerate_involutions,
+        restrict_serre,
+    )
+
+    zero = NatMatrix(((0,),))
+    cases = [
+        (lambda: NatMatrix(((-BIG,),)), InvalidInput, -BIG),
+        (lambda: scalar_mul(-BIG, SWAP), InvalidInput, -BIG),
+        (lambda: RelationPoly((-BIG,), (1,)), InvalidInput, -BIG),
+        (lambda: classify_selfadjoint_sqrt(zero, BIG + 1), KNotPerfectSquare, BIG + 1),
+        (lambda: IndexSubset(3, (BIG,)), InvalidInput, BIG),
+        (lambda: IndexSubset(BIG, (BIG, BIG)), InvalidInput, BIG),
+        (lambda: restrict_serre(zero, IndexSubset(BIG, (1,))), DimensionMismatch, BIG),
+        (lambda: restrict_serre(NatMatrix(((0, BIG), (0, 0))), IndexSubset(2, (2,))),
+         NotInvariant, BIG),
+        (lambda: SearchConfig(n=-BIG, bound=1), InvalidInput, -BIG),
+        (lambda: SearchConfig(n=1, bound=-BIG), InvalidInput, -BIG),
+        (lambda: SearchConfig(n=1, bound=1, limit=-BIG), InvalidInput, -BIG),
+        (lambda: brute_force_oracle(RelationPoly((0, 0, 1), (1,)), SearchConfig(1, BIG)),
+         SearchSpaceTooLarge, BIG + 1),
+        (lambda: enumerate_involutions(BIG), DimensionTooLarge, BIG),
+        (lambda: external_tensor(SWAP, BIG), DimensionTooLarge, 2 * BIG),
+        (lambda: SWAP.power(-BIG), InvalidInput, -BIG),
+    ]
+    for call, error, value in cases:
+        with pytest.raises(error) as info:
+            call()
+        assert _decimal(value) in str(info.value)
 
 _small_matrices = st.integers(1, 4).flatmap(
     lambda n: st.lists(st.lists(st.integers(0, 5), min_size=n, max_size=n),
