@@ -181,13 +181,14 @@ def enumerate_involutions(n):
                "involution enumeration dimension is capped by FUNCTORLAB_CANON_CAP")
     out = []
     images = [None] * n
+    build = Permutation._trusted
 
     def extend(i):
         # i: the smallest point that may still be unplaced
         while i < n and images[i] is not None:
             i += 1
         if i == n:
-            out.append(Permutation._trusted(tuple(images)))
+            out.append(build(tuple(images)))
             return
         for j in range(i, n):
             if images[j] is None:

@@ -375,13 +375,14 @@ class _Record:
         cls._defaults = {f: getattr(cls, f) for f in cls._fields if hasattr(cls, f)}
         if len(cls._fields) == 1:
             (name,) = cls._fields
+            new, store = object.__new__, object.__setattr__  # looked up once
 
             def _trusted(value):
                 # one allocation and one store: a field set by object.__setattr__
                 # on a fresh instance stays in its inline values, and the
                 # instance dict is made only once something reads it
-                self = object.__new__(cls)
-                object.__setattr__(self, name, value)
+                self = new(cls)
+                store(self, name, value)
                 return self
 
             cls._trusted = staticmethod(_trusted)

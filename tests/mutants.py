@@ -200,12 +200,11 @@ MUTANTS = {
         "restrict", "            vec ^= pivot\n", "            return False\n",
         ["tests/test_restrict.py::test_gf2_span_dimension_matches_rank"]),
     "one-field-trusted-stores-wrong-name": (
-        "zmatrix", "object.__setattr__(self, name, value)",
-        "object.__setattr__(self, name + \"_\", value)",
+        "zmatrix", "store(self, name, value)", "store(self, name + \"_\", value)",
         ["tests/test_records.py::test_trusted_record_cannot_be_told_from_the_checked_one",
          "tests/test_records.py::test_one_field_trusted_records_are_right_before_vars_is_read"]),
     "one-field-trusted-skips-store": (
-        "zmatrix", "object.__setattr__(self, name, value)", "pass",
+        "zmatrix", "store(self, name, value)", "pass",
         ["tests/test_records.py::test_trusted_record_cannot_be_told_from_the_checked_one",
          "tests/test_records.py::test_one_field_trusted_records_are_right_before_vars_is_read"]),
     "entry-bound-symmetric-power-is-2": (
