@@ -261,7 +261,7 @@ _MATRIX_SUBSET = (_MATRIX, ("--subset", _FILE))
 
 _COMMANDS = (
     _Command(("solve",), "search matrices satisfying g(X) = h(X)", _SEARCH + (
-        ("--jobs", {"type": _int, "default": 1, "help": "worker processes (default 1)"}),
+        ("--jobs", {"type": _int, "default": 1, "help": "accepted for interface stability; changes no output"}),
     ), handler=_cmd_solve),
     _Command(("oracle",), "same search by plain enumeration (cross-check)", _SEARCH,
              handler=_cmd_solve),

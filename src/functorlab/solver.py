@@ -40,19 +40,21 @@ lex-smaller than U's own.  zmatrix._orbit_min_rows is told to stop after
 a+1 rows, and it ends at the first row that differs from its input's, which
 is then the smaller one and decides the test.
 
-The fill is one loop over a stack of pending nodes, not a recursion.  A
-leaf is a node without children, decided by the same two cuts: there
-L = U = X, so the interval cut is exactly g(X) != h(X), and the orderly cut
-at the last row end is exactly "X is not its orbit minimum".  So every
-limit and worker count gives the same output as filtering the full search.
-`brute_force_oracle` is the deliberately naive cross-check: plain
-enumeration in the same entry order, dense evaluation of the unreduced
-relation, no pruning, and no evaluation code shared with `solve`.
+The fill is one loop over a stack of pending nodes, not a recursion.  The
+stack holds at most one pending sibling per step: popping a node with value
+v < bound pushes its next sibling, v + 1, under the node's one child, so
+the stack stays O(entries) whatever the bound.  A leaf is a node without
+children, decided by the same two cuts: there L = U = X, so the interval
+cut is exactly g(X) != h(X), and the orderly cut at the last row end is
+exactly "X is not its orbit minimum".  So every limit gives the same output
+as filtering the full search.  `brute_force_oracle` is the deliberately
+naive cross-check: plain enumeration in the same entry order, dense
+evaluation of the unreduced relation, no pruning, and no evaluation code
+in common with `solve`.
 
-Results are deterministic: solutions sort by row-major entry order, and the
-parallel path gives each worker task one first-entry value and joins the
-buffers in value order, the order one search visits them, so worker count
-never changes the output.
+Results are deterministic: solutions sort by row-major entry order, and
+every call runs the one search in the calling process, so `jobs` never
+changes the output.
 
 A symmetric up-to-iso search is assembled from connected classes when they
 are small.  Read X as the adjacency of its support graph: a disconnected X
@@ -70,12 +72,11 @@ changes in integers.  When K < n, the search above, with one more leaf
 filter ahead of the orderly cut (the support graph is connected), finds the
 connected classes of each size up to K, and every multiset of them summing
 to n is built, canonicalised by zmatrix._orbit_min_rows and sorted; `limit`
-then takes a prefix as before.  This path starts no worker.  When K >= n,
-or the search is not both symmetric and up to iso, it runs as it is.
+then takes a prefix as before.  When K >= n, or the search is not both
+symmetric and up to iso, it runs as it is.
 """
 
 import itertools
-import os
 
 from .errors import InvalidInput, SearchSpaceTooLarge
 from .zmatrix import (
@@ -186,15 +187,11 @@ def _packed_kernel(gr, hr, n, bound):
     return s, sides, exceeds
 
 
-def _search_partition(args):
-    (gr, hr, n, bound, symmetric, up_to_iso, cap, share, connected) = args
+def _search_partition(gr, hr, n, bound, symmetric, up_to_iso, cap, connected):
     # the entries each fill step sets: (i, j), and (j, i) when symmetric
     positions = _fill_positions(n, symmetric)
     cells = [((i, j), (j, i)) if symmetric and i != j else ((i, j),) for i, j in positions]
     last = len(cells) - 1  # the step that makes a leaf
-    # each step's values, last first, since the stack pops the last pushed;
-    # the first step takes only this task's share
-    choices = [share[::-1]] + [range(bound, -1, -1)] * last
     # up_to_iso: step k sets the last entry of row i, so rows 0..i are set;
     # row_end[last] is n, where the orderly cut is the up-to-iso filter
     row_end = ({k: i + 1 for k, (i, j) in enumerate(positions) if j == n - 1}
@@ -209,12 +206,15 @@ def _search_partition(args):
 
     found, path = [], []  # path: the value set at each step so far
     # pending nodes, the next on top: (the step each sets, its value, and
-    # packed L, U and (g, h) on them before that step, one tuple shared by
+    # packed L, U and (g, h) on them before that step, one tuple for all
     # siblings); the root sets no step (-1), so L = 0 and U = bound there
     stack = [(-1, None, (0, bound * _spread(n * n, s), None, None))]
     while stack:
-        k, v, (lo, hi, low, high) = stack.pop()
+        k, v, state = stack.pop()
+        lo, hi, low, high = state
         if k >= 0:
+            if v < bound:  # the next sibling, popped once this subtree is done
+                stack.append((k, v + 1, state))
             while len(path) > k:  # unset the steps from k on
                 u = path.pop()
                 for a, b in cells[len(path)]:
@@ -238,9 +238,7 @@ def _search_partition(args):
                     or known and _orbit_min_rows(upper, known) < upper[:known]):
                 continue
         if k < last:
-            state = (lo, hi, low, high)
-            for w in choices[k + 1]:
-                stack.append((k + 1, w, state))
+            stack.append((k + 1, 0, (lo, hi, low, high)))
         else:  # L = U = X, and the interval cut says g(X) = h(X)
             found.append(upper)
             if len(found) == cap:
@@ -251,12 +249,6 @@ def _search_partition(args):
 # A fill has at most 900 entries (n <= 30, or n <= 41 symmetric), and the
 # search holds one packed n x n state per entry on its path.
 _MAX_N = {False: 30, True: 41}
-
-
-def _usable_cpus():
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _class_size_bound(gr, hr, n):
@@ -280,8 +272,8 @@ def _class_size_bound(gr, hr, n):
 def _direct_sums(gr, hr, n, bound, size):
     """The canonical forms, sorted, of every direct sum of n indices of
     connected classes with at most size indices each."""
-    classes = [rows for k in range(1, size + 1) for rows in _search_partition(
-        (gr, hr, k, bound, True, True, None, range(bound + 1), True))]
+    classes = [rows for k in range(1, size + 1)
+               for rows in _search_partition(gr, hr, k, bound, True, True, None, True)]
     sums = []
     # multisets of classes, as indices into classes ascending: (least index
     # still allowed, indices left to fill, the blocks so far)
@@ -299,13 +291,11 @@ def _direct_sums(gr, hr, n, bound, size):
 def solve(rel, config, jobs=1):
     """All solutions of rel in the space described by config.
 
-    jobs = 1 runs one search over every value of the first entry; jobs > 1
-    runs one search per first-entry value across processes, at most one per
-    usable CPU.  The result is byte-for-byte identical for every worker
-    count.  n is capped at 30 (41 symmetric), so that a fill has at most 900
-    entries, before any worker starts.
-    A symmetric up-to-iso search whose connected classes are smaller than n
-    assembles its direct sums in this process instead.
+    jobs must be a positive integer and changes nothing: every value runs
+    the one search in this process, so the result is byte-for-byte the same.
+    n is capped at 30 (41 symmetric), so that a fill has at most 900
+    entries.  A symmetric up-to-iso search whose connected classes are
+    smaller than n assembles its direct sums instead.
     """
     _require_int(jobs, "jobs", 1)
     if config.up_to_iso:
@@ -313,25 +303,15 @@ def solve(rel, config, jobs=1):
                    "up_to_iso dimension is capped by FUNCTORLAB_CANON_CAP")
     _check_cap(config.n, _MAX_N[config.symmetric_only], "solve fills at most 900 entries")
     gr, hr = rel.reduced()
-    cap = None if config.limit is None else config.limit + 1
-    task = (gr, hr, config.n, config.bound, config.symmetric_only, config.up_to_iso, cap)
-    values = range(config.bound + 1)
-    workers = min(jobs, len(values), _usable_cpus())
     if config.symmetric_only and config.up_to_iso and (
             size := _class_size_bound(gr, hr, config.n)) < config.n:
-        buffers = [_direct_sums(gr, hr, config.n, config.bound, size)]
-    elif workers == 1:
-        buffers = [_search_partition(task + (values, False))]
+        found = _direct_sums(gr, hr, config.n, config.bound, size)
     else:
-        # imported here so that a single-worker call never loads multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # one task per first value; the buffers come back in value order
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            buffers = list(pool.map(_search_partition, [task + ((v,), False) for v in values]))
+        cap = None if config.limit is None else config.limit + 1
+        found = _search_partition(gr, hr, config.n, config.bound, config.symmetric_only,
+                                  config.up_to_iso, cap, False)
     # every entry is an int in 0..bound by construction
-    return _solution_set(rel, config, [rows for buf in buffers for rows in buf],
-                         NatMatrix._trusted)
+    return _solution_set(rel, config, found, NatMatrix._trusted)
 
 
 def _solution_set(rel, config, found, build):

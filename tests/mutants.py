@@ -95,6 +95,14 @@ MUTANTS = {
         "solver", "while len(path) > k:", "while len(path) > k + 1:",
         ["tests/test_solver.py::test_solve_examples",
          "tests/test_solver.py::test_search_tree_counts"]),
+    "sibling-skips-the-bound": (
+        "solver", "if v < bound:", "if v + 1 < bound:",
+        ["tests/test_solver.py::test_solve_examples",
+         "tests/test_solver.py::test_search_memory_does_not_grow_with_the_bound"]),
+    "sibling-skips-a-value": (
+        "solver", "(k, v + 1, state)", "(k, v + 2, state)",
+        ["tests/test_solver.py::test_solve_examples",
+         "tests/test_solver.py::test_search_tree_counts"]),
     "search-stops-two-past-the-limit": (
         "solver", "if len(found) == cap:", "if len(found) - 1 == cap:",
         ["tests/test_solver.py::test_search_stops_one_past_the_limit"]),

@@ -354,12 +354,12 @@ def test_criterion_10_cartan():
     assert verdict.kind == "reducible"
 
 
-@criterion(11, "parallel search is byte-deterministic", 60.0)
+@criterion(11, "search is byte-deterministic for every jobs", 60.0)
 def test_criterion_11_parallel_determinism():
     for k in range(1, 10):
         rel = RelationPoly((0, 0, 1), (k,))
         for n in (1, 2, 3):
             config = SearchConfig(n=n, bound=k, symmetric_only=True)
-            serial = dumps(solution_set_to_obj(solve(rel, config, jobs=1)))
-            parallel = dumps(solution_set_to_obj(solve(rel, config, jobs=4)))
-            assert serial == parallel
+            one = dumps(solution_set_to_obj(solve(rel, config, jobs=1)))
+            four = dumps(solution_set_to_obj(solve(rel, config, jobs=4)))
+            assert one == four

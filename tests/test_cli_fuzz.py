@@ -6,10 +6,11 @@ document on stdout (or in the --out file; a negative verdict raised as an
 error leaves its JSON error object on stderr instead), and no traceback
 ever shows.
 Every example of that fuzz stays in the millisecond range: n <= 2 and
-bound <= 2 for searches, relation constants <= 4, matrices at most 4x4,
---b <= 4 and no --jobs above 1, so no process pool starts.  A second fuzz
+bound <= 2 for searches, relation constants <= 4, matrices at most 4x4 and
+--b <= 4; --jobs runs up to 10^5000 and changes nothing.  A second fuzz
 gives the power classifiers exponents up to 2^1000, each run in a child
-process under a CPU limit.
+process under a CPU limit, and one more child process runs `solve` at a
+bound past 2^63 under a CPU and an address-space limit.
 """
 
 import contextlib
@@ -17,6 +18,7 @@ import io
 import json
 import os
 import resource
+import signal
 import subprocess
 import sys
 
@@ -109,7 +111,7 @@ def _search(jobs):
         ("--limit", numbers(1, 2, 3), OPTIONAL),
     ]
     if jobs:
-        flags.append(("--jobs", numbers(1), OPTIONAL))
+        flags.append(("--jobs", numbers(1, 2, 64, 2 ** 63, "1" + "0" * 5000), OPTIONAL))
     return flags
 
 
@@ -254,4 +256,43 @@ def test_huge_exponents_on_bounded_powers(bounded_dir, argv):
                           capture_output=True, text=True, preexec_fn=_cpu_limit)
     assert proc.returncode in (0, 1, 2, 3), argv
     assert "Traceback" not in proc.stdout + proc.stderr, argv
+    _one_json(proc.stdout if proc.returncode == 0 or not proc.stderr else proc.stderr)
+
+
+# A bound past 2^63 - 1 is a valid input.  The search walks that many values
+# of the one entry with a stack of at most two nodes, so its memory stays
+# flat, but nothing yet bounds its time.
+HUGE_BOUND_LIMITS = {resource.RLIMIT_CPU: 3, resource.RLIMIT_AS: 512 * 2 ** 20}
+
+
+def _huge_bound_limits():
+    for limit, value in HUGE_BOUND_LIMITS.items():
+        resource.setrlimit(limit, (value, value))
+
+
+@pytest.fixture(scope="module")
+def huge_bound_run(tmp_path_factory):
+    rel = tmp_path_factory.mktemp("bound") / "x2_i.json"
+    rel.write_text(json.dumps(RELATIONS["x2_i.json"]))
+    return subprocess.run(
+        [sys.executable, "-m", "functorlab.cli", "solve", "--relation", str(rel),
+         "--n", "1", "--bound", str(2 ** 63)],
+        capture_output=True, text=True, preexec_fn=_huge_bound_limits)
+
+
+def test_huge_bound_search_runs_in_flat_memory(huge_bound_run):
+    # it ends by itself or by the CPU limit, never by running out of memory
+    # and never as an internal fault
+    proc = huge_bound_run
+    assert proc.returncode in (0, 1, 2, 3, -signal.SIGXCPU, -signal.SIGKILL)
+    assert "MemoryError" not in proc.stdout + proc.stderr
+    assert "internal_fault" not in proc.stderr
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 7: solve has no node budget, so a "
+                   "bound past 2^63 runs until the CPU limit stops it")
+def test_huge_bound_search_ends_in_one_json_document(huge_bound_run):
+    proc = huge_bound_run
+    assert proc.returncode in (0, 1, 2, 3)
+    assert "Traceback" not in proc.stdout + proc.stderr
     _one_json(proc.stdout if proc.returncode == 0 or not proc.stderr else proc.stderr)

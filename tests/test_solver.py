@@ -1,7 +1,7 @@
-import concurrent.futures
 import itertools
 import random
 import sys
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -163,7 +163,8 @@ def test_jobs_do_not_change_output():
     ]
     for rel, fields in cases:
         full = solve(rel, SearchConfig(**fields))
-        assert solve(rel, SearchConfig(**fields), jobs=4) == full
+        for jobs in (4, 2 ** 63):
+            assert solve(rel, SearchConfig(**fields), jobs=jobs) == full
         for k in range(1, full.count + 2):
             config = SearchConfig(**fields, limit=k)
             res = solve(rel, config, jobs=1)
@@ -287,45 +288,9 @@ def test_result_echoes_inputs():
     assert res.count == 2
 
 
-def _serial_pool(monkeypatch):
-    # the pooled path run in-process on 3 usable CPUs; returns the pool sizes
-    seen = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            seen.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    # solve imports the pool from concurrent.futures only when workers > 1
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(
-        solver.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False
-    )
-    return seen
-
-
-def test_worker_pool_capped(monkeypatch):
-    seen = _serial_pool(monkeypatch)
-    config = SearchConfig(n=2, bound=4, symmetric_only=True)  # 5 tasks
-    want = solve(X_SQ_EQ_1, config)
-    assert solve(X_SQ_EQ_1, config, jobs=64) == want  # capped by the 3 CPUs
-    assert solve(X_SQ_EQ_1, config, jobs=2) == want  # capped by jobs
-    small = SearchConfig(n=2, bound=1, symmetric_only=True)  # 2 tasks
-    assert solve(X_SQ_EQ_1, small, jobs=64) == solve(X_SQ_EQ_1, small)
-    assert seen == [3, 2, 2]
-
-
 @pytest.mark.parametrize("bound", range(4))
 def test_search_is_built_once_per_task(monkeypatch, bound):
-    # one task at jobs=1; with workers, one task per first-entry value
+    # one packed kernel per solve call, whatever jobs says
     calls = []
     kernel = solver._packed_kernel
 
@@ -336,10 +301,10 @@ def test_search_is_built_once_per_task(monkeypatch, bound):
     monkeypatch.setattr(solver, "_packed_kernel", counted)
     config = SearchConfig(n=2, bound=bound)
     want = solve(X_SQ_EQ_X, config)
-    assert len(calls) == 1
-    _serial_pool(monkeypatch)
-    assert solve(X_SQ_EQ_X, config, jobs=2) == want
-    assert len(calls) == 1 + bound + 1
+    for jobs in (1, 2, 64):
+        calls.clear()
+        assert solve(X_SQ_EQ_X, config, jobs=jobs) == want
+        assert len(calls) == 1
 
 
 @settings(max_examples=300, deadline=None)
@@ -542,10 +507,23 @@ def test_search_stops_one_past_the_limit(monkeypatch):
     bufs = []
     search = solver._search_partition
     monkeypatch.setattr(solver, "_search_partition",
-                        lambda args: bufs.append(search(args)) or bufs[-1])
+                        lambda *args: bufs.append(search(*args)) or bufs[-1])
     res = solve(X_SQ_EQ_1, SearchConfig(n=3, bound=1, limit=2))  # 4 involutions
     assert [len(buf) for buf in bufs] == [3]
     assert res.count == 2 and not res.complete
+
+
+def test_search_memory_does_not_grow_with_the_bound():
+    # the stack holds one pending sibling per step, not every value of the
+    # next one: X = 10^5 I walks 10^5 + 1 values of its one entry
+    tracemalloc.start()
+    try:
+        res = solve(RelationPoly((0, 1), (10 ** 5,)), SearchConfig(n=1, bound=10 ** 5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert entries(res) == [((10 ** 5,),)]
+    assert peak < 2 ** 20
 
 
 def _depth():
@@ -765,9 +743,9 @@ def test_connected_search_keeps_only_connected_leaves(rel, up_to_iso):
     # the connectivity filter holds with or without the up-to-iso cut
     gr, hr = rel.reduced()
     for n in (2, 3, 4):
-        args = (gr, hr, n, 1, True, up_to_iso, None, range(2))
-        every = solver._search_partition(args + (False,))
-        assert solver._search_partition(args + (True,)) == [
+        args = (gr, hr, n, 1, True, up_to_iso, None)
+        every = solver._search_partition(*args, False)
+        assert solver._search_partition(*args, True) == [
             rows for rows in every if _is_connected(rows)]
 
 
