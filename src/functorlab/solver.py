@@ -42,7 +42,7 @@ is then the smaller one and decides the test.
 
 The fill is one loop over a stack of pending nodes, not a recursion.  The
 stack holds at most one pending sibling per step: popping a node with value
-v < bound pushes its next sibling, v + 1, under the node's one child, so
+v < bound pushes its next sibling, v + 1, under the node's first child, so
 the stack stays O(entries) whatever the bound.  A leaf is a node without
 children, decided by the same two cuts: there L = U = X, so the interval
 cut is exactly g(X) != h(X), and the orderly cut at the last row end is

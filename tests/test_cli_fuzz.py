@@ -260,14 +260,11 @@ def test_huge_exponents_on_bounded_powers(bounded_dir, argv):
 
 
 # A bound past 2^63 - 1 is a valid input.  The search walks that many values
-# of the one entry with a stack of at most two nodes, so its memory stays
+# of the one entry with one pending node at a time, so its memory stays
 # flat, but nothing yet bounds its time.
-HUGE_BOUND_LIMITS = {resource.RLIMIT_CPU: 3, resource.RLIMIT_AS: 512 * 2 ** 20}
-
-
-def _huge_bound_limits():
-    for limit, value in HUGE_BOUND_LIMITS.items():
-        resource.setrlimit(limit, (value, value))
+def _cpu_and_memory_limits():
+    resource.setrlimit(resource.RLIMIT_CPU, (3, 3))
+    resource.setrlimit(resource.RLIMIT_AS, (512 * 2 ** 20, 512 * 2 ** 20))
 
 
 @pytest.fixture(scope="module")
@@ -277,7 +274,7 @@ def huge_bound_run(tmp_path_factory):
     return subprocess.run(
         [sys.executable, "-m", "functorlab.cli", "solve", "--relation", str(rel),
          "--n", "1", "--bound", str(2 ** 63)],
-        capture_output=True, text=True, preexec_fn=_huge_bound_limits)
+        capture_output=True, text=True, preexec_fn=_cpu_and_memory_limits)
 
 
 def test_huge_bound_search_runs_in_flat_memory(huge_bound_run):
