@@ -37,7 +37,6 @@ from .zmatrix import (
     _raise_mismatch,
     _require_int,
     _scalar_rows,
-    _show,
     canonical_cap,
     scalar_mul,
 )
@@ -88,7 +87,7 @@ class SqrtClassification(_Record):
 
 def _verify_square(m, k):
     _raise_mismatch(_first_mismatch(_power(m.entries, 2), _scalar_rows(m.n, k)),
-                    NotASquareRoot, lambda i, j, x, y: f"(M^2)[{i}][{j}] = {x}, expected {y}")
+                    NotASquareRoot, "(M^2)[{0}][{1}] = {2}, expected {3}")
 
 
 def _block_form(e, k):
@@ -130,9 +129,9 @@ def decompose(m, k):
         e = m.entries
         if k == 0:
             i = next(i for i, row in enumerate(e) if any(row) or any(r[i] for r in e))
-            raise NotDecomposable(f"index {i + 1} has no partner and a nonzero row or "
-                                  "column", index=i + 1, k=k)
-        raise InternalFault(f"a square root of {k}*I is not a monomial involution")
+            raise NotDecomposable("index {} has no partner and a nonzero row or column",
+                                  i + 1, index=i + 1, k=k)
+        raise InternalFault("a square root of {}*I is not a monomial involution", k)
     order, blocks = form
     # the relabeling sends original index order[p] to p; order is a
     # permutation by construction, and so is its inverse
@@ -152,8 +151,7 @@ def classify_selfadjoint_sqrt(m, k):
     root = isqrt(k)
     if root * root != k:
         raise KNotPerfectSquare(
-            f"no symmetric square root of {_show(k)}*I exists: {_show(k)} is not a perfect square",
-            k=k,
+            "no symmetric square root of {0}*I exists: {0} is not a perfect square", k, k=k
         )
     # a symmetric monomial matrix permutes by an involution, so root times it
     # squares to k*I; the zero matrix (k = 0) reads as the identity
@@ -161,7 +159,7 @@ def classify_selfadjoint_sqrt(m, k):
     if form is None or form[1] != (root,) * m.n:
         _verify_square(m, k)
         raise InternalFault(
-            f"a symmetric square root of {k}*I is not {root} times a permutation matrix"
+            "a symmetric square root of {}*I is not {} times a permutation matrix", k, root
         )
     return SqrtClassification(root, Permutation(form[0]))
 

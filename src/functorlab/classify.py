@@ -46,7 +46,6 @@ from .zmatrix import (
     _raise_mismatch,
     _require_int,
     _scalar_rows,
-    _show,
 )
 
 
@@ -95,7 +94,7 @@ def classify_idempotent(m):
     support = _diagonal_support(m)
     if support is None:
         _raise_mismatch(_first_mismatch(_power(m.entries, 2), m.entries), NotIdempotent,
-                        lambda i, j, x, y: f"(M^2)[{i}][{j}] = {x} but M there is {y}")
+                        "(M^2)[{0}][{1}] = {2} but M there is {3}")
         raise ShapeViolation(_NOT_DIAGONAL)
     return IdempotentClassification(m.n, support)
 
@@ -120,9 +119,7 @@ def check_commuting_idempotents(a, b):
     ca = classify_idempotent(a)
     cb = classify_idempotent(b)
     if a.n != b.n:
-        raise InvalidInput(
-            f"idempotents act on different index sets ({a.n} vs {b.n})"
-        )
+        raise InvalidInput("idempotents act on different index sets ({} vs {})", a.n, b.n)
     sa, sb = set(ca.support), set(cb.support)
     both = tuple(sorted(sa & sb))
     return CommutingIdempotents(
@@ -179,15 +176,13 @@ def classify_cyclic(m, k, mm):
     _require_int(k, "k")
     _require_int(mm, "m")
     if not k > mm >= 1:
-        raise InvalidInput(f"exponents must satisfy k > m >= 1, got k={_show(k)}, m={_show(mm)}")
+        raise InvalidInput("exponents must satisfy k > m >= 1, got k={}, m={}", k, mm)
     _check_symmetric(m)
     odd = (k - mm) % 2 == 1
     shape = _diagonal_support(m) if odd else _partial_involution(m)
     if shape is None:
         _raise_mismatch(_first_mismatch(_power(m.entries, k), _power(m.entries, mm)),
-                        NotASolution,
-                        lambda i, j, x, y: f"(M^{_show(k)})[{i}][{j}] = {x} but "
-                                           f"(M^{_show(mm)}) there is {y}")
+                        NotASolution, "(M^{4})[{0}][{1}] = {2} but (M^{5}) there is {3}", k, mm)
         raise ShapeViolation(_NOT_DIAGONAL if odd else "symmetric solution with "
                              "even exponent gap is not a 0/1 partial involution")
     if odd:
@@ -225,8 +220,7 @@ def classify_root_of_identity(m, n_exp):
     # a permutation matrix of order o has M^e = M^(e mod o), so any e is cheap
     power = _power(m.entries, n_exp if sigma is None else n_exp % order)
     _raise_mismatch(_first_mismatch(power, _scalar_rows(m.n, 1)), NotARoot,
-                    lambda i, j, x, y: f"(M^{_show(n_exp)})[{i}][{j}] = {x}, expected {y}",
-                    power=n_exp)
+                    "(M^{4})[{0}][{1}] = {2}, expected {3}", n_exp, power=n_exp)
     if sigma is None:
         raise NotAPermutationMatrix(
             "root of the identity over nonnegative integers must be a "

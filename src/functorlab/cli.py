@@ -279,10 +279,10 @@ _COMMANDS = (
              (("--matrix", _FILES),), ("classify", "check_commuting_idempotents"),
              _document(jsonio.commuting_to_obj), pair=True),
     _Command(("classify", "nilpotent"), "M^k = 0", (_MATRIX, ("--k", _INT)),
-             ("classify", "check_nilpotent"), _document(jsonio.nilpotency_to_obj),
+             ("classify", "check_nilpotent"), _document(jsonio.verdict_to_obj),
              code=lambda verdict: 0 if verdict.kind == "zero" else 1),
     _Command(("classify", "cyclic"), "M^k = M^m", (_MATRIX, ("--k", _INT), ("--m", _INT)),
-             ("classify", "classify_cyclic"), _document(jsonio.cyclic_to_obj)),
+             ("classify", "classify_cyclic"), _document(jsonio.verdict_to_obj)),
     _Command(("classify", "root"), "M^e = I", (_MATRIX, ("--exp", _INT)),
              ("classify", "classify_root_of_identity"), _document(jsonio.root_to_obj)),
     _Command(("restrict", "invariant"), "is the subset invariant", _MATRIX_SUBSET,
@@ -304,7 +304,7 @@ _COMMANDS = (
              "certify a commuting symmetric family forces a scalar Cartan matrix",
              (("--cartan", _FILE), ("--functor", _FILES)),
              ("restrict", "CartanInstance", "cartan_check"),
-             _document(jsonio.cartan_verdict_to_obj),
+             _document(lambda verdict: jsonio.verdict_to_obj(verdict, "verdict")),
              code=lambda verdict: _CARTAN_EXIT.get(verdict.kind, 1)),
     _Command(("construct", "dsum"), "direct sum of two or more matrices",
              (("--matrix", _FILES), _VERIFY), handler=_cmd_construct),

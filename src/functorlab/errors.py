@@ -9,16 +9,45 @@ exit code as ``exit_code`` (subclasses inherit it; ``cli.main`` returns it):
   question has answer "no" (``NotSymmetric``, ``NotASquareRoot``, ...).
 * ``InternalFault``, exit 3: a state the theory rules out was reached, which
   means corrupted input masquerading as valid data, or a bug here.
+
+Message text has one home, ``FunctorLabError``.  A raise site passes a
+``str.format`` template and the values it names, as in
+``InvalidInput("duplicate subset member {}", i)``.  The template is
+formatted once, each value written by ``_show``, so an integer of any size
+reads in decimal whether or not Python's int/str digit limit is lifted.  Text from outside
+the program (a file name, an environment variable, a non-integer entry) is
+always a value, never part of a template, since a ``{`` in it would make
+``format`` raise; only package literals (``what``, ``side``) join a
+template.  A message given without values is used as it stands.
 """
 
 
+def _show(v):
+    """repr(v) for a message, with an int past Python's int/str digit limit,
+    alone or inside a tuple or list, written through `decimal`."""
+    try:
+        return repr(v)
+    except ValueError:
+        if isinstance(v, list):
+            return "[" + ", ".join(map(_show, v)) + "]"
+        if isinstance(v, tuple):
+            return "(" + ", ".join(map(_show, v)) + ("," if len(v) == 1 else "") + ")"
+        from decimal import Decimal
+
+        return str(Decimal(v))
+
+
 class FunctorLabError(Exception):
-    """Base class for every error this package raises on purpose."""
+    """Base class for every error this package raises on purpose: `message`,
+    with `values` written into it by _show when there are any, and
+    `details` for the JSON error document."""
 
     code = "error"
     exit_code = 1
 
-    def __init__(self, message, **details):
+    def __init__(self, message, *values, **details):
+        if values:
+            message = message.format(*map(_show, values))
         super().__init__(message)
         self.message = message
         self.details = details

@@ -181,26 +181,11 @@ def commuting_to_obj(report):
     }
 
 
-def nilpotency_to_obj(verdict):
-    if verdict.kind == "zero":
-        return {"kind": "zero"}
-    return {
-        "kind": "not_nilpotent",
-        "power": verdict.power,
-        "position": verdict.position,
-        "value": verdict.value,
-    }
-
-
-def cyclic_to_obj(cls):
-    if cls.kind == "idempotent":
-        return idempotent_to_obj(cls)
-    return {
-        "kind": "partial_involution",
-        "n": cls.n,
-        "support": cls.support,
-        "pairing": cls.pairing,
-    }
+def verdict_to_obj(verdict, key="kind"):
+    """A record whose first field is its kind (a nilpotency, cyclic or Cartan
+    verdict): the kind under `key`, then every other field that is not
+    None, in field order."""
+    return {key if f == "kind" else f: v for f, v in verdict.__dict__.items() if v is not None}
 
 
 def root_to_obj(cls):
@@ -255,24 +240,6 @@ def verify_report_to_obj(m, rel, inputs_satisfy, output_satisfies):
             "output_satisfies": output_satisfies,
         },
     }
-
-
-def cartan_verdict_to_obj(verdict):
-    obj = {"verdict": verdict.kind}
-    if verdict.kind == "pass":
-        obj["scale"] = verdict.scale
-    elif verdict.kind == "fail_commutation":
-        obj["functor"] = verdict.functor
-        obj["position"] = verdict.position
-        obj["left"] = verdict.left
-        obj["right"] = verdict.right
-    elif verdict.kind == "reducible":
-        obj["functor"] = verdict.functor
-        obj["eigenvalue"] = verdict.eigenvalue
-        obj["basis"] = verdict.basis
-    elif verdict.kind == "inconsistent_input":
-        obj["position"] = verdict.position
-    return obj
 
 
 # -- errors ------------------------------------------------------------------

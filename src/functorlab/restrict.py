@@ -57,7 +57,6 @@ from .zmatrix import (
     _reach_masks,
     _require_int,
     _scalar_rows,
-    _show,
     _sign_changes,
 )
 
@@ -75,11 +74,11 @@ class IndexSubset(_Record):
         seen = set()
         for i in self.members:
             if type(i) is not int and not _is_int(i):  # plain ints skip the call
-                raise InvalidInput(f"subset members must be integers, got {i!r}")
+                raise InvalidInput("subset members must be integers, got {}", i)
             if not 1 <= i <= self.n:
-                raise InvalidInput(f"subset member {_show(i)} outside 1..{_show(self.n)}")
+                raise InvalidInput("subset member {} outside 1..{}", i, self.n)
             if i in seen:
-                raise InvalidInput(f"duplicate subset member {_show(i)}")
+                raise InvalidInput("duplicate subset member {}", i)
             seen.add(i)
         object.__setattr__(self, "members", tuple(sorted(seen)))
 
@@ -99,9 +98,7 @@ class IndexSubset(_Record):
 
 def _check_dims(m, subset):
     if m.n != subset.n:
-        raise DimensionMismatch(
-            f"matrix is {m.n}x{m.n} but subset lives in 1..{_show(subset.n)}"
-        )
+        raise DimensionMismatch("matrix is {0}x{0} but subset lives in 1..{1}", m.n, subset.n)
 
 
 def is_invariant_subset(m, subset):
@@ -156,12 +153,9 @@ def _require_invariant(m, subset):
     witness = _invariance_witness(m, subset)
     if witness is not None:
         i, j = witness
-        raise NotInvariant(
-            f"column {j} leaks outside the subset at row {i} "
-            f"(entry {_show(m.entries[i - 1][j - 1])})",
-            position=(i, j),
-            value=m.entries[i - 1][j - 1],
-        )
+        value = m.entries[i - 1][j - 1]
+        raise NotInvariant("column {} leaks outside the subset at row {} (entry {})", j, i,
+                           value, position=(i, j), value=value)
 
 
 def _corner(m, idx):
@@ -223,8 +217,7 @@ def relation_descends(m, subset, rel):
     _require_invariant(m, subset)
     _raise_mismatch(_first_mismatch(_poly_rows(rel.g, m.entries), _poly_rows(rel.h, m.entries)),
                     RelationNotSatisfied,
-                    lambda i, j, x, y: f"g(M)[{i}][{j}] = {x} but h(M) there is {y}",
-                    names=("lhs", "rhs"))
+                    "g(M)[{0}][{1}] = {2} but h(M) there is {3}", names=("lhs", "rhs"))
     serre = _corner(m, subset.zero_based()) if subset.size else None
     quotient = (_corner(m.transpose(), subset.complement().zero_based())
                 if subset.size < subset.n else None)
@@ -463,14 +456,10 @@ class CartanInstance(_Record):
             raise InvalidInput("the functor family must be nonempty")
         for idx, f in enumerate(functors):
             if f.n != self.cartan.n:
-                raise DimensionMismatch(
-                    f"functor {idx + 1} is {f.n}x{f.n} but the Cartan matrix "
-                    f"is {self.cartan.n}x{self.cartan.n}"
-                )
+                raise DimensionMismatch("functor {0} is {1}x{1} but the Cartan matrix is {2}x{2}",
+                                        idx + 1, f.n, self.cartan.n)
             if not f.is_symmetric():
-                raise NotSymmetric(
-                    f"functor {idx + 1} is not symmetric", index=idx + 1
-                )
+                raise NotSymmetric("functor {} is not symmetric", idx + 1, index=idx + 1)
         object.__setattr__(self, "functors", functors)
 
 

@@ -90,7 +90,6 @@ from .zmatrix import (
     _poly_rows,
     _reach_masks,
     _require_int,
-    _show,
     _sign_changes,
     canonical_cap,
 )
@@ -122,13 +121,13 @@ class SearchConfig(_Record):
         _require_int(self.n, "n")
         _require_int(self.bound, "bound")
         if self.n < 1:
-            raise InvalidInput(f"n must be >= 1, got {_show(self.n)}")
+            raise InvalidInput("n must be >= 1, got {}", self.n)
         if self.bound < 0:
-            raise InvalidInput(f"bound must be >= 0, got {_show(self.bound)}")
+            raise InvalidInput("bound must be >= 0, got {}", self.bound)
         if self.limit is not None:
             _require_int(self.limit, "limit")
             if self.limit < 1:
-                raise InvalidInput(f"limit must be >= 1, got {_show(self.limit)}")
+                raise InvalidInput("limit must be >= 1, got {}", self.limit)
 
 
 class SolutionSet(_Record):
@@ -351,7 +350,7 @@ def brute_force_oracle(rel, config):
     space = (config.bound + 1) ** len(positions)
     if space > _ORACLE_SPACE_CAP:
         raise SearchSpaceTooLarge(
-            f"{_show(space)} candidates exceed the oracle cap of {_ORACLE_SPACE_CAP}",
+            "{} candidates exceed the oracle cap of {}", space, _ORACLE_SPACE_CAP,
             candidates=space,
         )
     g, h = rel.g, rel.h

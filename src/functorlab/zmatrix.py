@@ -31,11 +31,10 @@ def canonical_cap():
     try:
         cap = int(raw)
     except ValueError:
-        raise InvalidInput(
-            f"{CANON_CAP_ENV} must be an integer, got {raw!r}", value=raw
-        ) from None
+        raise InvalidInput(CANON_CAP_ENV + " must be an integer, got {}", raw,
+                           value=raw) from None
     if cap < 1:
-        raise InvalidInput(f"{CANON_CAP_ENV} must be >= 1, got {cap}", value=cap)
+        raise InvalidInput(CANON_CAP_ENV + " must be >= 1, got {}", cap, value=cap)
     return cap
 
 
@@ -43,7 +42,7 @@ def _check_cap(n, cap, what):
     """Refuse a request of size n above cap; `what` says what n counts and why
     it is capped.  The one place that raises DimensionTooLarge."""
     if n > cap:
-        raise DimensionTooLarge(f"{what}; n={_show(n)} exceeds cap {cap}", n=n, cap=cap)
+        raise DimensionTooLarge(what + "; n={} exceeds cap {}", n, cap, n=n, cap=cap)
 
 
 def _is_int(v):
@@ -51,29 +50,18 @@ def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _show(v):
-    """repr(v) for a message, with an int past Python's int/str digit limit,
-    which only cli.main lifts, written through `decimal`."""
-    try:
-        return repr(v)
-    except ValueError:
-        from decimal import Decimal
-
-        return str(Decimal(v))
-
-
 def _require_int(v, what, low=None):
     """Raise InvalidInput unless v is an int (not a bool) of at least low (0 or 1)."""
     if not _is_int(v) or (low is not None and v < low):
         kind = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
-        raise InvalidInput(f"{what} must be {kind[low]}, got {_show(v)}")
+        raise InvalidInput(what + " must be " + kind[low] + ", got {}", v)
 
 
 def _check_entry(x):
     if type(x) is not int and not _is_int(x):  # plain ints skip the call
-        raise InvalidInput(f"matrix entries must be integers, got {x!r}")
+        raise InvalidInput("matrix entries must be integers, got {}", x)
     if x < 0:
-        raise InvalidInput(f"matrix entries must be nonnegative, got {_show(x)}")
+        raise InvalidInput("matrix entries must be nonnegative, got {}", x)
     return x
 
 
@@ -195,13 +183,13 @@ def _first_mismatch(a, b):
     return None
 
 
-def _raise_mismatch(bad, error, describe, names=("got", "expected"), **details):
-    """Raise error at a _first_mismatch result, if there is one: the message
-    is describe(i, j, x, y) with x and y written by _show, and the details
-    hold the position, then x and y under `names`, then `details`."""
+def _raise_mismatch(bad, error, template, *extra, names=("got", "expected"), **details):
+    """Raise error at a _first_mismatch result ((i, j), x, y), if there is
+    one: the message is template with the values i, j, x, y, *extra, and
+    the details hold the position, then x and y under `names`, then `details`."""
     if bad is not None:
         (i, j), x, y = bad
-        raise error(describe(i, j, _show(x), _show(y)), position=(i, j),
+        raise error(template, i, j, x, y, *extra, position=(i, j),
                     **dict(zip(names, (x, y))), **details)
 
 
@@ -209,8 +197,7 @@ def _check_symmetric(m):
     """Raise NotSymmetric at the first asymmetric pair of m: against the
     transpose the first mismatch has i < j, as every earlier row matched."""
     _raise_mismatch(_first_mismatch(m.entries, tuple(zip(*m.entries))), NotSymmetric,
-                    lambda i, j, x, y: f"entry ({i}, {j}) is {x} but ({j}, {i}) is {y}",
-                    names=())
+                    "entry ({0}, {1}) is {2} but ({1}, {0}) is {3}", names=())
 
 
 def _conjugate_rows(rows, images):
@@ -446,8 +433,7 @@ class NatMatrix(_Record):
         for row in rows:
             if len(row) != n:
                 raise InvalidInput(
-                    f"matrix must be square, got row of length {len(row)} in "
-                    f"a {n}-row matrix"
+                    "matrix must be square, got row of length {} in a {}-row matrix", len(row), n
                 )
         object.__setattr__(self, "entries", rows)
 
@@ -468,7 +454,7 @@ class NatMatrix(_Record):
             return NotImplemented
         if self.n != other.n:
             raise DimensionMismatch(
-                f"cannot add a {self.n}x{self.n} matrix to a {other.n}x{other.n} one"
+                "cannot add a {0}x{0} matrix to a {1}x{1} one", self.n, other.n
             )
         return NatMatrix._trusted(
             tuple(
@@ -482,8 +468,7 @@ class NatMatrix(_Record):
             return NotImplemented
         if self.n != other.n:
             raise DimensionMismatch(
-                f"cannot multiply a {self.n}x{self.n} matrix by a "
-                f"{other.n}x{other.n} one"
+                "cannot multiply a {0}x{0} matrix by a {1}x{1} one", self.n, other.n
             )
         return NatMatrix._trusted(_mul_rows(self.entries, other.entries))
 
@@ -491,7 +476,7 @@ class NatMatrix(_Record):
         if not _is_int(k):
             return NotImplemented
         if k < 0:
-            raise InvalidInput(f"scalar must be nonnegative, got {_show(k)}")
+            raise InvalidInput("scalar must be nonnegative, got {}", k)
         return NatMatrix._trusted(tuple(tuple(k * x for x in row) for row in self.entries))
 
     def power(self, d):
@@ -519,7 +504,7 @@ class Permutation(_Record):
         if n == 0:
             raise InvalidInput("permutations must have dimension >= 1")
         if sorted(images) != list(range(n)):
-            raise InvalidInput(f"not a permutation of 0..{n - 1}: {images}")
+            raise InvalidInput("not a permutation of 0..{}: {}", n - 1, images)
         object.__setattr__(self, "images", images)
 
     @property
@@ -562,9 +547,9 @@ def _normalize_coeffs(coeffs, side):
     coeffs = list(coeffs)
     for c in coeffs:
         if not _is_int(c):
-            raise InvalidInput(f"{side} coefficients must be integers, got {c!r}")
+            raise InvalidInput(side + " coefficients must be integers, got {}", c)
         if c < 0:
-            raise InvalidInput(f"{side} coefficients must be nonnegative, got {_show(c)}")
+            raise InvalidInput(side + " coefficients must be nonnegative, got {}", c)
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
@@ -609,7 +594,7 @@ class RelationPoly(_Record):
 def scalar_mul(k, m):
     out = k * m
     if out is NotImplemented:
-        raise InvalidInput(f"scalar must be an integer, got {k!r}")
+        raise InvalidInput("scalar must be an integer, got {}", k)
     return out
 
 
@@ -643,9 +628,7 @@ def external_tensor(m, b_simples):
 def conjugate(m, s):
     """Relabel simples by the permutation s: entry (i, j) moves to (s(i), s(j))."""
     if m.n != s.n:
-        raise DimensionMismatch(
-            f"matrix is {m.n}x{m.n} but permutation acts on {s.n} letters"
-        )
+        raise DimensionMismatch("matrix is {0}x{0} but permutation acts on {1} letters", m.n, s.n)
     return NatMatrix._trusted(_conjugate_rows(m.entries, s.images))
 
 

@@ -1,8 +1,9 @@
 """Mutation table for the code that alone decides which matrices `solve` emits,
 for the shape predicates that alone decide a classifier's positive verdict,
 and for the one home of each rule the CLI's output rests on (the wire rule,
-exit codes, size caps, the power sum and the bound on the power cache), and
-for the one-field records' trusted constructor, which builds every product.
+exit codes, size caps, the power sum, the bound on the power cache and the
+writing of integers in messages), and for the one-field records' trusted
+constructor, which builds every product.
 
 Each row names a module under src/functorlab, one exact source snippet in
 it, a replacement, and the test ids that must fail once the snippet is
@@ -215,6 +216,9 @@ MUTANTS = {
         "zmatrix", "store(self, name, value)", "pass",
         ["tests/test_records.py::test_trusted_record_cannot_be_told_from_the_checked_one",
          "tests/test_records.py::test_one_field_trusted_records_are_right_before_vars_is_read"]),
+    "show-fallback-unguarded": (
+        "errors", "except ValueError:", "except TypeError:",
+        ["tests/test_zmatrix.py::test_messages_write_input_integers_past_the_digit_limit"]),
     "entry-bound-symmetric-power-is-2": (
         "solver", "if symmetric_only and is_power(other):\n                return 1",
         "if symmetric_only and is_power(other):\n                return 2",

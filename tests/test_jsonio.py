@@ -152,9 +152,9 @@ def test_classification_roundtrips():
     }
 
     zero = NilpotencyVerdict("zero")
-    assert written(jsonio.nilpotency_to_obj, zero) == {"kind": "zero"}
+    assert written(jsonio.verdict_to_obj, zero) == {"kind": "zero"}
     witness = NilpotencyVerdict("not_nilpotent", power=2, position=(1, 1), value=3)
-    assert written(jsonio.nilpotency_to_obj, witness) == {
+    assert written(jsonio.verdict_to_obj, witness) == {
         "kind": "not_nilpotent",
         "power": 2,
         "position": [1, 1],
@@ -164,11 +164,11 @@ def test_classification_roundtrips():
     # an idempotent-kind cyclic verdict serializes as a plain idempotent
     # document, the same one classify idempotent writes
     cyc = classify_cyclic(NatMatrix(((1, 0), (0, 0))), 3, 2)
-    doc = written(jsonio.cyclic_to_obj, cyc)
+    doc = written(jsonio.verdict_to_obj, cyc)
     assert doc == {"kind": "idempotent", "n": 2, "support": [1]}
     assert written(jsonio.idempotent_to_obj, idem) == doc
     cyc = classify_cyclic(NatMatrix(((0, 1), (1, 0))), 3, 1)
-    assert written(jsonio.cyclic_to_obj, cyc) == {
+    assert written(jsonio.verdict_to_obj, cyc) == {
         "kind": "partial_involution",
         "n": 2,
         "support": [1, 2],
@@ -236,7 +236,7 @@ def test_cartan_verdict_roundtrips():
         "inconsistent_input",
         "inconclusive",
     ]
-    assert [written(jsonio.cartan_verdict_to_obj, v) for v in verdicts] == [
+    assert [written(cartan_to_obj, v) for v in verdicts] == [
         {"verdict": "pass", "scale": 2},
         {"verdict": "fail_commutation", "functor": 1, "position": [1, 2], "left": 1,
          "right": 2},
@@ -244,6 +244,36 @@ def test_cartan_verdict_roundtrips():
         {"verdict": "inconsistent_input", "position": [1, 2]},
         {"verdict": "inconclusive"},
     ]
+
+
+def cartan_to_obj(verdict):
+    return jsonio.verdict_to_obj(verdict, "verdict")
+
+
+def test_verdict_documents_keep_their_bytes():
+    # the JSON text of each verdict kind, pinned as the per-kind writers
+    # wrote it: the kind (a Cartan verdict's under "verdict"), then every
+    # field that is not None, in field order; a scale of 0 is written
+    z, one = NatMatrix(((0,),)), NatMatrix(((1,),))
+    cases = [
+        (cartan_to_obj, cartan_check(CartanInstance(z, (one,))),
+         '{\n  "verdict": "pass",\n  "scale": 0\n}\n'),
+        (cartan_to_obj, CartanVerdict("inconsistent_input", position=(1, 2)),
+         '{\n  "verdict": "inconsistent_input",\n  "position": [\n    1,\n    2\n  ]\n}\n'),
+        (cartan_to_obj, CartanVerdict("inconclusive"), '{\n  "verdict": "inconclusive"\n}\n'),
+        (jsonio.verdict_to_obj, classify_cyclic(NatMatrix(((1, 0), (0, 0))), 3, 2),
+         '{\n  "kind": "idempotent",\n  "n": 2,\n  "support": [\n    1\n  ]\n}\n'),
+        (jsonio.verdict_to_obj, classify_cyclic(NatMatrix(((0, 0), (0, 0))), 4, 2),
+         '{\n  "kind": "partial_involution",\n  "n": 2,\n  "support": [],\n'
+         '  "pairing": []\n}\n'),
+        (jsonio.verdict_to_obj, NilpotencyVerdict("zero"), '{\n  "kind": "zero"\n}\n'),
+        (jsonio.verdict_to_obj, NilpotencyVerdict("not_nilpotent", power=3, position=(1, 1),
+                                                   value=4),
+         '{\n  "kind": "not_nilpotent",\n  "power": 3,\n  "position": [\n    1,\n    1\n'
+         '  ],\n  "value": 4\n}\n'),
+    ]
+    for to_obj, verdict, text in cases:
+        assert jsonio.dumps(to_obj(verdict)) == text
 
 
 def test_error_to_obj():

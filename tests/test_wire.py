@@ -280,7 +280,7 @@ def test_wire_nilpotency(verdict):
     expected = {"kind": verdict.kind}
     if verdict.kind == "not_nilpotent":
         expected.update(power=verdict.power, position=verdict.position, value=verdict.value)
-    assert decode(check_wire(verdict, jsonio.nilpotency_to_obj)) == expected
+    assert decode(check_wire(verdict, jsonio.verdict_to_obj)) == expected
 
 
 @WIRE
@@ -313,7 +313,7 @@ def test_wire_block_form(form):
 def test_wire_cartan(verdict):
     expected = {"verdict": verdict.kind}
     expected.update((f, getattr(verdict, f)) for f in CARTAN_FIELDS[verdict.kind])
-    assert decode(check_wire(verdict, jsonio.cartan_verdict_to_obj)) == expected
+    assert decode(check_wire(verdict, lambda v: jsonio.verdict_to_obj(v, "verdict"))) == expected
 
 
 @WIRE

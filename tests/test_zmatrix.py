@@ -786,6 +786,8 @@ def test_messages_write_input_integers_past_the_digit_limit():
         (lambda: enumerate_involutions(BIG), DimensionTooLarge, BIG),
         (lambda: external_tensor(SWAP, BIG), DimensionTooLarge, 2 * BIG),
         (lambda: SWAP.power(-BIG), InvalidInput, -BIG),
+        (lambda: Permutation((BIG,)), InvalidInput, BIG),
+        (lambda: Permutation((0, BIG)), InvalidInput, BIG),
     ]
     for call, error, value in cases:
         with pytest.raises(error) as info:
