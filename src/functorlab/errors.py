@@ -14,11 +14,12 @@ Message text has one home, ``FunctorLabError``.  A raise site passes a
 ``str.format`` template and the values it names, as in
 ``InvalidInput("duplicate subset member {}", i)``.  The template is
 formatted once, each value written by ``_show``, so an integer of any size
-reads in decimal whether or not Python's int/str digit limit is lifted.  Text from outside
-the program (a file name, an environment variable, a non-integer entry) is
-always a value, never part of a template, since a ``{`` in it would make
-``format`` raise; only package literals (``what``, ``side``) join a
-template.  A message given without values is used as it stands.
+reads in decimal whether or not Python's int/str digit limit is lifted.
+Text from outside the program (a file name, an environment variable, a
+non-integer entry) is always a value, never part of a template, since a
+``{`` in it would make ``format`` raise; only package literals (``what``,
+``side``) join a template.  A message given without values is used as it
+stands.
 """
 
 
